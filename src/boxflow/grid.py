@@ -6,6 +6,7 @@ box along that axis so the closed domain is covered exactly.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -98,6 +99,9 @@ class BoxGrid:
             raise CapacityError(f"grid would hold {n} boxes, limit is {MAX_BOXES}")
         self.n_boxes = n
         self.widths = (self.domain[:, 1] - self.domain[:, 0]) / np.array(self.shape)
+        self._top = np.array(self.shape, dtype=np.int64) - 1
+        self._strides = np.array([math.prod(self.shape[k + 1:]) for k in range(self.dimension)],
+                                 dtype=np.int64)
 
     def __eq__(self, other):
         if not isinstance(other, BoxGrid):
@@ -131,11 +135,10 @@ class BoxGrid:
         pts = np.atleast_2d(pts)
         lo = self.domain[:, 0]
         hi = self.domain[:, 1]
-        inside = (pts >= lo).all(axis=1) & (pts <= hi).all(axis=1)
+        inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
         ix = np.floor((pts - lo) / self.widths).astype(np.int64)
-        np.clip(ix, 0, np.array(self.shape) - 1, out=ix)
-        ids = np.ravel_multi_index(tuple(ix.T), self.shape)
-        ids = np.where(inside, ids, np.int64(-1))
+        np.minimum(np.maximum(ix, 0, out=ix), self._top, out=ix)
+        ids = np.where(inside, ix @ self._strides, np.int64(-1))
         if single:
             return int(ids[0])
         return ids

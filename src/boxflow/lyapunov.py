@@ -50,7 +50,8 @@ class RhoFunction:
 
     Distances are taken in the quotient pseudometric where travel through
     the collapsed L is free: d_q(x, R) = min(d(x,R), d(x,L) + d(R,L)).
-    An empty R pins the profile at 0; an empty Z pins it at 1.
+    An empty R pins the profile at 0; an empty Z pins it at 1, and the
+    distances are then not computed.
     """
 
     def __init__(self, pair, A_region, R_region, graph=None):
@@ -66,6 +67,9 @@ class RhoFunction:
         self._dR = BoxSetDistance(pair.grid, R_region)
         self._dL = BoxSetDistance(pair.grid, pair.L)
         self._dRL = boxset_min_distance(pair.grid, R_region, pair.L)
+        # d(·, L) matters only through the quotient shortcut, which needs a
+        # nonempty R and L (and so a nonempty Z).
+        self.uses_L = bool(np.isfinite(self._dRL))
         self.zero_forward_closed = None
         if graph is not None:
             self.zero_forward_closed = self._forward_closed(graph, zero_set)
@@ -78,26 +82,34 @@ class RhoFunction:
         sel = np.isin(src, boxes.ids) & (dst != EXIT)
         return bool(np.isin(dst[sel], boxes.ids).all())
 
-    def __call__(self, points):
+    def __call__(self, points, boxes=None, dL=None):
+        """ρ at points; boxes (their box_of ids) and dL (their distances to
+        L) are computed here unless the caller shares them."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
-        dZ = np.atleast_1d(self._dZ(pts))
-        dR = np.atleast_1d(self._dR(pts))
-        if len(self.pair.L) and np.isfinite(self._dRL):
-            dL = np.atleast_1d(self._dL(pts))
-            dR = np.minimum(dR, dL + self._dRL)
-        overlap = (dZ == 0) & (dR == 0)
-        if overlap.any():
-            where = pts[overlap][0].tolist()
-            raise RegionOverlapError(f"zero and one regions meet at {where}")
-        out = np.empty(pts.shape[0])
-        r_empty = np.isinf(dR)
-        z_empty = np.isinf(dZ) & ~r_empty
-        rest = ~r_empty & ~z_empty
-        out[r_empty] = 0.0
-        out[z_empty] = 1.0
-        out[rest] = dZ[rest] / (dZ[rest] + dR[rest])
+        if not self.one_set:
+            out = np.zeros(pts.shape[0])
+        elif not self.zero_set:
+            out = np.ones(pts.shape[0])
+        else:
+            if boxes is None:
+                boxes = self.pair.grid.box_of(pts)
+            dZ = self._dZ(pts, boxes)
+            dR = self._dR(pts, boxes)
+            if self.uses_L:
+                dR = np.minimum(dR, (self._dL(pts, boxes) if dL is None else dL) + self._dRL)
+            overlap = (dZ == 0) & (dR == 0)
+            if overlap.any():
+                where = pts[overlap][0].tolist()
+                raise RegionOverlapError(f"zero and one regions meet at {where}")
+            out = np.empty(pts.shape[0])
+            r_empty = np.isinf(dR)
+            z_empty = np.isinf(dZ) & ~r_empty
+            rest = ~r_empty & ~z_empty
+            out[r_empty] = 0.0
+            out[z_empty] = 1.0
+            out[rest] = dZ[rest] / (dZ[rest] + dR[rest])
         if single:
             return float(out[0])
         return out
@@ -162,8 +174,27 @@ def _discounted_from_h(h, n_quad, dt):
     return num / den
 
 
+def _sample_profiles(pair, profiles, positions, absorbed):
+    """ρ of each profile at the quotient-orbit samples, 0 where absorbed.
+
+    Absorbed samples are not evaluated.  The box ids of the samples and
+    their distances to the L-boxes of the pair, which every profile of the
+    pair shares, are computed once for all profiles.
+    """
+    k_samples, m, d = positions.shape
+    live = ~absorbed.ravel()
+    pts = positions.reshape(-1, d)[live]
+    boxes = pair.grid.box_of(pts)
+    users = [rho_fn for _, rho_fn in profiles if rho_fn.uses_L]
+    dL = users[0]._dL(pts, boxes) if users else None
+    for _, rho_fn in profiles:
+        vals = np.zeros(k_samples * m)
+        vals[live] = rho_fn(pts, boxes, dL)
+        yield vals.reshape(k_samples, m)
+
+
 def _evaluate_profiles(system, pair, profiles, points, params):
-    """g values of every weighted profile at a batch of points.
+    """g values of every weighted profile of the pair at a batch of points.
 
     One march serves all profiles: ρ is evaluated on the stored samples,
     the envelope h is the suffix running maximum, and g is the normalized
@@ -173,12 +204,8 @@ def _evaluate_profiles(system, pair, profiles, points, params):
     n_quad = int(round(params.t_max / dt))
     n_total = n_quad + int(round(params.settle / dt))
     positions, absorbed = _march_quotient(system, pair, points, n_total, dt)
-    k_samples, m, d = positions.shape
-    flat = positions.reshape(-1, d)
-    out = np.empty((len(profiles), m))
-    for p, (_, rho_fn) in enumerate(profiles):
-        vals = rho_fn(flat).reshape(k_samples, m)
-        vals[absorbed] = 0.0
+    out = np.empty((len(profiles), positions.shape[1]))
+    for p, vals in enumerate(_sample_profiles(pair, profiles, positions, absorbed)):
         h = np.maximum.accumulate(vals[::-1], axis=0)[::-1]
         out[p] = _discounted_from_h(h, n_quad, dt)
     return out
@@ -432,13 +459,10 @@ def renewal_residual(system, field, x, t):
     n_total = n_quad + k_t + int(round(params.settle / dt))
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     positions, absorbed = _march_quotient(system, field.pair, pts, n_total, dt)
-    flat = positions.reshape(-1, positions.shape[2])
 
-    weights = np.array([w for w, _ in field.profiles])
     h_bar = np.zeros(positions.shape[0])
-    for (w, rho_fn) in field.profiles:
-        vals = rho_fn(flat).reshape(positions.shape[0], 1)
-        vals[absorbed] = 0.0
+    samples = _sample_profiles(field.pair, field.profiles, positions, absorbed)
+    for (w, _), vals in zip(field.profiles, samples):
         h = np.maximum.accumulate(vals[::-1], axis=0)[::-1]
         h_bar += w * h[:, 0]
 

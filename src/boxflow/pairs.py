@@ -36,6 +36,18 @@ class _Basepoint:
 BASEPOINT = _Basepoint()
 
 
+def _ingest_boxes(grid, name, ids):
+    try:
+        boxes = BoxSet(ids)
+    except (TypeError, ValueError) as exc:
+        raise IngestionError(f"{name} is not a list of box ids: {exc}") from exc
+    bad = boxes.ids[(boxes.ids < 0) | (boxes.ids >= grid.n_boxes)]
+    if bad.size:
+        raise IngestionError(
+            f"{name} has box ids outside the grid's 0..{grid.n_boxes - 1}: {bad[:5].tolist()}")
+    return boxes
+
+
 class IndexPair:
     """Box sets L ⊆ N with the derived core N−L and its box closure."""
 
@@ -55,7 +67,8 @@ class IndexPair:
 
     @classmethod
     def from_boxes(cls, grid, n_ids, l_ids):
-        return cls(grid, BoxSet(n_ids), BoxSet(l_ids))
+        """The pair of the given id lists; ids outside the grid are rejected."""
+        return cls(grid, _ingest_boxes(grid, "N", n_ids), _ingest_boxes(grid, "L", l_ids))
 
     def in_N(self, box):
         return box >= 0 and bool(self._N_mask[box])

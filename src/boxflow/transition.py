@@ -123,6 +123,15 @@ class TransitionGraph:
             for b, targets in data["edges"]:
                 src.extend([b] * len(targets))
                 dst.extend(targets)
+            src = np.asarray(src, dtype=np.int64)
+            dst = np.asarray(dst, dtype=np.int64)
+            bad_src = src[(src < 0) | (src >= grid.n_boxes)]
+            bad_dst = dst[(dst < EXIT) | (dst >= grid.n_boxes)]
+            if bad_src.size or bad_dst.size:
+                raise IngestionError(
+                    f"graph file {path} has edges outside the grid's boxes "
+                    f"0..{grid.n_boxes - 1} (EXIT is {EXIT}): sources "
+                    f"{bad_src[:5].tolist()}, targets {bad_dst[:5].tolist()}")
             return cls(grid, data["map_time"], data["padding"], data["samples_per_axis"],
                        src, dst)
         except (KeyError, TypeError, ValueError) as exc:

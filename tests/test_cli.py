@@ -201,3 +201,15 @@ def test_config_json_round_trip(tmp_path):
     path = str(tmp_path / "config.json")
     cfg.to_json(path)
     assert cli.RunConfig.from_json(path) == cfg
+
+
+def test_verify_pair_file_with_out_of_range_box_exits_2(tmp_path, capsys):
+    system = bf.builtin_system("doublewell1d")
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps({"grid": {"domain": system.domain.tolist(), "shape": [32]},
+                                     "N": [1, 2, 99], "L": []}))
+    code = cli.main(["verify", "--system", "doublewell1d", "--depth", "32",
+                     "--pair-file", str(pair_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "99" in err

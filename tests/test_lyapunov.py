@@ -248,3 +248,64 @@ def test_field_round_trip(tmp_path, doublewell):
         == pytest.approx(float(field.values[0]))
     with pytest.raises(PreconditionError):
         loaded.evaluate(doublewell.system, np.array([[0.0]]))
+
+
+def _brute_rho_distances(monkeypatch):
+    """Route every ρ distance through the brute-force oracles."""
+    from test_distances import _brute_distance, _brute_gap
+
+    def brute_call(self, points, boxes=None):
+        pts = np.asarray(points, dtype=float)
+        out = _brute_distance(self.grid, self.boxset, np.atleast_2d(pts))
+        return float(out[0]) if pts.ndim == 1 else out
+
+    def brute_min(grid, first, second, k=32):
+        return _brute_gap(grid, first, second) if first and second else np.inf
+
+    monkeypatch.setattr(bf.BoxSetDistance, "__call__", brute_call)
+    monkeypatch.setattr("boxflow.lyapunov.boxset_min_distance", brute_min)
+
+
+@pytest.mark.parametrize("name,depth", [("hopf2d", (16, 16)), ("saddle1d", (64,))])
+def test_morse_field_equals_the_brute_force_distance_field(monkeypatch, name, depth):
+    # saddle1d has a nonempty L, so the shared d(., L) path is covered too
+    system = bf.builtin_system(name)
+    grid = bf.build_grid(system.domain, depth)
+    graph = bf.build_transition_graph(system, grid, 1.0)
+    region = grid.all_boxes()
+    mg = bf.morse_graph(graph, region)
+    pair = bf.build_index_pair(graph, region)
+    fast = bf.morse_lyapunov(system, pair, mg)
+    with monkeypatch.context() as m:
+        _brute_rho_distances(m)
+        slow = bf.morse_lyapunov(system, pair, mg)
+    assert np.array_equal(fast.values, slow.values)
+
+
+def _rho_from_both_distances(rho_fn, pts):
+    """ρ evaluated from d(., Z) and d(., R) without the empty-set shortcuts."""
+    dZ = rho_fn._dZ(pts)
+    dR = rho_fn._dR(pts)
+    if rho_fn.uses_L:
+        dR = np.minimum(dR, rho_fn._dL(pts) + rho_fn._dRL)
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isinf(dR), 0.0, np.where(np.isinf(dZ), 1.0, dZ / (dZ + dR)))
+
+
+def test_empty_region_shortcuts_match_both_distances(monkeypatch):
+    system = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(system.domain, (64,))
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-1.1, 1.1, size=(200, 1))
+    some = BoxSet([5, 6, 40])
+    empty = BoxSet([])
+    # with a nonempty L the zero set Z = L ∪ A is never empty
+    for l_ids in ([], [0, 1, 62, 63]):
+        pair = bf.IndexPair.from_boxes(grid, grid.all_boxes().ids, l_ids)
+        for zero, one in ((empty, some), (some, empty), (empty, empty)):
+            rho_fn = bf.make_rho(pair, zero, one)
+            got = rho_fn(pts)
+            assert np.array_equal(got, _rho_from_both_distances(rho_fn, pts))
+            with monkeypatch.context() as m:
+                _brute_rho_distances(m)
+                assert np.array_equal(got, bf.make_rho(pair, zero, one)(pts))

@@ -1,5 +1,6 @@
 """Index pair construction, validation, exit times, and induced semiflows."""
 
+import json
 import math
 
 import numpy as np
@@ -162,3 +163,16 @@ def test_construction_rejects_a_swallowed_core():
                             [3, 3, 4, 4], [3, 4, -1, 3])
     with pytest.raises(ConstructionError):
         bf.build_index_pair(graph, grid.all_boxes())
+
+
+def test_pair_rejects_box_ids_outside_the_grid(tmp_path, saddle):
+    grid = saddle.grid
+    for n_ids, l_ids in (([1, 2, grid.n_boxes], []), ([1, 2, 3], [-1]), (["a"], [])):
+        with pytest.raises(IngestionError):
+            bf.IndexPair.from_boxes(grid, n_ids, l_ids)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"grid": {"domain": grid.domain.tolist(),
+                                         "shape": list(grid.shape)},
+                                "N": [1, 2, 99], "L": []}))
+    with pytest.raises(IngestionError, match="99"):
+        bf.IndexPair.from_json(str(path))

@@ -1,5 +1,6 @@
 """Transition digraphs against interval-arithmetic oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import boxflow as bf
 from boxflow.errors import IngestionError
 from boxflow.grid import BoxSet
-from boxflow.transition import TransitionGraph, box_image
+from boxflow.transition import EXIT, TransitionGraph, box_image
 
 
 def test_contract_edges_match_interval_arithmetic():
@@ -138,3 +139,17 @@ def test_invariant_part_respects_region():
     assert inv.ids.tolist() == [0, 1, 2]
     inv2, _ = bf.invariant_part(graph, BoxSet([1, 2]))
     assert inv2.ids.tolist() == [1, 2]
+
+
+def test_graph_file_rejects_edges_outside_the_grid(tmp_path):
+    grid = bf.build_grid([(0.0, 1.0)], (4,))
+    graph = TransitionGraph(grid, 1.0, 0.1, 3, [0, 1, 2], [1, 2, EXIT])
+    path = tmp_path / "graph.json"
+    graph.to_json(str(path))
+    data = json.loads(path.read_text())
+    assert TransitionGraph.from_json(str(path)) == graph
+    for edges in ([[0, [9]]], [[0, [4]]], [[0, [-2]]], [[7, [0]]], [[-1, [0]]]):
+        data["edges"] = edges
+        path.write_text(json.dumps(data))
+        with pytest.raises(IngestionError, match="outside the grid"):
+            TransitionGraph.from_json(str(path))
