@@ -21,7 +21,7 @@ from .lyapunov import (LyapunovParams, complete_lyapunov, extract_filtration,
                        morse_lyapunov, pair_lyapunov)
 from .pairs import IndexPair, build_index_pair, validate_index_pair
 from .recurrence import (ar_regions_in_pair, enumerate_ar_pairs, morse_graph)
-from .transition import build_transition_graph, invariant_part
+from .transition import build_transition_graph
 from .verify import run_suite
 
 _CONFIG_ERRORS = (ConfigError, IngestionError, CatalogError, SelectionError,
@@ -150,7 +150,6 @@ def cmd_analyze(config):
     system, grid = _prepare(config)
     graph = build_transition_graph(system, grid, config.map_time, config.padding)
     region = grid.all_boxes()
-    inv, _ = invariant_part(graph, region)
     mg = morse_graph(graph, region)
     recurrent = sorted(b for m in mg.morse_sets for b in m.ids.tolist())
 
@@ -165,7 +164,7 @@ def cmd_analyze(config):
     order = ", ".join(f"M{a} > M{b}" for a, b in sorted(mg.partial_order)) or "(none)"
     print(f"system: {system.name}  grid: {grid.shape}  boxes: {grid.n_boxes}")
     print(f"edges: {graph.n_edges}  exit: {'yes' if graph.has_exit else 'no'}")
-    print(f"invariant part: {len(inv)} boxes")
+    print(f"invariant part: {len(mg.invariant)} boxes")
     print(f"morse sets: {mg.n}  sizes: {sizes}")
     print(f"partial order: {order}")
     print(f"recurrent boxes: {len(recurrent)}")
@@ -233,14 +232,13 @@ def cmd_filtration(config):
     system, grid = _prepare(config)
     graph = build_transition_graph(system, grid, config.map_time, config.padding)
     region = grid.all_boxes()
-    inv, _ = invariant_part(graph, region)
+    mg = morse_graph(graph, region)
     out = config.out
-    if not inv:
+    if not mg.invariant:
         _write_json(os.path.join(out, "filtration.json"),
                     {"n": 0, "levels": [], "thresholds": []})
         print("empty invariant part: trivial filtration with 0 levels")
         return 0
-    mg = morse_graph(graph, region)
     if mg.n == 0:
         _write_json(os.path.join(out, "filtration.json"),
                     {"n": 0, "levels": [], "thresholds": []})

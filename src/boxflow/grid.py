@@ -10,9 +10,28 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, IngestionError, PreconditionError
 
 MAX_BOXES = 2 ** 31
+
+
+def ingest_ids(values, what):
+    """Box ids read from outside the program, as an int64 array.
+
+    Entries that are not integers raise IngestionError instead of being
+    cast, which would truncate 1.5 to 1 and read true as 1.
+    """
+    items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    try:
+        bad = [v for v in items if isinstance(v, bool) or not isinstance(v, int)]
+    except TypeError as exc:
+        raise IngestionError(f"{what} is not a list of box ids: {exc}") from exc
+    if bad:
+        raise IngestionError(f"{what} has ids that are not integers: {bad[:5]}")
+    try:
+        return np.asarray(items, dtype=np.int64)
+    except OverflowError as exc:
+        raise IngestionError(f"{what} has ids beyond the int64 range: {exc}") from exc
 
 
 class BoxSet:
@@ -136,8 +155,10 @@ class BoxGrid:
         lo = self.domain[:, 0]
         hi = self.domain[:, 1]
         inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
-        ix = np.floor((pts - lo) / self.widths).astype(np.int64)
-        np.minimum(np.maximum(ix, 0, out=ix), self._top, out=ix)
+        cells = np.floor((pts - lo) / self.widths)
+        # rows outside the domain (inf and nan included) would not cast
+        cells[~inside] = 0
+        ix = np.minimum(cells.astype(np.int64), self._top)
         ids = np.where(inside, ix @ self._strides, np.int64(-1))
         if single:
             return int(ids[0])

@@ -15,8 +15,8 @@ import numpy as np
 from .distances import BoxSetDistance
 from .errors import ConstructionError, IngestionError, IsolationError, PreconditionError
 from .flows import Escape, _advance, flow_map
-from .grid import BoxGrid, BoxSet
-from .transition import EXIT, invariant_part
+from .grid import BoxGrid, BoxSet, ingest_ids
+from .transition import EXIT, invariant_part, reachable
 
 
 class _Basepoint:
@@ -37,10 +37,7 @@ BASEPOINT = _Basepoint()
 
 
 def _ingest_boxes(grid, name, ids):
-    try:
-        boxes = BoxSet(ids)
-    except (TypeError, ValueError) as exc:
-        raise IngestionError(f"{name} is not a list of box ids: {exc}") from exc
+    boxes = BoxSet(ingest_ids(ids, name))
     bad = boxes.ids[(boxes.ids < 0) | (boxes.ids >= grid.n_boxes)]
     if bad.size:
         raise IngestionError(
@@ -135,26 +132,16 @@ def build_index_pair(graph, region):
             "the invariant part touches the region's boundary layer; "
             "enlarge the region or refine the grid")
 
-    src, dst = graph.edge_arrays()
     # start from one closure layer so the invariant part sits in the grid
     # interior of N and continuous orbits cannot slip out between map steps
-    N = graph.grid.closure(inv).intersection(region)
-    frontier = N
-    while frontier:
-        sel = np.isin(src, frontier.ids)
-        imgs = BoxSet(dst[sel & (dst >= 0)]).intersection(region)
-        frontier = imgs.difference(N)
-        N = N.union(frontier)
+    start = graph.grid.closure(inv).mask(graph.grid.n_boxes)[region.ids]
+    N = BoxSet(region.ids[reachable(graph.restricted(region), start)])
 
+    src, dst = graph.edge_arrays()
     n_mask = N.mask(graph.grid.n_boxes)
     leaves = (dst == EXIT) | ~n_mask[np.maximum(dst, 0)]
-    L = BoxSet(src[leaves & n_mask[src]])
-    while True:
-        sel = np.isin(src, L.ids) & (dst >= 0) & n_mask[np.maximum(dst, 0)]
-        grown = L.union(BoxSet(dst[sel]))
-        if grown == L:
-            break
-        L = grown
+    exits = np.isin(N.ids, src[leaves & n_mask[src]])
+    L = BoxSet(N.ids[reachable(graph.restricted(N), exits)])
 
     pair = IndexPair(graph.grid, N, L)
     if not inv.issubset(pair.core):

@@ -11,45 +11,35 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import BoxSet
-from .transition import _peel, invariant_part
-
-
-def _restricted_digraph(graph, boxes):
-    """networkx view of the graph restricted to a box set, EXIT dropped."""
-    ids = boxes.ids
-    src, dst = graph.edge_arrays()
-    keep = np.isin(src, ids) & np.isin(dst, ids)
-    g = nx.DiGraph()
-    g.add_nodes_from(ids.tolist())
-    g.add_edges_from(zip(src[keep].tolist(), dst[keep].tolist()))
-    return g
-
-
-def _nontrivial_sccs(g):
-    out = []
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > 1:
-            out.append(sorted(comp))
-        else:
-            (b,) = comp
-            if g.has_edge(b, b):
-                out.append([b])
-    return out
+from .transition import _peel, invariant_part, on_cycle, reachable
 
 
 def chain_recurrent_boxes(graph, region):
     """Boxes of the region lying in nontrivial SCCs of the restricted graph."""
-    g = _restricted_digraph(graph, region)
-    boxes = []
-    for comp in _nontrivial_sccs(g):
-        boxes.extend(comp)
-    return BoxSet(boxes)
+    return BoxSet(region.ids[on_cycle(graph.restricted(region))])
+
+
+def _class_bits(adj, classes):
+    """Reach and coreach bits of every node of a local adjacency matrix.
+
+    classes holds one boolean node mask per class.  reach[k, v] says node v
+    reaches class k; coreach[k, v] says class k reaches node v.  Class
+    members count as both.  One forward and one reverse search per class.
+    """
+    rev = adj.T.tocsr()
+    reach = np.zeros((len(classes), adj.shape[0]), dtype=bool)
+    coreach = np.zeros_like(reach)
+    for k, members in enumerate(classes):
+        coreach[k] = reachable(adj, members)
+        reach[k] = reachable(rev, members)
+    return reach, coreach
 
 
 class MorseGraph:
@@ -160,64 +150,35 @@ def morse_graph(graph, region):
     ties broken by smallest contained box id.
     """
     inv, _ = invariant_part(graph, region)
-    g = _restricted_digraph(graph, inv)
-    raw_classes = _nontrivial_sccs(g)
-
-    reach_sets = []
-    for comp in raw_classes:
-        desc = set()
-        for b in comp:
-            desc |= nx.descendants(g, b)
-            break
-        reach_sets.append(desc)
-    reachable_classes = []
-    for i, comp in enumerate(raw_classes):
-        below = set()
-        for j, other in enumerate(raw_classes):
-            if j != i and reach_sets[i].intersection(other):
-                below.add(j)
-        reachable_classes.append(below)
+    adj = graph.restricted(inv)
+    _, labels = connected_components(adj, directed=True, connection="strong")
+    cyclic = np.flatnonzero(on_cycle(adj))
+    # classes listed by smallest box id, the tie-break of the admissible order
+    _, first = np.unique(labels[cyclic], return_index=True)
+    heads = cyclic[np.sort(first)]
+    classes = [labels == labels[h] for h in heads]
+    reach, coreach = _class_bits(adj, classes)
+    below = [set(np.flatnonzero(coreach[i, heads]).tolist()) - {i}
+             for i in range(len(classes))]
 
     order = []
     assigned = set()
-    while len(order) < len(raw_classes):
-        ready = [i for i in range(len(raw_classes))
-                 if i not in assigned and reachable_classes[i] <= assigned]
-        pick = min(ready, key=lambda i: raw_classes[i][0])
+    while len(order) < len(classes):
+        pick = min(i for i in range(len(classes))
+                   if i not in assigned and below[i] <= assigned)
         order.append(pick)
         assigned.add(pick)
 
-    index_of = {raw: k + 1 for k, raw in enumerate(order)}
-    morse_sets = [BoxSet(raw_classes[raw]) for raw in order]
-    partial_order = set()
-    for i, below in enumerate(reachable_classes):
-        for j in below:
-            partial_order.add((index_of[i], index_of[j]))
-
-    n = len(morse_sets)
+    index_of = {i: k + 1 for k, i in enumerate(order)}
+    partial_order = {(index_of[i], index_of[j])
+                     for i, lower in enumerate(below) for j in lower}
     inv_ids = inv.ids
+    morse_sets = [BoxSet(inv_ids[classes[i]]) for i in order]
     class_of_local = np.zeros(inv_ids.size, dtype=np.int64)
-    for k, m in enumerate(morse_sets, start=1):
-        class_of_local[np.searchsorted(inv_ids, m.ids)] = k
-
-    reach_bits = np.zeros((n, inv_ids.size), dtype=bool)
-    coreach_bits = np.zeros((n, inv_ids.size), dtype=bool)
-    rev = g.reverse(copy=False)
-    for k, m in enumerate(morse_sets):
-        seeds = m.ids.tolist()
-        fwd = set(seeds)
-        for b in seeds:
-            fwd |= nx.descendants(g, b)
-            break
-        bwd = set(seeds)
-        for b in seeds:
-            bwd |= nx.descendants(rev, b)
-            break
-        coreach_bits[k, np.searchsorted(inv_ids, np.fromiter(sorted(fwd), np.int64))] = True
-        reach_bits[k, np.searchsorted(inv_ids, np.fromiter(sorted(bwd), np.int64))] = True
-
+    for k, i in enumerate(order, start=1):
+        class_of_local[classes[i]] = k
     return MorseGraph(graph, region, inv, morse_sets, partial_order,
-                      inv_ids, class_of_local, reach_bits, coreach_bits)
+                      inv_ids, class_of_local, reach[order], coreach[order])
 
 
 @dataclass(frozen=True)
@@ -284,27 +245,6 @@ def ar_regions(mg, graph, region, down_set):
                   down_set=D)
 
 
-def _orbit_class_bits(mg, graph, region):
-    """Reach/coreach class bits for every region box, over the region graph."""
-    ids = region.ids
-    g = _restricted_digraph(graph, region)
-    rev = g.reverse(copy=False)
-    n = mg.n
-    reach = np.zeros((n, ids.size), dtype=bool)
-    coreach = np.zeros((n, ids.size), dtype=bool)
-    for k, m in enumerate(mg.morse_sets):
-        seeds = m.ids.tolist()
-        fwd = set(seeds)
-        bwd = set(seeds)
-        for b in seeds:
-            fwd |= nx.descendants(g, b)
-            bwd |= nx.descendants(rev, b)
-            break
-        coreach[k, np.searchsorted(ids, np.fromiter(sorted(fwd), np.int64))] = True
-        reach[k, np.searchsorted(ids, np.fromiter(sorted(bwd), np.int64))] = True
-    return reach, coreach
-
-
 def ar_regions_in_pair(mg, graph, region, down_set):
     """Attractor-repeller pair plus the one-sided orbit regions.
 
@@ -324,8 +264,9 @@ def ar_regions_in_pair(mg, graph, region, down_set):
 
     w_back = _peel(graph, region, require_in=True, require_out=False)
     w_fwd = _peel(graph, region, require_in=False, require_out=True)
-    reach, coreach = _orbit_class_bits(mg, graph, region)
     ids = region.ids
+    reach, coreach = _class_bits(graph.restricted(region),
+                                 [np.isin(ids, m.ids) for m in mg.morse_sets])
 
     d_bits = np.zeros(mg.n, dtype=bool)
     for k in D:
@@ -413,12 +354,7 @@ def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=1
         dist = np.linalg.norm(diff, axis=2)
         edges[live] |= dist < epsilon
 
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    srcs, dsts = np.nonzero(edges)
-    g.add_edges_from(zip(srcs.tolist(), dsts.tolist()))
-    flagged = sorted(b for comp in _nontrivial_sccs(g) for b in comp)
-    return pts[flagged]
+    return pts[on_cycle(csr_matrix(edges))]
 
 
 class IntersectionReport(NamedTuple):

@@ -5,18 +5,23 @@ the map time in one batch, and each image point is inflated to a box of
 radius padding in the max norm.  Every grid box touching an inflated image
 becomes a target of the source box.  Sample points whose orbit leaves the
 closed domain produce an edge to the synthetic EXIT node instead.
+
+Every graph question (cycles, reachability, invariant parts) is answered by
+scipy's csgraph on the CSR matrix that TransitionGraph.restricted builds
+for a box set.
 """
 
 import itertools
 import json
-from collections import deque
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import IngestionError, PreconditionError
 from .flows import _advance
-from .grid import BoxGrid, BoxSet
+from .grid import BoxGrid, BoxSet, ingest_ids
 
 EXIT = -1
 
@@ -74,6 +79,23 @@ class TransitionGraph:
         rdst, starts = self._reverse()
         return np.sort(rdst[starts[box]:starts[box + 1]])
 
+    def restricted(self, boxes):
+        """The graph on a box set as a local CSR adjacency matrix.
+
+        Row and column i stand for boxes.ids[i].  EXIT edges and edges
+        leaving the set are dropped.
+        """
+        n = len(boxes)
+        # the extra last slot maps EXIT (-1) and boxes outside the set to -1
+        local = np.full(self.grid.n_boxes + 1, -1, dtype=np.int64)
+        local[boxes.ids] = np.arange(n)
+        ls = local[self._src]
+        ld = local[self._dst]
+        keep = (ls >= 0) & (ld >= 0)
+        ls = ls[keep]
+        indptr = np.searchsorted(ls, np.arange(n + 1))
+        return csr_matrix((np.ones(ls.size), ld[keep], indptr), shape=(n, n))
+
     def __eq__(self, other):
         if not isinstance(other, TransitionGraph):
             return NotImplemented
@@ -123,8 +145,8 @@ class TransitionGraph:
             for b, targets in data["edges"]:
                 src.extend([b] * len(targets))
                 dst.extend(targets)
-            src = np.asarray(src, dtype=np.int64)
-            dst = np.asarray(dst, dtype=np.int64)
+            src = ingest_ids(src, f"graph file {path} sources")
+            dst = ingest_ids(dst, f"graph file {path} targets")
             bad_src = src[(src < 0) | (src >= grid.n_boxes)]
             bad_dst = dst[(dst < EXIT) | (dst >= grid.n_boxes)]
             if bad_src.size or bad_dst.size:
@@ -220,58 +242,58 @@ class InvariantPart(NamedTuple):
     isolated: bool
 
 
-def _peel(graph, boxes, require_in, require_out):
-    """Iteratively drop boxes missing a required neighbor inside the set.
+def on_cycle(adj):
+    """Nodes of a local adjacency matrix that lie on a cycle.
 
-    With both requirements this yields the combinatorial invariant part;
-    with only one it yields the boxes carrying a full backward (require_in)
-    or forward (require_out) orbit inside the set.  EXIT edges never count.
+    A node is on a cycle when its strongly connected component has more
+    than one node or it has a self-loop.
     """
-    ids = boxes.ids
-    n = ids.size
-    if n == 0:
-        return BoxSet([])
+    _, labels = connected_components(adj, directed=True, connection="strong")
+    return (np.bincount(labels)[labels] > 1) | (adj.diagonal() != 0)
 
-    src, dst = graph.edge_arrays()
-    keep = np.isin(src, ids) & np.isin(dst, ids)
-    ls = np.searchsorted(ids, src[keep])
-    ld = np.searchsorted(ids, dst[keep])
 
-    out_deg = np.bincount(ls, minlength=n)
-    in_deg = np.bincount(ld, minlength=n)
-    out_adj_starts = np.searchsorted(ls, np.arange(n + 1))
-    out_adj = ld
-    order = np.argsort(ld, kind="stable")
-    in_adj_starts = np.searchsorted(ld[order], np.arange(n + 1))
-    in_adj = ls[order]
+def reachable(adj, seeds):
+    """Mask of the nodes reachable from any seed node, seeds included.
 
-    def bad(u):
-        return (require_out and out_deg[u] == 0) or (require_in and in_deg[u] == 0)
+    One breadth-first search runs from a super-source row appended to the
+    CSR matrix, with an edge to every seed of the boolean seed mask.
+    """
+    adj = adj.tocsr()
+    n = adj.shape[0]
+    heads = np.flatnonzero(seeds)
+    indptr = np.append(adj.indptr, adj.indptr[-1] + heads.size)
+    indices = np.concatenate([adj.indices, heads])
+    fanned = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1))
+    hit = np.zeros(n + 1, dtype=bool)
+    hit[breadth_first_order(fanned, n, directed=True, return_predecessors=False)] = True
+    return hit[:n]
 
-    removed = np.zeros(n, dtype=bool)
-    queue = deque(u for u in range(n) if bad(u))
-    while queue:
-        u = queue.popleft()
-        if removed[u]:
-            continue
-        removed[u] = True
-        for v in out_adj[out_adj_starts[u]:out_adj_starts[u + 1]].tolist():
-            in_deg[v] -= 1
-            if not removed[v] and bad(v):
-                queue.append(v)
-        for v in in_adj[in_adj_starts[u]:in_adj_starts[u + 1]].tolist():
-            out_deg[v] -= 1
-            if not removed[v] and bad(v):
-                queue.append(v)
 
-    return BoxSet(ids[~removed])
+def _peel(graph, boxes, require_in, require_out):
+    """Boxes of the set carrying a full orbit inside the set.
+
+    With both requirements this is the combinatorial invariant part; with
+    only one it is the boxes carrying a full backward (require_in) or
+    forward (require_out) orbit.  In a finite set a box has a full backward
+    orbit exactly when a cycle of the set reaches it, and a full forward
+    orbit exactly when it reaches a cycle.  EXIT edges never count.
+    """
+    adj = graph.restricted(boxes)
+    cyclic = on_cycle(adj)
+    keep = np.ones(len(boxes), dtype=bool)
+    if require_in:
+        keep &= reachable(adj, cyclic)
+    if require_out:
+        keep &= reachable(adj.T, cyclic)
+    return BoxSet(boxes.ids[keep])
 
 
 def invariant_part(graph, boxes):
     """The maximal subgraph of a box set where every box lies on a full orbit.
 
-    Boxes are peeled until each survivor has at least one predecessor and at
-    least one successor inside the surviving set; EXIT edges never count.
+    These are the boxes that a cycle of the set reaches and that reach one;
+    each has at least one predecessor and at least one successor inside the
+    result, and EXIT edges never count.
     The isolated flag records whether the survivors stay clear of the box
     set's boundary layer, grid edge included.
     """

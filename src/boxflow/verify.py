@@ -548,7 +548,6 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, horizon=20.0,
     grid = build_grid(system.domain, depth)
     graph = build_transition_graph(system, grid, map_time, padding)
     region = grid.all_boxes()
-    inv, _ = invariant_part(graph, region)
     mg = morse_graph(graph, region)
     params = LyapunovParams(dt=dt, t_max=t_max)
 
@@ -560,8 +559,8 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, horizon=20.0,
                                   tolerance=tolerance, detail=detail))
 
     _flow_checks(system, rng, add)
-    _graph_checks(system, grid, graph, inv, rng, add)
-    recurrent = _recurrence_checks(grid, graph, inv, mg, region, add)
+    _graph_checks(system, grid, graph, mg.invariant, rng, add)
+    recurrent = _recurrence_checks(grid, graph, mg.invariant, mg, region, add)
     _oracle_check(system, grid, graph, padding, epsilon, add)
 
     pair = None

@@ -213,3 +213,15 @@ def test_verify_pair_file_with_out_of_range_box_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "99" in err
+
+
+def test_verify_pair_file_with_non_integer_ids_exits_2(tmp_path, capsys):
+    system = bf.builtin_system("doublewell1d")
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps({"grid": {"domain": system.domain.tolist(), "shape": [32]},
+                                     "N": [1.5, 2.9], "L": []}))
+    code = cli.main(["verify", "--system", "doublewell1d", "--depth", "32",
+                     "--pair-file", str(pair_path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "not integers" in err

@@ -140,7 +140,6 @@ def test_single_point_calls_return_floats():
     assert BoxSetDistance(grid, BoxSet([]))(pts[0]) == np.inf
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
 def test_non_finite_points_match_the_oracle():
     grid = bf.build_grid([(-2.0, 2.0), (-2.0, 2.0)], (16, 16))
     boxset = BoxSet([0, 17, 200])

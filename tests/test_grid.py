@@ -1,5 +1,7 @@
 """Box grid geometry, id math, and set algebra."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,18 @@ def test_box_of_outside_is_minus_one():
     grid = bf.build_grid([(-1.0, 1.0)], (16,))
     out = grid.box_of(np.array([[1.5], [-3.0], [0.0]]))
     assert out[0] == -1 and out[1] == -1 and out[2] >= 0
+
+
+def test_box_of_non_finite_is_minus_one_without_warnings():
+    grid = bf.build_grid([(-1.0, 1.0), (0.0, 2.0)], (8, 8))
+    pts = np.array([[np.inf, 1.0], [-np.inf, 1.0], [np.nan, 1.0], [0.0, np.nan],
+                    [1e300, 1.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = grid.box_of(pts)
+        single = grid.box_of(np.array([np.nan, 1.0]))
+    assert out[:5].tolist() == [-1] * 5 and out[5] >= 0
+    assert single == -1
 
 
 def test_bounds_partition_the_domain():

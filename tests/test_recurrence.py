@@ -1,5 +1,10 @@
 """Recurrence and Morse decomposition against a hand-rolled SCC oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,6 +127,12 @@ def test_morse_sets_and_order_match_oracle(seed):
     assert bf.chain_recurrent_boxes(graph, grid.all_boxes()) \
         == BoxSet(sorted(b for m in mg.morse_sets for b in m.ids.tolist()))
 
+    for b in mg.invariant:
+        assert mg.reach_classes(b) == {index_of[c] for c in reach[comp[b]]
+                                       if c in index_of}
+        assert mg.coreach_classes(b) == {k for c, k in index_of.items()
+                                         if comp[b] in reach[c]}
+
 
 def test_doublewell_morse_sets(doublewell):
     mg = doublewell.mg
@@ -224,3 +235,10 @@ def test_morse_graph_dot_output(doublewell):
     text = doublewell.mg.to_dot()
     assert text.startswith("digraph")
     assert "M1" in text and "M3" in text
+
+
+def test_importing_the_package_does_not_load_networkx():
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    code = "import boxflow, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

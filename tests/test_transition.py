@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import boxflow as bf
 from boxflow.errors import IngestionError
 from boxflow.grid import BoxSet
-from boxflow.transition import EXIT, TransitionGraph, box_image
+from boxflow.transition import EXIT, TransitionGraph, _peel, box_image, reachable
 
 
 def test_contract_edges_match_interval_arithmetic():
@@ -153,3 +154,109 @@ def test_graph_file_rejects_edges_outside_the_grid(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(IngestionError, match="outside the grid"):
             TransitionGraph.from_json(str(path))
+
+
+def test_graph_file_rejects_non_integer_ids(tmp_path):
+    grid = bf.build_grid([(0.0, 1.0)], (4,))
+    path = tmp_path / "graph.json"
+    TransitionGraph(grid, 1.0, 0.1, 3, [0], [1]).to_json(str(path))
+    data = json.loads(path.read_text())
+    for edges in ([[0, [1.5]]], [[0, [True]]], [[0, [1, True]]], [[1.0, [0]]]):
+        data["edges"] = edges
+        path.write_text(json.dumps(data))
+        with pytest.raises(IngestionError, match="not integers"):
+            TransitionGraph.from_json(str(path))
+
+
+def _peel_oracle(graph, boxes, require_in, require_out):
+    """Iteratively drop boxes missing a required neighbor inside the set."""
+    ids = boxes.ids
+    n = ids.size
+    if n == 0:
+        return BoxSet([])
+
+    src, dst = graph.edge_arrays()
+    keep = np.isin(src, ids) & np.isin(dst, ids)
+    ls = np.searchsorted(ids, src[keep])
+    ld = np.searchsorted(ids, dst[keep])
+
+    out_deg = np.bincount(ls, minlength=n)
+    in_deg = np.bincount(ld, minlength=n)
+    out_adj_starts = np.searchsorted(ls, np.arange(n + 1))
+    out_adj = ld
+    order = np.argsort(ld, kind="stable")
+    in_adj_starts = np.searchsorted(ld[order], np.arange(n + 1))
+    in_adj = ls[order]
+
+    def bad(u):
+        return (require_out and out_deg[u] == 0) or (require_in and in_deg[u] == 0)
+
+    removed = np.zeros(n, dtype=bool)
+    queue = deque(u for u in range(n) if bad(u))
+    while queue:
+        u = queue.popleft()
+        if removed[u]:
+            continue
+        removed[u] = True
+        for v in out_adj[out_adj_starts[u]:out_adj_starts[u + 1]].tolist():
+            in_deg[v] -= 1
+            if not removed[v] and bad(v):
+                queue.append(v)
+        for v in in_adj[in_adj_starts[u]:in_adj_starts[u + 1]].tolist():
+            out_deg[v] -= 1
+            if not removed[v] and bad(v):
+                queue.append(v)
+
+    return BoxSet(ids[~removed])
+
+
+def _random_exit_graph(seed):
+    """A random graph with EXIT edges and a random sub-region."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    src, dst = np.nonzero(rng.random((n, n)) < rng.uniform(0.01, 0.12))
+    escapes = np.flatnonzero(rng.random(n) < 0.15)
+    grid = bf.build_grid([(0.0, 1.0)], (n,))
+    graph = TransitionGraph(grid, 1.0, 0.0, 3, np.concatenate([src, escapes]),
+                            np.concatenate([dst, np.full(escapes.size, EXIT)]))
+    return grid, graph, BoxSet(np.flatnonzero(rng.random(n) < 0.8))
+
+
+def test_restriction_keeps_exactly_the_edges_inside_the_set():
+    for seed in range(50):
+        grid, graph, region = _random_exit_graph(seed)
+        src, dst = graph.edge_arrays()
+        inside = set(region.ids.tolist())
+        expected = {(s, d) for s, d in zip(src.tolist(), dst.tolist())
+                    if s in inside and d in inside}
+        rows, cols = graph.restricted(region).nonzero()
+        got = set(zip(region.ids[rows].tolist(), region.ids[cols].tolist()))
+        assert got == expected, seed
+
+
+def test_peels_match_the_deque_oracle():
+    for seed in range(200):
+        grid, graph, region = _random_exit_graph(seed)
+        for boxes in (grid.all_boxes(), region, BoxSet([])):
+            inv, _ = bf.invariant_part(graph, boxes)
+            assert inv == _peel_oracle(graph, boxes, True, True), seed
+            for require_in, require_out in ((True, False), (False, True)):
+                assert _peel(graph, boxes, require_in, require_out) \
+                    == _peel_oracle(graph, boxes, require_in, require_out), seed
+
+
+def test_reachable_matches_a_python_bfs():
+    for seed in range(100):
+        grid, graph, region = _random_exit_graph(seed)
+        adj = graph.restricted(region)
+        n = adj.shape[0]
+        seeds = np.random.default_rng(seed).random(n) < 0.1
+        succ = [adj.indices[adj.indptr[u]:adj.indptr[u + 1]].tolist() for u in range(n)]
+        seen = set(np.flatnonzero(seeds).tolist())
+        queue = deque(seen)
+        while queue:
+            for v in succ[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        assert set(np.flatnonzero(reachable(adj, seeds)).tolist()) == seen, seed
