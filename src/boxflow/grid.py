@@ -13,6 +13,9 @@ import numpy as np
 from .errors import CapacityError, IngestionError, PreconditionError
 
 MAX_BOXES = 2 ** 31
+# (sample point, target box) pairs one graph build may produce; the two
+# int64 edge arrays then stay near 1 GB
+MAX_PAIRS = 2 ** 26
 
 
 def ingest_ids(values, what):

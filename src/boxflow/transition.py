@@ -1,10 +1,11 @@
 """Box transition graphs: outer approximations of a fixed-time flow map.
 
-Every box is sampled on a small lattice, all sample points are advanced by
-the map time in one batch, and each image point is inflated to a box of
-radius padding in the max norm.  Every grid box touching an inflated image
-becomes a target of the source box.  Sample points whose orbit leaves the
-closed domain produce an edge to the synthetic EXIT node instead.
+Every box is sampled on a small lattice.  Boxes that share a face share
+sample points, so each distinct point is advanced by the map time once,
+and each image point is inflated to a box of radius padding in the max
+norm.  Every grid box touching an inflated image becomes a target of the
+source box.  Sample points whose orbit leaves the closed domain produce an
+edge to the synthetic EXIT node instead.
 
 Every graph question (cycles, reachability, invariant parts) is answered by
 scipy's csgraph on the CSR matrix that TransitionGraph.restricted builds
@@ -19,9 +20,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import IngestionError, PreconditionError
+from .errors import CapacityError, IngestionError, PreconditionError
 from .flows import _advance
-from .grid import BoxGrid, BoxSet, ingest_ids
+from .grid import MAX_PAIRS, BoxGrid, BoxSet, ingest_ids
 
 EXIT = -1
 
@@ -42,8 +43,14 @@ class TransitionGraph:
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise PreconditionError("edge arrays must have matching length")
-        key = src * np.int64(grid.n_boxes + 1) + (dst + 1)
-        key = np.unique(key)
+        # sort in place, then drop repeats: np.unique's hash-table path is
+        # about ten times slower on the millions of pairs a graph build makes
+        key = src * np.int64(grid.n_boxes + 1)
+        key += dst + 1
+        key.sort()
+        keep = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
         self._src = key // (grid.n_boxes + 1)
         self._dst = key % (grid.n_boxes + 1) - 1
         self._starts = np.searchsorted(self._src, np.arange(grid.n_boxes + 1))
@@ -170,41 +177,54 @@ class TransitionGraph:
 
 
 def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
-    """Edges (src, dst) from sampling the flow on the given boxes."""
+    """Edges (src, dst) from sampling the flow on the given boxes.
+
+    Boxes that share a face share lattice points.  Each bitwise-distinct
+    point is marched once, its padded target range is found once, and both
+    are gathered back to every box it samples.  Points are merged only when
+    their bits are equal, never within a tolerance, so the graph is the one
+    a march of every lattice point gives.
+    """
     pts = grid.lattice(ids, samples_per_axis)
-    per_box = samples_per_axis ** grid.dimension
-    src_of_pt = np.repeat(ids, per_box)
-    img, escaped, _ = _advance(system, pts, map_time)
+    src_of_pt = np.repeat(ids, samples_per_axis ** grid.dimension)
+    rows = pts.view(np.dtype((np.void, pts.itemsize * grid.dimension))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    img, escaped, _ = _advance(system, pts[first], map_time)
 
-    srcs = []
-    dsts = []
-    if escaped.any():
-        srcs.append(np.unique(src_of_pt[escaped]))
-        dsts.append(np.full(srcs[-1].size, EXIT, dtype=np.int64))
+    # each image covers the boxes corner + off for 0 <= off <= ext per axis
+    lo = grid.domain[:, 0]
+    top = np.array(grid.shape, dtype=np.int64) - 1
+    low = np.clip(np.floor((img - padding - lo) / grid.widths).astype(np.int64), 0, top)
+    high = np.clip(np.floor((img + padding - lo) / grid.widths).astype(np.int64), 0, top)
+    corner = grid.ravel(low)
+    ext = high - low
+    targets = np.where(escaped, 0, np.prod(ext + 1, axis=1))
+    n_pairs = int(np.bincount(inverse, minlength=first.size) @ targets)
+    if n_pairs > MAX_PAIRS:
+        raise CapacityError(
+            f"padding {padding:g} gives {n_pairs} (sample, target box) pairs, "
+            f"limit is {MAX_PAIRS}")
 
-    live = ~escaped
-    if live.any():
-        img = img[live]
-        src_live = src_of_pt[live]
-        lo = grid.domain[:, 0]
-        top = np.array(grid.shape, dtype=np.int64) - 1
-        lo_idx = np.floor((img - padding - lo) / grid.widths).astype(np.int64)
-        hi_idx = np.floor((img + padding - lo) / grid.widths).astype(np.int64)
-        np.clip(lo_idx, 0, top, out=lo_idx)
-        np.clip(hi_idx, 0, top, out=hi_idx)
-        spans = (hi_idx - lo_idx).max(axis=0) + 1
-        for off in itertools.product(*(range(int(s)) for s in spans)):
-            idx = lo_idx + np.asarray(off, dtype=np.int64)
-            valid = (idx <= hi_idx).all(axis=1)
-            if not valid.any():
-                continue
-            boxes = np.ravel_multi_index(tuple(idx[valid].T), grid.shape)
-            srcs.append(src_live[valid])
-            dsts.append(boxes.astype(np.int64))
+    escaped = escaped[inverse]
+    exits = np.unique(src_of_pt[escaped])
+    src = np.empty(exits.size + n_pairs, dtype=np.int64)
+    dst = np.empty_like(src)
+    src[:exits.size] = exits
+    dst[:exits.size] = EXIT
+    filled = exits.size
 
-    if not srcs:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(srcs), np.concatenate(dsts)
+    live = inverse[~escaped]
+    if live.size:
+        src_live = src_of_pt[~escaped]
+        corner = corner[live]
+        ext = ext[live]
+        for off in itertools.product(*(range(int(e) + 1) for e in ext.max(axis=0))):
+            valid = (ext >= off).all(axis=1)
+            k = np.count_nonzero(valid)
+            src[filled:filled + k] = src_live[valid]
+            dst[filled:filled + k] = corner[valid] + grid.ravel(off)
+            filled += k
+    return src[:filled], dst[:filled]
 
 
 def build_transition_graph(system, grid, map_time, padding=None, samples_per_axis=3):

@@ -2,12 +2,17 @@
 
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import boxflow as bf
 from boxflow import cli
 from boxflow.errors import ConfigError
+from boxflow.grid import MAX_PAIRS
 from boxflow.lyapunov import LyapunovField
 from boxflow.transition import TransitionGraph
 
@@ -225,3 +230,30 @@ def test_verify_pair_file_with_non_integer_ids_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "not integers" in err
+
+
+def test_padding_past_the_pair_limit_exits_2_without_allocating_the_pairs(tmp_path, capsys):
+    # padding 8 covers the whole [-2, 2]^2 grid from every one of the
+    # 64 * 64 * 9 samples: 151 M pairs, 2.4 GB as two int64 edge arrays
+    tracemalloc.start()
+    try:
+        code = cli.main(["analyze", "--system", "hopf2d", "--depth", "64",
+                         "--padding", "8", "--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"gives {64 * 64 * 9 * 64 * 64} " in err and f"limit is {MAX_PAIRS}" in err
+    assert peak < 32 * 2 ** 20
+    assert not os.path.exists(tmp_path / "x" / "graph.json")
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "boxflow",
+                           "--help"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "analyze" in done.stdout

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import boxflow as bf
-from boxflow.errors import DomainError, IngestionError, PreconditionError
-from boxflow.flows import Escape, polynomial_field
+from boxflow import flows
+from boxflow.errors import DomainError, IngestionError, NumericalError, PreconditionError
+from boxflow.flows import ADVANCE_CHUNK, Escape, _advance, polynomial_field
 
 
 def test_linear_decay_matches_exponential():
@@ -142,3 +143,65 @@ def test_system_validation():
     with pytest.raises(PreconditionError):
         bf.FlowSystem(dimension=1, field=lambda p: -p,
                       domain=[[-1.0, 1.0]], step=0.0)
+
+
+def _saddle2d():
+    # x grows and y shrinks; rows leave through x = +-1 at t = ln(1 / |x0|)
+    return bf.FlowSystem(dimension=2, field=lambda p: p * np.array([1.0, -1.0]),
+                         domain=[[-1.0, 1.0], [-1.0, 1.0]], name="saddle2d")
+
+
+def _row_at_a_time(system, pts, t):
+    rows = [_advance(system, pts[i:i + 1], t) for i in range(len(pts))]
+    return tuple(np.concatenate([r[k] for r in rows]) for k in range(3))
+
+
+def test_chunked_advance_equals_row_at_a_time(monkeypatch):
+    # 200 rows in chunks of 16, with escapes spread over many chunks and a
+    # last step shorter than the rest
+    monkeypatch.setattr(flows, "ADVANCE_CHUNK", 16)
+    system = _saddle2d()
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(200, 2))
+    got = _advance(system, pts, 1.237)
+    assert 20 < got[1].sum() < 180
+    assert len({i // 16 for i in np.flatnonzero(got[1])}) > 5
+    for a, b in zip(got, _row_at_a_time(system, pts, 1.237)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_advance_at_the_chunk_size_equals_row_at_a_time():
+    # more than two real chunks; every escaping row and the rows around each
+    # chunk border are compared with a march of that row alone
+    system = bf.builtin_system("saddle1d")
+    n = 2 * ADVANCE_CHUNK + 300
+    pts = np.linspace(-0.3, 0.3, n)[:, None]
+    far = np.arange(0, n, 997)
+    pts[far, 0] = np.where(far % 2, 0.97, -0.98)
+    pos, escaped, when = _advance(system, pts, 0.053)
+    assert set(np.flatnonzero(escaped) // ADVANCE_CHUNK) == {0, 1, 2}
+    borders = [i for c in (ADVANCE_CHUNK, 2 * ADVANCE_CHUNK) for i in range(c - 3, c + 3)]
+    check = np.union1d(np.flatnonzero(escaped), borders)
+    ref = _row_at_a_time(system, pts[check], 0.053)
+    for a, b in zip((pos[check], escaped[check], when[check]), ref):
+        np.testing.assert_array_equal(a, b)
+    assert np.isnan(when[~escaped]).all()
+
+
+def test_non_finite_values_name_the_earliest_failure_across_chunks():
+    # speed 1 to the right; the field is infinite past x = 5, so a row from
+    # x0 fails near t = 5 - x0.  The earliest failure is in the last chunk.
+    system = bf.FlowSystem(dimension=1, field=lambda p: np.where(p > 5.0, np.inf, 1.0),
+                           domain=[[0.0, 10.0]], name="wall")
+    pts = np.zeros((2 * ADVANCE_CHUNK + 10, 1))
+    pts[ADVANCE_CHUNK + 4] = 4.2
+    pts[-3] = 4.6
+    with pytest.raises(NumericalError) as alone:
+        _advance(system, pts[-3:-2], 1.0)
+    with pytest.raises(NumericalError) as batch:
+        _advance(system, pts, 1.0)
+    assert str(batch.value) == str(alone.value)
+    assert "t=0.41" in str(batch.value)
+    with pytest.raises(NumericalError, match="t=0.81"):
+        _advance(system, pts[:ADVANCE_CHUNK + 5], 1.0)
+    # rows that never reach the wall march on
+    assert not _advance(system, pts[:ADVANCE_CHUNK], 1.0)[1].any()

@@ -1,5 +1,6 @@
 """Transition digraphs against interval-arithmetic oracles."""
 
+import itertools
 import json
 import math
 from collections import deque
@@ -9,6 +10,7 @@ import pytest
 
 import boxflow as bf
 from boxflow.errors import IngestionError
+from boxflow.flows import _advance, polynomial_field
 from boxflow.grid import BoxSet
 from boxflow.transition import EXIT, TransitionGraph, _peel, box_image, reachable
 
@@ -260,3 +262,73 @@ def test_reachable_matches_a_python_bfs():
                     seen.add(v)
                     queue.append(v)
         assert set(np.flatnonzero(reachable(adj, seeds)).tolist()) == seen, seed
+
+
+def _full_lattice_graph(system, grid, map_time, samples_per_axis=3):
+    """The graph from marching every lattice row, shared faces included.
+
+    Each live image covers the boxes of its padded range, listed per row.
+    """
+    padding = 0.5 * float(np.linalg.norm(grid.widths))
+    ids = np.arange(grid.n_boxes)
+    pts = grid.lattice(ids, samples_per_axis)
+    src_of_pt = np.repeat(ids, samples_per_axis ** grid.dimension)
+    img, escaped, _ = _advance(system, pts, map_time)
+    lo = grid.domain[:, 0]
+    top = np.array(grid.shape) - 1
+    first = np.clip(np.floor((img - padding - lo) / grid.widths).astype(np.int64), 0, top)
+    last = np.clip(np.floor((img + padding - lo) / grid.widths).astype(np.int64), 0, top)
+    src = src_of_pt[escaped].tolist()
+    dst = [EXIT] * len(src)
+    for b, a, z in zip(src_of_pt[~escaped].tolist(), first[~escaped].tolist(),
+                       last[~escaped].tolist()):
+        cells = itertools.product(*(range(i, j + 1) for i, j in zip(a, z)))
+        targets = np.ravel_multi_index(np.array(list(cells)).T, grid.shape)
+        src.extend([b] * targets.size)
+        dst.extend(targets.tolist())
+    return TransitionGraph(grid, map_time, padding, samples_per_axis, src, dst)
+
+
+def _distinct_rows(grid, samples_per_axis):
+    pts = grid.lattice(np.arange(grid.n_boxes), samples_per_axis)
+    return len(np.unique(pts, axis=0)), len(pts)
+
+
+def _poly3():
+    field = polynomial_field([
+        {"coeffs": [0.0, -1.0, 0.0], "exponents": [1, 0, 0]},
+        {"coeffs": [1.0, 0.0, -0.5], "exponents": [0, 1, 0]},
+        {"coeffs": [-0.3, 0.0, 0.0], "exponents": [1, 2, 0]},
+        {"coeffs": [0.0, 0.0, -1.0], "exponents": [0, 0, 1]}], 3)
+    return bf.FlowSystem(dimension=3, field=field,
+                         domain=[[-1.5, 1.5], [-1.0, 1.0], [-0.7, 0.9]], name="poly3")
+
+
+@pytest.mark.parametrize("name, depth, samples, map_time", [
+    ("hopf2d", (64, 64), 3, 1.0),
+    ("hopf2d", (100, 37), 3, 1.0),
+    ("saddle1d", (256,), 3, 1.0),
+    ("poly3", (11, 6, 5), 3, 0.5),
+    ("gradient2d", (20, 33), 1, 1.0),
+    ("gradient2d", (20, 33), 2, 1.0),
+    ("gradient2d", (20, 33), 4, 1.0),
+])
+def test_graph_equals_the_full_lattice_march(name, depth, samples, map_time):
+    system = _poly3() if name == "poly3" else bf.builtin_system(name)
+    grid = bf.build_grid(system.domain, depth)
+    graph = bf.build_transition_graph(system, grid, map_time, samples_per_axis=samples)
+    assert graph == _full_lattice_graph(system, grid, map_time, samples)
+    assert graph.has_exit == (name in ("saddle1d", "poly3"))
+    for b in (0, grid.n_boxes // 3, grid.n_boxes - 1):
+        image = box_image(system, grid, b, map_time, samples_per_axis=samples)
+        np.testing.assert_array_equal(image.ids, graph.targets_of(b))
+
+
+def test_shared_faces_are_merged_only_when_bitwise_equal():
+    # dyadic widths: every shared face point is one vertex of the lattice
+    assert _distinct_rows(bf.build_grid([(-2.0, 2.0)] * 2, (64, 64)), 3) \
+        == (129 ** 2, 64 * 64 * 9)
+    # widths 0.04 and 4/37: some shared faces round differently from the two
+    # sides, so the merge lands between the vertex count and the full count
+    distinct, full = _distinct_rows(bf.build_grid([(-2.0, 2.0)] * 2, (100, 37)), 3)
+    assert 201 * 75 < distinct < full
