@@ -166,10 +166,22 @@ def _quadrature_weights(n_quad, dt):
     return w * np.exp(-t), math.exp(-t[-1])
 
 
+def _ordered_sum(w, x):
+    """Σ_k w[k]·x[k] over the first axis of x, added in order of k.
+
+    numpy's .sum(axis=0) adds one column pairwise but several columns row
+    by row, and the order of a BLAS product w @ x depends on the number of
+    columns too, so a point would get other bits alone than inside a
+    batch.  This order is the same for any number of columns and equals
+    the row-by-row one.
+    """
+    return np.cumsum(w[:, None] * x, axis=0)[-1]
+
+
 def _discounted_from_h(h, n_quad, dt):
     """Normalized discounted average over the first n_quad steps of h."""
     w, tail = _quadrature_weights(n_quad, dt)
-    num = (w[:, None] * h[:n_quad + 1]).sum(axis=0) + tail * h[n_quad]
+    num = _ordered_sum(w, h[:n_quad + 1]) + tail * h[n_quad]
     den = w.sum() + tail
     return num / den
 
@@ -310,8 +322,7 @@ class LyapunovField:
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
         g = _evaluate_profiles(system, self.pair, self.profiles, pts, self.params)
-        weights = np.array([w for w, _ in self.profiles])
-        out = weights @ g
+        out = _ordered_sum(np.array([w for w, _ in self.profiles]), g)
         if single:
             return float(out[0])
         return out
@@ -382,8 +393,7 @@ def _field_from_profiles(system, pair, profiles, construction, range_hint, param
     boxes = pair.core.ids
     centers = pair.grid.centers(boxes)
     g = _evaluate_profiles(system, pair, profiles, centers, params)
-    weights = np.array([w for w, _ in profiles])
-    values = weights @ g
+    values = _ordered_sum(np.array([w for w, _ in profiles]), g)
     return LyapunovField(pair=pair, construction=construction, boxes=boxes,
                          values=values, range_hint=range_hint, params=params,
                          profiles=profiles, morse_graph=morse_graph,
@@ -470,7 +480,7 @@ def renewal_residual(system, field, x, t):
     gt = float(_discounted_from_h(h_bar[k_t:, None], n_quad, dt)[0])
     w_i, _ = _quadrature_weights(k_t, dt)
     den = _quadrature_weights(n_quad, dt)[0].sum() + math.exp(-params.t_max)
-    integral = (w_i * h_bar[:k_t + 1]).sum()
+    integral = _ordered_sum(w_i, h_bar[:k_t + 1, None])[0]
     return abs(g0 - (integral / den + math.exp(-t_eff) * gt))
 
 

@@ -175,6 +175,22 @@ def test_renewal_identity_on_the_morse_field(doublewell):
         assert res < 2e-3
 
 
+def test_evaluate_does_not_depend_on_the_batch(doublewell):
+    # one point alone, two at a time and thirty together add their
+    # quadrature and profile terms in the same order, so the bits agree
+    complete = bf.complete_lyapunov(doublewell.system, doublewell.pair,
+                                    doublewell.mg, doublewell.graph)
+    rng = np.random.default_rng(11)
+    pts = sample_in_boxes(rng, doublewell.grid, doublewell.pair.core, 30)
+    for field in (doublewell.morse_field, complete):
+        batch = field.evaluate(doublewell.system, pts)
+        singles = [field.evaluate(doublewell.system, x) for x in pts]
+        np.testing.assert_array_equal(np.array(singles), batch)
+        pairs = np.concatenate([field.evaluate(doublewell.system, pts[i:i + 2])
+                                for i in range(0, 30, 2)])
+        np.testing.assert_array_equal(pairs, batch)
+
+
 def test_entry_time_edge_cases(doublewell):
     pair = doublewell.pair
     ar = doublewell.ar
