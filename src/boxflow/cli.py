@@ -6,7 +6,6 @@ property failure, and 2 on a configuration or ingestion problem.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass, asdict
@@ -17,6 +16,7 @@ from .errors import (BoxflowError, CapacityError, CatalogError, ConfigError,
                      FiltrationError, IngestionError, SelectionError)
 from .flows import builtin_names, builtin_system, load_system
 from .grid import build_grid
+from .jsonio import read_json, write_json
 from .lyapunov import (LyapunovParams, complete_lyapunov, extract_filtration,
                        morse_lyapunov, pair_lyapunov)
 from .pairs import IndexPair, build_index_pair, validate_index_pair
@@ -66,19 +66,11 @@ class RunConfig:
     def to_json(self, path):
         data = asdict(self)
         data["depth"] = list(self.depth) if self.depth is not None else None
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, data)
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise IngestionError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"config file {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "config file")
         try:
             if data.get("depth") is not None:
                 data["depth"] = tuple(data["depth"])
@@ -120,11 +112,7 @@ def _atomic(path, write_fn):
 
 
 def _write_json(path, data):
-    def writer(p):
-        with open(p, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-    _atomic(path, writer)
+    _atomic(path, lambda p: write_json(p, data))
 
 
 def _write_text(path, text):

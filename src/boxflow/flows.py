@@ -8,13 +8,13 @@ an escape rather than integrated further.
 """
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .errors import CatalogError, DomainError, IngestionError, NumericalError, PreconditionError
+from .jsonio import read_json
 
 # rows marched together by _advance; a chunk's RK4 stages fit in cache
 ADVANCE_CHUNK = 16384
@@ -293,13 +293,7 @@ def load_system(path):
     The file either names a built-in under "field" or gives a polynomial
     term list; dimension, domain and step may override built-in defaults.
     """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise IngestionError(f"cannot read system file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IngestionError(f"system file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "system file")
     if not isinstance(data, dict):
         raise IngestionError("system file must contain a JSON object")
     if "field" not in data:

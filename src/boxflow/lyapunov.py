@@ -10,7 +10,6 @@ Lyapunov function.  Sublevel cuts of the Morse sum at k + 1/2 produce a
 regular index filtration.
 """
 
-import json
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -21,6 +20,7 @@ from .errors import (FiltrationError, IngestionError, PreconditionError,
                      RegionOverlapError)
 from .flows import _advance
 from .grid import BoxGrid, BoxSet
+from .jsonio import read_json, write_json
 from .pairs import BASEPOINT, IndexPair, regularity_check, validate_index_pair
 from .recurrence import ar_regions, enumerate_ar_pairs
 from .transition import EXIT
@@ -172,10 +172,13 @@ def _ordered_sum(w, x):
     numpy's .sum(axis=0) adds one column pairwise but several columns row
     by row, and the order of a BLAS product w @ x depends on the number of
     columns too, so a point would get other bits alone than inside a
-    batch.  This order is the same for any number of columns and equals
-    the row-by-row one.
+    batch.  This plain row-by-row sum has the same order for any number
+    of columns, and it gives the bits .sum(axis=0) gives several columns.
     """
-    return np.cumsum(w[:, None] * x, axis=0)[-1]
+    out = w[0] * x[0]
+    for k in range(1, w.size):
+        out += w[k] * x[k]
+    return out
 
 
 def _discounted_from_h(h, n_quad, dt):
@@ -224,36 +227,54 @@ def _evaluate_profiles(system, pair, profiles, points, params):
 
 
 def sup_envelope(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
-    """Supremum of a profile along one forward quotient orbit.
+    """Supremum of a profile along forward quotient orbits.
 
-    Returns (h, converged).  Marching stops early once the orbit is
-    absorbed, or once it enters the profile's zero set when that set is
-    known to be forward closed; hitting the horizon instead leaves h a
-    certified lower bound.
+    x is one point, BASEPOINT or an (m, d) batch.  Returns (h, converged),
+    two scalars for one point and two length-m arrays for a batch.  A row
+    stops marching once its orbit is absorbed (it leaves the domain or the
+    N−L boxes), or once it enters the profile's zero set when that set is
+    known to be forward closed; its h is then exact.  A row still marching
+    at the horizon is not converged, and its h is a certified lower bound.
+    A row that starts outside N−L has h = 0.
+
+    The batch marches together, one _advance per dt over the rows still
+    marching, and ρ is evaluated once over every sample kept; each row
+    gets the same h and verdict as it would alone.
     """
     if x is BASEPOINT:
         return 0.0, True
-    x = np.asarray(x, dtype=float)
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    pts = np.atleast_2d(pts)
     grid = pair.grid
-    box = grid.box_of(x)
-    if not pair.in_core(box):
-        return 0.0, True
-    zero_mask = rho_fn.zero_set.mask(grid.n_boxes)
-    h = float(rho_fn(x))
-    current = x
-    steps = int(math.ceil(horizon / dt - 1e-9))
-    for _ in range(steps):
-        nxt, escaped, _ = _advance(system, current[None, :], dt)
-        if escaped[0]:
-            return h, True
-        current = nxt[0]
-        box = grid.box_of(current)
-        if not pair.in_core(box):
-            return h, True
-        h = max(h, float(rho_fn(current)))
-        if rho_fn.zero_forward_closed and box >= 0 and zero_mask[box]:
-            return h, True
-    return h, False
+    core = pair._core_mask
+    closed = rho_fn.zero_set.mask(grid.n_boxes) if rho_fn.zero_forward_closed else None
+
+    boxes = grid.box_of(pts)
+    rows = np.flatnonzero((boxes >= 0) & core[np.maximum(boxes, 0)])
+    current = pts[rows]
+    kept = [(rows, current, boxes[rows])]
+    for _ in range(int(math.ceil(horizon / dt - 1e-9))):
+        if not rows.size:
+            break
+        nxt, escaped, _ = _advance(system, current, dt)
+        boxes = grid.box_of(nxt)
+        go = ~escaped & (boxes >= 0) & core[np.maximum(boxes, 0)]
+        rows, current, boxes = rows[go], nxt[go], boxes[go]
+        kept.append((rows, current, boxes))
+        if closed is not None:
+            go = ~closed[boxes]
+            rows, current = rows[go], current[go]
+
+    h = np.zeros(pts.shape[0])
+    converged = np.ones(pts.shape[0], dtype=bool)
+    converged[rows] = False
+    idx, samples, sample_boxes = (np.concatenate(parts) for parts in zip(*kept))
+    if idx.size:
+        np.maximum.at(h, idx, rho_fn(samples, sample_boxes))
+    if single:
+        return float(h[0]), bool(converged[0])
+    return h, converged
 
 
 def discounted_average(system, pair, h_fn, x, dt=0.05, t_max=12.0):
@@ -360,19 +381,11 @@ class LyapunovField:
                        "settle": self.params.settle},
             "down_set": sorted(self.down_set) if self.down_set is not None else None,
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, data)
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise IngestionError(f"cannot read field file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"field file {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "field file")
         try:
             grid = BoxGrid(np.asarray(data["grid"]["domain"], dtype=float),
                            data["grid"]["shape"])
@@ -457,7 +470,9 @@ def renewal_residual(system, field, x, t):
 
     Both sides are computed from a single orbit march on the field's dt
     grid, so the residual measures quadrature and truncation error only.
-    t snaps to the nearest dt multiple.
+    t snaps to the nearest dt multiple.  x is one point (a float is
+    returned) or an (m, d) batch (an array is returned); a batch shares
+    one march, and each row's residual equals that of its own march.
     """
     if field.profiles is None:
         raise PreconditionError("field has no profile functions")
@@ -467,21 +482,23 @@ def renewal_residual(system, field, x, t):
     t_eff = k_t * dt
     n_quad = int(round(params.t_max / dt))
     n_total = n_quad + k_t + int(round(params.settle / dt))
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    positions, absorbed = _march_quotient(system, field.pair, pts, n_total, dt)
+    pts = np.asarray(x, dtype=float)
+    single = pts.ndim == 1
+    positions, absorbed = _march_quotient(system, field.pair, np.atleast_2d(pts),
+                                          n_total, dt)
 
-    h_bar = np.zeros(positions.shape[0])
+    h_bar = np.zeros(positions.shape[:2])
     samples = _sample_profiles(field.pair, field.profiles, positions, absorbed)
     for (w, _), vals in zip(field.profiles, samples):
-        h = np.maximum.accumulate(vals[::-1], axis=0)[::-1]
-        h_bar += w * h[:, 0]
+        h_bar += w * np.maximum.accumulate(vals[::-1], axis=0)[::-1]
 
-    g0 = float(_discounted_from_h(h_bar[:, None], n_quad, dt)[0])
-    gt = float(_discounted_from_h(h_bar[k_t:, None], n_quad, dt)[0])
+    g0 = _discounted_from_h(h_bar, n_quad, dt)
+    gt = _discounted_from_h(h_bar[k_t:], n_quad, dt)
     w_i, _ = _quadrature_weights(k_t, dt)
     den = _quadrature_weights(n_quad, dt)[0].sum() + math.exp(-params.t_max)
-    integral = _ordered_sum(w_i, h_bar[:k_t + 1, None])[0]
-    return abs(g0 - (integral / den + math.exp(-t_eff) * gt))
+    integral = _ordered_sum(w_i, h_bar[:k_t + 1])
+    res = np.abs(g0 - (integral / den + math.exp(-t_eff) * gt))
+    return float(res[0]) if single else res
 
 
 def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,
@@ -549,19 +566,11 @@ class Filtration:
             "thresholds": [float(c) for c in self.thresholds],
             "report": report,
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, data)
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise IngestionError(f"cannot read filtration file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"filtration file {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "filtration file")
         try:
             grid = BoxGrid(np.asarray(data["grid"]["domain"], dtype=float),
                            data["grid"]["shape"])

@@ -7,7 +7,6 @@ lowest.  Attractor-repeller pairs correspond to down-sets of that order. An
 independent point-level epsilon-chain oracle cross-checks the box picture.
 """
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,6 +17,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import BoxSet
+from .jsonio import write_json
 from .transition import _peel, invariant_part, on_cycle, reachable
 
 
@@ -123,9 +123,7 @@ class MorseGraph:
             "connecting": sorted(
                 [[b, sorted(r), sorted(c)] for b, (r, c) in self.connecting.items()]),
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, data)
 
     def to_dot(self):
         cover = set(self.partial_order)

@@ -13,7 +13,6 @@ for a box set.
 """
 
 import itertools
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +22,7 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from .errors import CapacityError, IngestionError, PreconditionError
 from .flows import _advance
 from .grid import MAX_PAIRS, BoxGrid, BoxSet, ingest_ids
+from .jsonio import read_json, write_json
 
 EXIT = -1
 
@@ -131,19 +131,11 @@ class TransitionGraph:
             "edges": edges,
             "exit_node": self.has_exit,
         }
-        with open(path, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, data)
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise IngestionError(f"cannot read graph file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"graph file {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "graph file")
         try:
             grid = BoxGrid(np.asarray(data["grid"]["domain"], dtype=float),
                            data["grid"]["shape"])

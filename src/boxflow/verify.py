@@ -8,7 +8,6 @@ level correctness, filtration soundness, and artifact round-trips.  The
 resulting VerifyReport renders to byte-stable JSON for a fixed seed.
 """
 
-import json
 import math
 import os
 import tempfile
@@ -20,6 +19,7 @@ from .distances import BoxSetDistance
 from .errors import ConstructionError, FiltrationError, IngestionError, IsolationError
 from .flows import _advance
 from .grid import BoxSet, build_grid
+from .jsonio import read_json, write_json
 from .lyapunov import (Filtration, LyapunovParams, complete_lyapunov,
                        extract_filtration, morse_lyapunov, pair_lyapunov,
                        renewal_residual, sup_envelope, _march_quotient)
@@ -101,19 +101,11 @@ class VerifyReport:
         }
 
     def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise IngestionError(f"cannot read verify report {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise IngestionError(f"verify report {path} is not valid JSON: {exc}") from exc
+        data = read_json(path, "verify report")
         try:
             return cls(system=data["system"], parameters=dict(data["parameters"]),
                        checks=[CheckResult.from_dict(c) for c in data["checks"]])
@@ -358,6 +350,29 @@ def _pair_checks(system, grid, graph, pair, fail_reason, rng, add):
         "orbits stopped at their exit time land next to L")
 
 
+def _g_along_orbits(system, field, pts, ks, dt):
+    """g at the points and at their quotient images after k·dt, k in ks.
+
+    One march to the largest k serves every k, since a shorter march is a
+    prefix of a longer one, and one evaluate covers the points and every
+    live image.  Returns g at the points and one array per k, 0 where the
+    orbit was absorbed.
+    """
+    positions, absorbed = _march_quotient(system, field.pair, pts, max(ks), dt)
+    live = [~absorbed[k] for k in ks]
+    g = field.evaluate(system, np.concatenate(
+        [pts] + [positions[k][lv] for k, lv in zip(ks, live)]))
+    n = pts.shape[0]
+    images = []
+    start = n
+    for lv in live:
+        gt = np.zeros(n)
+        gt[lv] = g[start:start + lv.sum()]
+        start += lv.sum()
+        images.append(gt)
+    return g[:n], images
+
+
 def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
                      params, rng, add):
     if not fields:
@@ -374,22 +389,23 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
     for field in fields:
         profs = {0: field.profiles[0], len(field.profiles) - 1: field.profiles[-1]}
         pts = _sample_in_boxes(rng, grid, field.pair.core, 4)
+        n = pts.shape[0]
+        nxt, esc, _ = _advance(system, pts, dt)
+        boxes = grid.box_of(nxt)
+        live = ~esc & (boxes >= 0) & pair._core_mask[np.maximum(boxes, 0)]
         for _, (_, rho_fn) in sorted(profs.items()):
-            for i in range(pts.shape[0]):
-                h0, c0 = sup_envelope(system, pair, rho_fn, pts[i], dt=dt,
-                                      horizon=horizon)
-                nxt, esc, _ = _advance(system, pts[i][None, :], dt)
-                dead = esc[0] or not pair.in_core(grid.box_of(nxt[0]))
-                if dead:
-                    h1, c1 = 0.0, True
-                else:
-                    h1, c1 = sup_envelope(system, pair, rho_fn, nxt[0], dt=dt,
-                                          horizon=horizon)
-                if not (c0 and c1):
-                    skipped += 1
-                    continue
-                evaluated += 1
-                worst = max(worst, abs(h0 - max(float(rho_fn(pts[i])), h1)))
+            h, conv = sup_envelope(system, pair, rho_fn, np.concatenate([pts, nxt[live]]),
+                                   dt=dt, horizon=horizon)
+            h1 = np.zeros(n)
+            c1 = np.ones(n, dtype=bool)
+            h1[live] = h[n:]
+            c1[live] = conv[n:]
+            ok = conv[:n] & c1
+            skipped += int((~ok).sum())
+            evaluated += int(ok.sum())
+            if ok.any():
+                res = np.abs(h[:n][ok] - np.maximum(rho_fn(pts[ok]), h1[ok]))
+                worst = max(worst, float(res.max()))
     add("lyapunov_fixed_point", worst <= 1e-6, True,
         {"evaluations": evaluated, "skipped_unconverged": skipped,
          "max_residual": worst}, 1e-6,
@@ -399,9 +415,8 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
     count = 0
     for field in fields:
         pts = _sample_in_boxes(rng, grid, field.pair.core, 4)
-        for i in range(pts.shape[0]):
-            worst = max(worst, renewal_residual(system, field, pts[i], 1.0))
-            count += 1
+        worst = max(worst, float(renewal_residual(system, field, pts, 1.0).max()))
+        count += pts.shape[0]
     add("lyapunov_renewal", worst < 2e-3, True,
         {"evaluations": count, "max_residual": worst}, 2e-3,
         "discounted average satisfies its renewal identity at t = 1")
@@ -412,14 +427,9 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
     total = 0
     for field in fields:
         pts = _sample_in_boxes(rng, grid, field.pair.core, 40)
-        g0 = field.evaluate(system, pts)
-        for t in t_probes:
-            k = int(round(t / dt))
-            positions, absorbed = _march_quotient(system, field.pair, pts, k, dt)
-            dead = absorbed[-1]
-            gt = np.zeros(pts.shape[0])
-            if (~dead).any():
-                gt[~dead] = field.evaluate(system, positions[-1][~dead])
+        g0, probes = _g_along_orbits(system, field, pts,
+                                     [int(round(t / dt)) for t in t_probes], dt)
+        for gt in probes:
             inc = gt - g0
             mono_viol += int((inc > 1e-6).sum())
             max_inc = max(max_inc, float(inc.max()))
@@ -440,13 +450,7 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
         if not cand:
             continue
         pts = _sample_in_boxes(rng, grid, cand, 30)
-        g0 = field.evaluate(system, pts)
-        k = int(round(1.0 / dt))
-        positions, absorbed = _march_quotient(system, field.pair, pts, k, dt)
-        dead = absorbed[-1]
-        gt = np.zeros(pts.shape[0])
-        if (~dead).any():
-            gt[~dead] = field.evaluate(system, positions[-1][~dead])
+        g0, (gt,) = _g_along_orbits(system, field, pts, [int(round(1.0 / dt))], dt)
         dec = g0 - gt
         dec_viol += int((dec <= 1e-4).sum())
         min_dec = min(min_dec, float(dec.min()))

@@ -190,6 +190,16 @@ def test_verify_corrupt_pair_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_pair_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_bytes(b'\xff\xfe{"grid": 1}')
+    code = cli.main(["verify", "--system", "saddle1d", "--depth", "64",
+                     "--pair-file", str(pair_path),
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"pair file {pair_path} is not valid JSON" in capsys.readouterr().err
+
+
 def test_verify_writes_report_and_passes(tmp_path):
     out = str(tmp_path / "v")
     code = cli.main(["verify", "--system", "saddle1d", "--depth", "64",

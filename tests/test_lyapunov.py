@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import boxflow as bf
 from boxflow.errors import FiltrationError, IngestionError, PreconditionError
+from boxflow.flows import _advance
 from boxflow.grid import BoxSet
 from boxflow.lyapunov import Filtration, LyapunovField, LyapunovParams
 from boxflow.pairs import BASEPOINT
@@ -91,6 +93,104 @@ def test_sup_envelope_of_an_increasing_profile(contract_pair):
     assert converged is False
 
 
+def _sup_envelope_oracle(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
+    """The single-point envelope: one _advance and one ρ call per step."""
+    grid = pair.grid
+    box = grid.box_of(x)
+    if not pair.in_core(box):
+        return 0.0, True
+    zero_mask = rho_fn.zero_set.mask(grid.n_boxes)
+    h = float(rho_fn(x))
+    current = x
+    steps = int(math.ceil(horizon / dt - 1e-9))
+    for _ in range(steps):
+        nxt, escaped, _ = _advance(system, current[None, :], dt)
+        if escaped[0]:
+            return h, True
+        current = nxt[0]
+        box = grid.box_of(current)
+        if not pair.in_core(box):
+            return h, True
+        h = max(h, float(rho_fn(current)))
+        if rho_fn.zero_forward_closed and box >= 0 and zero_mask[box]:
+            return h, True
+    return h, False
+
+
+@pytest.fixture(scope="module")
+def envelope_cases():
+    """(system, pair, ρ, horizon) covering every way a row stops."""
+    contract = bf.builtin_system("contract1d")
+    cgrid = bf.build_grid(contract.domain, (64,))
+    cpair = bf.IndexPair.from_boxes(cgrid, cgrid.all_boxes().ids, [])
+    cgraph = bf.build_transition_graph(contract, cgrid, 1.0)
+    center = BoxSet(list(range(28, 36)))
+    rim = BoxSet(list(range(0, 4)) + list(range(60, 64)))
+    saddle = bf.builtin_system("saddle1d")
+    sgrid = bf.build_grid(saddle.domain, (64,))
+    window = bf.IndexPair.from_boxes(sgrid, list(range(16, 48)), [16, 47])
+    whole = bf.IndexPair.from_boxes(sgrid, sgrid.all_boxes().ids, [])
+    mid = BoxSet([31, 32])
+    return {
+        # orbits enter the forward-closed zero set around the origin
+        "zero-set": (contract, cpair, bf.make_rho(cpair, center, rim, graph=cgraph), 14.0),
+        # the profile climbs toward the origin and no row stops early
+        "horizon": (contract, cpair, bf.make_rho(cpair, rim, center), 3.0),
+        # orbits leave N−L through the exit boxes; L-rows start absorbed
+        "absorbed": (saddle, window, bf.make_rho(window, BoxSet([17, 46]), mid), 14.0),
+        # orbits leave the domain
+        "escape": (saddle, whole, bf.make_rho(whole, BoxSet([0, 1, 62, 63]), mid), 14.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["zero-set", "horizon", "absorbed", "escape"])
+def test_batched_sup_envelope_equals_the_single_point_oracle(envelope_cases, case):
+    system, pair, rho_fn, horizon = envelope_cases[case]
+    lo, hi = system.domain[0]
+    pts = np.linspace(lo - 0.05, hi + 0.05, 41)[:, None]
+    h, converged = bf.sup_envelope(system, pair, rho_fn, pts, horizon=horizon)
+    expected = [_sup_envelope_oracle(system, pair, rho_fn, x, horizon=horizon)
+                for x in pts]
+    np.testing.assert_array_equal(h, [e[0] for e in expected])
+    np.testing.assert_array_equal(converged, [e[1] for e in expected])
+    assert converged.dtype == bool
+    # rows outside the domain or outside N−L stay at 0 and count as converged
+    assert h[0] == 0.0 and converged[0] and h[-1] == 0.0 and converged[-1]
+    # only the horizon case leaves rows marching, except the saddle's fixed
+    # point x = 0 (row 20), which neither escapes nor gets absorbed
+    marching = {"zero-set": [], "horizon": list(range(1, 40))}.get(case, [20])
+    assert np.flatnonzero(~converged).tolist() == marching
+    one = bf.sup_envelope(system, pair, rho_fn, pts[20], horizon=horizon)
+    assert one == expected[20] and isinstance(one[0], float)
+
+
+def test_batched_sup_envelope_with_no_row_in_the_core(envelope_cases):
+    system, pair, rho_fn, _ = envelope_cases["absorbed"]
+    h, converged = bf.sup_envelope(system, pair, rho_fn, np.array([[-0.49], [0.9]]))
+    np.testing.assert_array_equal(h, [0.0, 0.0])
+    assert converged.all()
+    assert bf.sup_envelope(system, pair, rho_fn, BASEPOINT) == (0.0, True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+       case=st.sampled_from(["zero-set", "horizon", "absorbed", "escape"]))
+def test_sup_envelope_rows_do_not_depend_on_the_batch(envelope_cases, seed, n, case):
+    # any batch, in any order, gives every row its single-point envelope
+    system, pair, rho_fn, _ = envelope_cases[case]
+    rng = np.random.default_rng(seed)
+    lo, hi = system.domain[0]
+    pts = rng.uniform(lo - 0.1, hi + 0.1, size=(n, 1))
+    h, converged = bf.sup_envelope(system, pair, rho_fn, pts, horizon=2.0)
+    for i, x in enumerate(pts):
+        assert (h[i], converged[i]) == _sup_envelope_oracle(system, pair, rho_fn, x,
+                                                            horizon=2.0)
+    order = rng.permutation(n)
+    h2, c2 = bf.sup_envelope(system, pair, rho_fn, pts[order], horizon=2.0)
+    np.testing.assert_array_equal(h2, h[order])
+    np.testing.assert_array_equal(c2, converged[order])
+
+
 def test_batch_field_matches_pointwise_composition():
     # route one: the field engine marches each center once and suffix-sups;
     # route two: compose the public envelope and discounted average per point
@@ -173,6 +273,20 @@ def test_renewal_identity_on_the_morse_field(doublewell):
         res = bf.renewal_residual(doublewell.system, doublewell.morse_field,
                                   x, 1.0)
         assert res < 2e-3
+
+
+def test_batched_renewal_residual_equals_per_point_calls(doublewell):
+    rng = np.random.default_rng(3)
+    core = sample_in_boxes(rng, doublewell.grid, doublewell.pair.core, 6)
+    # rows outside N start absorbed
+    pts = np.concatenate([core, [[-1.9], [1.95]]])
+    for field in (doublewell.morse_field, doublewell.pair_field):
+        got = bf.renewal_residual(doublewell.system, field, pts, 1.0)
+        expected = [bf.renewal_residual(doublewell.system, field, x, 1.0)
+                    for x in pts]
+        assert all(isinstance(e, float) for e in expected)
+        np.testing.assert_array_equal(got, expected)
+        assert got[-2:].tolist() == [0.0, 0.0]
 
 
 def test_evaluate_does_not_depend_on_the_batch(doublewell):

@@ -10,7 +10,7 @@ import boxflow as bf
 from boxflow.errors import (ConstructionError, IngestionError, IsolationError,
                             PreconditionError)
 from boxflow.grid import BoxSet
-from boxflow.pairs import BASEPOINT
+from boxflow.pairs import BASEPOINT, _exit_times_batch
 from boxflow.transition import TransitionGraph
 
 
@@ -112,6 +112,65 @@ def test_regularity_of_the_full_interval_pair(saddle):
     assert rep.passed
     assert rep.violations == []
     assert np.isfinite(rep.modulus)
+
+
+def _regularity_oracle(system, pair, rng, n_samples=50, t_probe=1.0):
+    """regularity_check with one flow_map from t = 0 per sample and probe,
+    and one exit-time batch each for the base points and their partners."""
+    grid = pair.grid
+    violations = []
+    n_checked = 0
+    if pair.L:
+        picks = pair.L.ids[rng.integers(0, len(pair.L), size=n_samples)]
+        bounds = grid.bounds(picks)
+        pts = bounds[:, :, 0] + rng.random((n_samples, grid.dimension)) * grid.widths
+        for i in range(n_samples):
+            n_checked += 1
+            stayed = True
+            for s in np.linspace(0.0, t_probe, 9):
+                probe = bf.flow_map(system, pts[i], s)
+                if isinstance(probe, bf.Escape) or not pair.in_isolating(grid.box_of(probe)):
+                    stayed = False
+                    break
+            if stayed:
+                violations.append((int(picks[i]), pts[i].tolist()))
+    modulus = float("nan")
+    pairs_checked = 0
+    if pair.core:
+        k = max(4, n_samples // 2)
+        picks = pair.core.ids[rng.integers(0, len(pair.core), size=k)]
+        bounds = grid.bounds(picks)
+        base = bounds[:, :, 0] + (0.25 + 0.5 * rng.random((k, grid.dimension))) * grid.widths
+        shift = (rng.random((k, grid.dimension)) - 0.5) * 0.25 * grid.widths
+        tau_a = _exit_times_batch(system, pair, base, 1e-2, 20.0)
+        tau_b = _exit_times_batch(system, pair, base + shift, 1e-2, 20.0)
+        both = np.isfinite(tau_a) & np.isfinite(tau_b)
+        pairs_checked = int(both.sum())
+        if pairs_checked:
+            modulus = float(np.abs(tau_a[both] - tau_b[both]).max())
+    return violations, n_checked, modulus, pairs_checked
+
+
+@pytest.mark.parametrize("l_ids", [[16, 47], [30, 31, 32, 33]])
+def test_regularity_check_equals_the_per_sample_reference(saddle, window_pair, l_ids):
+    # the window pair exits through its end boxes; with L around the
+    # repelling origin instead, samples in boxes 30 and 33 drift into the
+    # core and stay, so violations are reported in sample order
+    if l_ids == [16, 47]:
+        pair = window_pair
+    else:
+        pair = bf.IndexPair.from_boxes(saddle.grid, saddle.grid.all_boxes().ids, l_ids)
+    for seed in (0, 5):
+        rep = bf.regularity_check(saddle.system, pair, n_samples=40,
+                                  rng=np.random.default_rng(seed))
+        violations, n_checked, modulus, pairs_checked = _regularity_oracle(
+            saddle.system, pair, np.random.default_rng(seed), n_samples=40)
+        assert rep.violations == violations
+        assert rep.passed == (not violations)
+        assert (rep.n_checked, rep.modulus_pairs) == (n_checked, pairs_checked)
+        np.testing.assert_array_equal(rep.modulus, modulus)
+        assert pairs_checked > 0
+        assert bool(violations) == (l_ids != [16, 47])
 
 
 def test_retraction_to_the_stopped_image(saddle, window_pair):
