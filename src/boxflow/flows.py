@@ -165,6 +165,14 @@ def _advance(system, points, t):
     return pts, escaped, esc_time
 
 
+def _require_inside(system, points):
+    """Raise DomainError naming the first point outside the closed domain."""
+    outside = ~system.contains(points)
+    if outside.any():
+        first = np.atleast_2d(points)[outside][0]
+        raise DomainError(f"point {first.tolist()} is outside the domain of {system.name}")
+
+
 def flow_map(system, x, t):
     """Advance a single point by time t.
 
@@ -176,8 +184,7 @@ def flow_map(system, x, t):
     if x.shape != (system.dimension,):
         raise PreconditionError(
             f"point must have shape ({system.dimension},), got {x.shape}")
-    if not system.contains(x)[0]:
-        raise DomainError(f"point {x.tolist()} is outside the domain of {system.name}")
+    _require_inside(system, x)
     pts, escaped, esc_time = _advance(system, x[None, :], t)
     if escaped[0]:
         return Escape(point=pts[0], time=float(esc_time[0]))

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .distances import BoxSetDistance
-from .errors import (ConstructionError, DomainError, IngestionError, IsolationError,
+from .errors import (ConstructionError, IngestionError, IsolationError,
                      PreconditionError)
-from .flows import Escape, _advance, flow_map
+from .flows import Escape, _advance, _require_inside, flow_map
 from .grid import BoxGrid, BoxSet, ingest_ids
 from .jsonio import read_json, write_json
 from .transition import EXIT, invariant_part, reachable
@@ -352,10 +352,7 @@ def regularity_check(system, pair, n_samples=50, t_probe=1.0, rng=None):
         picks = pair.L.ids[rng.integers(0, len(pair.L), size=n_samples)]
         bounds = grid.bounds(picks)
         pts = bounds[:, :, 0] + rng.random((n_samples, grid.dimension)) * grid.widths
-        outside = ~system.contains(pts)
-        if outside.any():
-            raise DomainError(f"point {pts[outside][0].tolist()} is outside the "
-                              f"domain of {system.name}")
+        _require_inside(system, pts)
         stayed = np.ones(n_samples, dtype=bool)
         for s in np.linspace(0.0, t_probe, 9):
             rows = np.flatnonzero(stayed)

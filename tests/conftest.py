@@ -1,11 +1,14 @@
 """Session fixtures: pipeline bundles built once per system and reused."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import boxflow as bf
+from boxflow.flows import _advance
+from boxflow.grid import BoxSet
 
 ACCEPTANCE_LINES = []
 
@@ -76,3 +79,53 @@ def sample_in_boxes(rng, grid, boxset, n):
     rects = grid.bounds(pick)
     u = rng.random((n, grid.dimension))
     return rects[:, :, 0] + u * (rects[:, :, 1] - rects[:, :, 0])
+
+
+def _sup_envelope_oracle(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
+    """The single-point envelope: one _advance and one ρ call per step."""
+    grid = pair.grid
+    box = grid.box_of(x)
+    if not pair.in_core(box):
+        return 0.0, True
+    zero_mask = rho_fn.zero_set.mask(grid.n_boxes)
+    h = float(rho_fn(x))
+    current = x
+    steps = int(math.ceil(horizon / dt - 1e-9))
+    for _ in range(steps):
+        nxt, escaped, _ = _advance(system, current[None, :], dt)
+        if escaped[0]:
+            return h, True
+        current = nxt[0]
+        box = grid.box_of(current)
+        if not pair.in_core(box):
+            return h, True
+        h = max(h, float(rho_fn(current)))
+        if rho_fn.zero_forward_closed and box >= 0 and zero_mask[box]:
+            return h, True
+    return h, False
+
+
+@pytest.fixture(scope="session")
+def envelope_cases():
+    """(system, pair, ρ, horizon) covering every way a row stops."""
+    contract = bf.builtin_system("contract1d")
+    cgrid = bf.build_grid(contract.domain, (64,))
+    cpair = bf.IndexPair.from_boxes(cgrid, cgrid.all_boxes().ids, [])
+    cgraph = bf.build_transition_graph(contract, cgrid, 1.0)
+    center = BoxSet(list(range(28, 36)))
+    rim = BoxSet(list(range(0, 4)) + list(range(60, 64)))
+    saddle = bf.builtin_system("saddle1d")
+    sgrid = bf.build_grid(saddle.domain, (64,))
+    window = bf.IndexPair.from_boxes(sgrid, list(range(16, 48)), [16, 47])
+    whole = bf.IndexPair.from_boxes(sgrid, sgrid.all_boxes().ids, [])
+    mid = BoxSet([31, 32])
+    return {
+        # orbits enter the forward-closed zero set around the origin
+        "zero-set": (contract, cpair, bf.make_rho(cpair, center, rim, graph=cgraph), 14.0),
+        # the profile climbs toward the origin and no row stops early
+        "horizon": (contract, cpair, bf.make_rho(cpair, rim, center), 3.0),
+        # orbits leave N−L through the exit boxes; L-rows start absorbed
+        "absorbed": (saddle, window, bf.make_rho(window, BoxSet([17, 46]), mid), 14.0),
+        # orbits leave the domain
+        "escape": (saddle, whole, bf.make_rho(whole, BoxSet([0, 1, 62, 63]), mid), 14.0),
+    }

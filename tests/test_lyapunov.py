@@ -4,16 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import boxflow as bf
 from boxflow.errors import FiltrationError, IngestionError, PreconditionError
-from boxflow.flows import _advance
 from boxflow.grid import BoxSet
 from boxflow.lyapunov import Filtration, LyapunovField, LyapunovParams
 from boxflow.pairs import BASEPOINT
 
-from conftest import sample_in_boxes
+from conftest import _sup_envelope_oracle, sample_in_boxes
 
 
 @pytest.fixture(scope="module")
@@ -93,56 +91,6 @@ def test_sup_envelope_of_an_increasing_profile(contract_pair):
     assert converged is False
 
 
-def _sup_envelope_oracle(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
-    """The single-point envelope: one _advance and one ρ call per step."""
-    grid = pair.grid
-    box = grid.box_of(x)
-    if not pair.in_core(box):
-        return 0.0, True
-    zero_mask = rho_fn.zero_set.mask(grid.n_boxes)
-    h = float(rho_fn(x))
-    current = x
-    steps = int(math.ceil(horizon / dt - 1e-9))
-    for _ in range(steps):
-        nxt, escaped, _ = _advance(system, current[None, :], dt)
-        if escaped[0]:
-            return h, True
-        current = nxt[0]
-        box = grid.box_of(current)
-        if not pair.in_core(box):
-            return h, True
-        h = max(h, float(rho_fn(current)))
-        if rho_fn.zero_forward_closed and box >= 0 and zero_mask[box]:
-            return h, True
-    return h, False
-
-
-@pytest.fixture(scope="module")
-def envelope_cases():
-    """(system, pair, ρ, horizon) covering every way a row stops."""
-    contract = bf.builtin_system("contract1d")
-    cgrid = bf.build_grid(contract.domain, (64,))
-    cpair = bf.IndexPair.from_boxes(cgrid, cgrid.all_boxes().ids, [])
-    cgraph = bf.build_transition_graph(contract, cgrid, 1.0)
-    center = BoxSet(list(range(28, 36)))
-    rim = BoxSet(list(range(0, 4)) + list(range(60, 64)))
-    saddle = bf.builtin_system("saddle1d")
-    sgrid = bf.build_grid(saddle.domain, (64,))
-    window = bf.IndexPair.from_boxes(sgrid, list(range(16, 48)), [16, 47])
-    whole = bf.IndexPair.from_boxes(sgrid, sgrid.all_boxes().ids, [])
-    mid = BoxSet([31, 32])
-    return {
-        # orbits enter the forward-closed zero set around the origin
-        "zero-set": (contract, cpair, bf.make_rho(cpair, center, rim, graph=cgraph), 14.0),
-        # the profile climbs toward the origin and no row stops early
-        "horizon": (contract, cpair, bf.make_rho(cpair, rim, center), 3.0),
-        # orbits leave N−L through the exit boxes; L-rows start absorbed
-        "absorbed": (saddle, window, bf.make_rho(window, BoxSet([17, 46]), mid), 14.0),
-        # orbits leave the domain
-        "escape": (saddle, whole, bf.make_rho(whole, BoxSet([0, 1, 62, 63]), mid), 14.0),
-    }
-
-
 @pytest.mark.parametrize("case", ["zero-set", "horizon", "absorbed", "escape"])
 def test_batched_sup_envelope_equals_the_single_point_oracle(envelope_cases, case):
     system, pair, rho_fn, horizon = envelope_cases[case]
@@ -170,25 +118,6 @@ def test_batched_sup_envelope_with_no_row_in_the_core(envelope_cases):
     np.testing.assert_array_equal(h, [0.0, 0.0])
     assert converged.all()
     assert bf.sup_envelope(system, pair, rho_fn, BASEPOINT) == (0.0, True)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
-       case=st.sampled_from(["zero-set", "horizon", "absorbed", "escape"]))
-def test_sup_envelope_rows_do_not_depend_on_the_batch(envelope_cases, seed, n, case):
-    # any batch, in any order, gives every row its single-point envelope
-    system, pair, rho_fn, _ = envelope_cases[case]
-    rng = np.random.default_rng(seed)
-    lo, hi = system.domain[0]
-    pts = rng.uniform(lo - 0.1, hi + 0.1, size=(n, 1))
-    h, converged = bf.sup_envelope(system, pair, rho_fn, pts, horizon=2.0)
-    for i, x in enumerate(pts):
-        assert (h[i], converged[i]) == _sup_envelope_oracle(system, pair, rho_fn, x,
-                                                            horizon=2.0)
-    order = rng.permutation(n)
-    h2, c2 = bf.sup_envelope(system, pair, rho_fn, pts[order], horizon=2.0)
-    np.testing.assert_array_equal(h2, h[order])
-    np.testing.assert_array_equal(c2, converged[order])
 
 
 def test_batch_field_matches_pointwise_composition():
