@@ -16,7 +16,7 @@ from .errors import (BoxflowError, CapacityError, CatalogError, ConfigError,
                      FiltrationError, IngestionError, SelectionError)
 from .flows import builtin_names, builtin_system, load_system
 from .grid import build_grid
-from .jsonio import read_json, write_json
+from .jsonio import csv_text, load_json, number, positive, string, write_json
 from .lyapunov import (LyapunovParams, complete_lyapunov, extract_filtration,
                        morse_lyapunov, pair_lyapunov)
 from .pairs import IndexPair, build_index_pair, validate_index_pair
@@ -38,7 +38,6 @@ class RunConfig:
     map_time: float = 1.0
     padding: float = None
     dt: float = 0.05
-    horizon: float = 20.0
     t_max: float = 12.0
     epsilon: float = None
     seed: int = 0
@@ -55,12 +54,12 @@ class RunConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.padding is not None and self.padding < 0:
             raise ConfigError(f"padding must be nonnegative, got {self.padding}")
-        if self.horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if self.t_max < 1.0:
             raise ConfigError(f"tmax must be at least 1, got {self.t_max}")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         return self
 
     def to_json(self, path):
@@ -70,13 +69,18 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path):
-        data = read_json(path, "config file")
-        try:
+        def parse(data, where):
+            for key in ("system", "system_file", "out"):
+                if data.get(key) is not None:
+                    string(data[key], f"{where} {key}")
+            for key in ("map_time", "padding", "dt", "t_max", "epsilon"):
+                if data.get(key) is not None:
+                    number(data[key], f"{where} {key}")
+            number(data.get("seed", 0), f"{where} seed", int)
             if data.get("depth") is not None:
-                data["depth"] = tuple(data["depth"])
+                data["depth"] = tuple(positive(k, f"{where} depth", int) for k in data["depth"])
             return cls(**data).validate()
-        except TypeError as exc:
-            raise IngestionError(f"config file {path} has unknown fields: {exc}") from exc
+        return load_json(path, "config file", parse)
 
 
 def _parse_depth(text):
@@ -162,13 +166,9 @@ def cmd_analyze(config):
 
 
 def _plot_csv(field):
-    centers = field.pair.grid.centers(field.boxes)
-    header = ",".join(f"x{i}" for i in range(centers.shape[1])) + ",value"
-    lines = [header]
-    for c, v in zip(centers, field.values):
-        coords = ",".join(repr(float(x)) for x in c)
-        lines.append(f"{coords},{repr(float(v))}")
-    return "\n".join(lines) + "\n"
+    centers = field.pair.grid.centers(field.boxes).tolist()
+    header = [*(f"x{i}" for i in range(field.pair.grid.dimension)), "value"]
+    return csv_text(header, ([*c, v] for c, v in zip(centers, field.values.astype(float).tolist())))
 
 
 def cmd_lyapunov(config, construction="morse", pair_index=None):
@@ -177,7 +177,7 @@ def cmd_lyapunov(config, construction="morse", pair_index=None):
     graph = build_transition_graph(system, grid, config.map_time, config.padding)
     region = grid.all_boxes()
     mg = morse_graph(graph, region)
-    pair = build_index_pair(graph, region)
+    pair = build_index_pair(mg)
     params = LyapunovParams(dt=config.dt, t_max=config.t_max)
 
     if construction == "pair":
@@ -233,7 +233,7 @@ def cmd_filtration(config):
         print("no recurrent classes: trivial filtration with 0 levels")
         return 0
 
-    pair = build_index_pair(graph, region)
+    pair = build_index_pair(mg)
     params = LyapunovParams(dt=config.dt, t_max=config.t_max)
     field = morse_lyapunov(system, pair, mg, params)
     rng = np.random.default_rng(config.seed)
@@ -260,8 +260,8 @@ def cmd_verify(config, pair_file=None):
         pair = IndexPair.from_json(pair_file)
         if pair.grid != grid:
             raise ConfigError(
-                f"pair file grid {pair.grid.shape} does not match the "
-                f"configured depth {grid.shape}")
+                f"pair file grid {pair.grid.shape} on {pair.grid.domain.tolist()} does not "
+                f"match the configured grid {grid.shape} on {grid.domain.tolist()}")
         graph = build_transition_graph(system, grid, config.map_time, config.padding)
         verdict = validate_index_pair(graph, pair)
         _write_json(os.path.join(config.out, "pair_check.json"), verdict.to_dict())
@@ -269,8 +269,7 @@ def cmd_verify(config, pair_file=None):
         return 0 if verdict.passed else 1
 
     report = run_suite(system, config.depth, map_time=config.map_time,
-                       padding=config.padding, dt=config.dt,
-                       horizon=config.horizon, t_max=config.t_max,
+                       padding=config.padding, dt=config.dt, t_max=config.t_max,
                        epsilon=config.epsilon, seed=config.seed)
     _atomic(os.path.join(config.out, "verify.json"), report.to_json)
     _write_text(os.path.join(config.out, "verify.txt"), report.to_text())
@@ -287,7 +286,6 @@ def _add_common(sp):
     sp.add_argument("--map-time", type=float, default=1.0)
     sp.add_argument("--padding", type=float, default=None)
     sp.add_argument("--dt", type=float, default=0.05)
-    sp.add_argument("--horizon", type=float, default=20.0)
     sp.add_argument("--tmax", type=float, default=12.0, dest="t_max")
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--seed", type=int, default=0)
@@ -297,8 +295,8 @@ def _add_common(sp):
 def _config_from(args):
     return RunConfig(system=args.system, system_file=args.system_file,
                      depth=args.depth, map_time=args.map_time,
-                     padding=args.padding, dt=args.dt, horizon=args.horizon,
-                     t_max=args.t_max, epsilon=args.epsilon, seed=args.seed,
+                     padding=args.padding, dt=args.dt, t_max=args.t_max,
+                     epsilon=args.epsilon, seed=args.seed,
                      out=args.out).validate()
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import CatalogError, DomainError, IngestionError, NumericalError, PreconditionError
-from .jsonio import read_json
+from .grid import ingest_domain
+from .jsonio import load_json, positive, string
 
 # rows marched together by _advance; a chunk's RK4 stages fit in cache
 ADVANCE_CHUNK = 16384
@@ -300,35 +301,26 @@ def load_system(path):
     The file either names a built-in under "field" or gives a polynomial
     term list; dimension, domain and step may override built-in defaults.
     """
-    data = read_json(path, "system file")
-    if not isinstance(data, dict):
-        raise IngestionError("system file must contain a JSON object")
-    if "field" not in data:
-        raise IngestionError("system file is missing 'field'")
-
-    fld = data["field"]
-    if isinstance(fld, str):
-        base = builtin_system(fld)
-        dim = data.get("dimension", base.dimension)
-        if dim != base.dimension:
-            raise IngestionError(
-                f"dimension {dim} does not match built-in '{fld}' ({base.dimension})")
-        domain = np.asarray(data.get("domain", base.domain), dtype=float)
-        step = data.get("step", base.step)
-        name = data.get("name", base.name)
-        return FlowSystem(dimension=dim, field=base.field, domain=domain,
-                          step=step, name=name, equilibria=base.equilibria)
-
-    if not isinstance(fld, list):
-        raise IngestionError("'field' must be a built-in name or a list of terms")
-    for key in ("dimension", "domain"):
-        if key not in data:
-            raise IngestionError(f"system file is missing '{key}'")
-    dim = data["dimension"]
-    if not isinstance(dim, int) or dim < 1:
-        raise IngestionError(f"'dimension' must be a positive integer, got {dim!r}")
-    fn = polynomial_field(fld, dim)
-    return FlowSystem(dimension=dim, field=fn,
-                      domain=np.asarray(data["domain"], dtype=float),
-                      step=data.get("step", 0.01),
-                      name=data.get("name", "custom"))
+    def parse(data, where):
+        fld = data["field"]
+        if isinstance(fld, str):
+            base = builtin_system(fld)
+            dim = positive(data.get("dimension", base.dimension), f"{where} dimension", int)
+            if dim != base.dimension:
+                raise IngestionError(
+                    f"{where} dimension {dim} does not match built-in '{fld}' "
+                    f"({base.dimension})")
+            field, equilibria = base.field, base.equilibria
+            defaults = {"domain": base.domain.tolist(), "step": base.step, "name": base.name}
+        elif isinstance(fld, list):
+            dim = positive(data["dimension"], f"{where} dimension", int)
+            field, equilibria = polynomial_field(fld, dim), ()
+            defaults = {"step": 0.01, "name": "custom"}
+        else:
+            raise IngestionError(f"{where}: 'field' must be a built-in name or a list of terms")
+        data = {**defaults, **data}
+        return FlowSystem(dimension=dim, field=field,
+                          domain=ingest_domain(data["domain"], where),
+                          step=positive(data["step"], f"{where} step"),
+                          name=string(data["name"], f"{where} name"), equilibria=equilibria)
+    return load_json(path, "system file", parse)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .errors import CapacityError, IngestionError, PreconditionError
+from .jsonio import number, positive
 
 MAX_BOXES = 2 ** 31
 # (sample point, target box) pairs one graph build may produce; the two
@@ -18,23 +19,26 @@ MAX_BOXES = 2 ** 31
 MAX_PAIRS = 2 ** 26
 
 
-def ingest_ids(values, what):
-    """Box ids read from outside the program, as an int64 array.
+def ingest_domain(values, what):
+    """The float array of a domain read from outside the program.
 
-    Entries that are not integers raise IngestionError instead of being
-    cast, which would truncate 1.5 to 1 and read true as 1.
+    Every bound must be a finite JSON number; the (d, 2) shape and low <
+    high are the preconditions of the grid or system built from it.
     """
-    items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
-    try:
-        bad = [v for v in items if isinstance(v, bool) or not isinstance(v, int)]
-    except TypeError as exc:
-        raise IngestionError(f"{what} is not a list of box ids: {exc}") from exc
-    if bad:
-        raise IngestionError(f"{what} has ids that are not integers: {bad[:5]}")
-    try:
-        return np.asarray(items, dtype=np.int64)
-    except OverflowError as exc:
-        raise IngestionError(f"{what} has ids beyond the int64 range: {exc}") from exc
+    return np.array([[number(v, f"{what} domain") for v in row] for row in values],
+                    dtype=float)
+
+
+def sample_in_boxes(rng, grid, boxset, n):
+    """n points drawn uniformly from boxes of the set picked with replacement.
+
+    Returns the picked ids and the (n, d) points.  The picks come from
+    rng.integers and then the offsets from rng.random, an order that seeded
+    runs rely on.
+    """
+    picks = boxset.ids[rng.integers(0, len(boxset), size=n)]
+    bounds = grid.bounds(picks)
+    return picks, bounds[:, :, 0] + rng.random((n, grid.dimension)) * grid.widths
 
 
 class BoxSet:
@@ -132,6 +136,35 @@ class BoxGrid:
 
     def __repr__(self):
         return f"BoxGrid(shape={self.shape}, domain={self.domain.tolist()})"
+
+    def to_dict(self):
+        """The grid block of every artifact: boxes per axis and the domain."""
+        return {"domain": self.domain.tolist(), "shape": list(self.shape)}
+
+    @classmethod
+    def from_dict(cls, data, what):
+        """The grid of a grid block read from the file that what names.
+
+        The shape must list positive integers and the domain finite
+        numbers, one [low, high] pair per axis with low < high.
+        """
+        shape = [positive(s, f"{what} grid shape", int) for s in data["shape"]]
+        return cls(ingest_domain(data["domain"], f"{what} grid"), shape)
+
+    def ingest_ids(self, values, what, low=0):
+        """Box ids read from outside the program, as an int64 array.
+
+        Every entry must be an integer from low (EXIT for edge targets) to
+        n_boxes - 1.  Anything else raises IngestionError instead of being
+        cast, which would truncate 1.5 to 1 and read true as 1.
+        """
+        items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+        bad = [v for v in items if type(v) is not int or not low <= v < self.n_boxes]
+        if bad:
+            problem = ("are not integers" if any(type(v) is not int for v in bad)
+                       else f"are outside the grid's boxes {low}..{self.n_boxes - 1}")
+            raise IngestionError(f"{what} has ids that {problem}: {bad[:5]}")
+        return np.asarray(items, dtype=np.int64)
 
     def all_boxes(self):
         return BoxSet(np.arange(self.n_boxes, dtype=np.int64))

@@ -19,8 +19,8 @@ from .distances import BoxSetDistance, boxset_min_distance
 from .errors import (FiltrationError, IngestionError, PreconditionError,
                      RegionOverlapError)
 from .flows import _advance
-from .grid import BoxGrid, BoxSet
-from .jsonio import read_json, write_json
+from .grid import BoxSet, sample_in_boxes
+from .jsonio import csv_text, load_json, number, string, write_json
 from .pairs import BASEPOINT, IndexPair, regularity_check, validate_index_pair
 from .recurrence import ar_regions, enumerate_ar_pairs
 from .transition import EXIT
@@ -358,22 +358,17 @@ class LyapunovField:
                 and self.range_hint == other.range_hint)
 
     def to_csv(self, path):
-        centers = self.pair.grid.centers(self.boxes)
-        header = "box_id," + ",".join(f"c{i}" for i in range(centers.shape[1])) + ",value"
-        lines = [header]
-        for b, c, v in zip(self.boxes.tolist(), centers, self.values):
-            coords = ",".join(repr(float(x)) for x in c)
-            lines.append(f"{b},{coords},{repr(float(v))}")
+        centers = self.pair.grid.centers(self.boxes).tolist()
+        header = ["box_id", *(f"c{i}" for i in range(self.pair.grid.dimension)), "value"]
+        values = self.values.astype(float).tolist()
+        rows = ([b, *c, v] for b, c, v in zip(self.boxes.tolist(), centers, values))
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(csv_text(header, rows))
 
     def to_json(self, path):
-        grid = self.pair.grid
         data = {
+            **self.pair.to_dict(),
             "construction": self.construction,
-            "grid": {"domain": grid.domain.tolist(), "shape": list(grid.shape)},
-            "N": self.pair.N.ids.tolist(),
-            "L": self.pair.L.ids.tolist(),
             "boxes": self.boxes.tolist(),
             "values": [float(v) for v in self.values],
             "range_hint": list(self.range_hint),
@@ -385,20 +380,23 @@ class LyapunovField:
 
     @classmethod
     def from_json(cls, path):
-        data = read_json(path, "field file")
-        try:
-            grid = BoxGrid(np.asarray(data["grid"]["domain"], dtype=float),
-                           data["grid"]["shape"])
-            pair = IndexPair.from_boxes(grid, data["N"], data["L"])
-            params = LyapunovParams(**data["params"])
+        def parse(data, where):
+            pair = IndexPair.from_dict(data, where)
+            boxes = pair.grid.ingest_ids(data["boxes"], f"{where} boxes")
+            values = [number(v, f"{where} values") for v in data["values"]]
+            if len(values) != boxes.size:
+                raise IngestionError(f"{where} has {len(values)} values for {boxes.size} boxes")
+            params = {k: number(v, f"{where} params") for k, v in data["params"].items()}
             down = data.get("down_set")
-            return cls(pair=pair, construction=data["construction"],
-                       boxes=np.asarray(data["boxes"], dtype=np.int64),
-                       values=np.asarray(data["values"], dtype=float),
-                       range_hint=tuple(data["range_hint"]), params=params,
-                       down_set=frozenset(down) if down is not None else None)
-        except (KeyError, TypeError) as exc:
-            raise IngestionError(f"field file {path} is missing fields: {exc}") from exc
+            construction = string(data["construction"], f"{where} construction")
+            return cls(pair=pair, construction=construction, boxes=boxes,
+                       values=np.asarray(values, dtype=float),
+                       range_hint=tuple(number(v, f"{where} range_hint")
+                                        for v in data["range_hint"]),
+                       params=LyapunovParams(**params),
+                       down_set=None if down is None else frozenset(
+                           number(k, f"{where} down_set", int) for k in down))
+        return load_json(path, "field file", parse)
 
 
 def _field_from_profiles(system, pair, profiles, construction, range_hint, params,
@@ -521,9 +519,7 @@ def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,
         raise PreconditionError("U must contain the L-boxes and the attractor's "
                                 "backward-orbit region")
     grid = pair.grid
-    picks = B.ids[rng.integers(0, len(B), size=n_samples)]
-    bounds = grid.bounds(picks)
-    pts = bounds[:, :, 0] + rng.random((n_samples, grid.dimension)) * grid.widths
+    _, pts = sample_in_boxes(rng, grid, B, n_samples)
 
     n_steps = int(round(horizon / dt))
     positions, absorbed = _march_quotient(system, pair, pts, n_steps, dt)
@@ -557,11 +553,8 @@ class Filtration:
                 and all(a == b for a, b in zip(self.levels, other.levels)))
 
     def to_json(self, path, report=None):
-        grid = self.pair.grid
         data = {
-            "grid": {"domain": grid.domain.tolist(), "shape": list(grid.shape)},
-            "N": self.pair.N.ids.tolist(),
-            "L": self.pair.L.ids.tolist(),
+            **self.pair.to_dict(),
             "levels": [lv.ids.tolist() for lv in self.levels],
             "thresholds": [float(c) for c in self.thresholds],
             "report": report,
@@ -570,16 +563,14 @@ class Filtration:
 
     @classmethod
     def from_json(cls, path):
-        data = read_json(path, "filtration file")
-        try:
-            grid = BoxGrid(np.asarray(data["grid"]["domain"], dtype=float),
-                           data["grid"]["shape"])
-            pair = IndexPair.from_boxes(grid, data["N"], data["L"])
-            return cls(levels=[BoxSet(ids) for ids in data["levels"]],
-                       thresholds=[float(c) for c in data["thresholds"]],
+        def parse(data, where):
+            pair = IndexPair.from_dict(data, where)
+            return cls(levels=[BoxSet(pair.grid.ingest_ids(ids, f"{where} level {k}"))
+                               for k, ids in enumerate(data["levels"])],
+                       thresholds=[float(number(c, f"{where} thresholds"))
+                                   for c in data["thresholds"]],
                        pair=pair)
-        except (KeyError, TypeError) as exc:
-            raise IngestionError(f"filtration file {path} is missing fields: {exc}") from exc
+        return load_json(path, "filtration file", parse)
 
 
 def extract_filtration(system, field, pair, graph, rng=None, n_samples=40):

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .distances import BoxSetDistance
-from .errors import (ConstructionError, IngestionError, IsolationError,
-                     PreconditionError)
+from .errors import ConstructionError, IsolationError, PreconditionError
 from .flows import Escape, _advance, _require_inside, flow_map
-from .grid import BoxGrid, BoxSet, ingest_ids
-from .jsonio import read_json, write_json
+from .grid import BoxGrid, BoxSet, sample_in_boxes
+from .jsonio import load_json, write_json
 from .transition import EXIT, invariant_part, reachable
 
 
@@ -35,15 +34,6 @@ class _Basepoint:
 
 
 BASEPOINT = _Basepoint()
-
-
-def _ingest_boxes(grid, name, ids):
-    boxes = BoxSet(ingest_ids(ids, name))
-    bad = boxes.ids[(boxes.ids < 0) | (boxes.ids >= grid.n_boxes)]
-    if bad.size:
-        raise IngestionError(
-            f"{name} has box ids outside the grid's 0..{grid.n_boxes - 1}: {bad[:5].tolist()}")
-    return boxes
 
 
 class IndexPair:
@@ -66,7 +56,7 @@ class IndexPair:
     @classmethod
     def from_boxes(cls, grid, n_ids, l_ids):
         """The pair of the given id lists; ids outside the grid are rejected."""
-        return cls(grid, _ingest_boxes(grid, "N", n_ids), _ingest_boxes(grid, "L", l_ids))
+        return cls(grid, BoxSet(grid.ingest_ids(n_ids, "N")), BoxSet(grid.ingest_ids(l_ids, "L")))
 
     def in_N(self, box):
         return box >= 0 and bool(self._N_mask[box])
@@ -88,39 +78,39 @@ class IndexPair:
     def __repr__(self):
         return f"IndexPair(|N|={len(self.N)}, |L|={len(self.L)})"
 
+    def to_dict(self):
+        """The grid, N and L block that pair, field and filtration files share."""
+        return {"grid": self.grid.to_dict(), "N": self.N.ids.tolist(), "L": self.L.ids.tolist()}
+
+    @classmethod
+    def from_dict(cls, data, what):
+        """The pair of a grid, N and L block read from the file that what names.
+
+        Ids must be integers inside the grid, and L a subset of N.
+        """
+        grid = BoxGrid.from_dict(data["grid"], what)
+        return cls(grid, BoxSet(grid.ingest_ids(data["N"], f"{what} N")),
+                   BoxSet(grid.ingest_ids(data["L"], f"{what} L")))
+
     def to_json(self, path):
-        data = {
-            "grid": {"domain": self.grid.domain.tolist(), "shape": list(self.grid.shape)},
-            "N": self.N.ids.tolist(),
-            "L": self.L.ids.tolist(),
-        }
-        write_json(path, data)
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path):
-        data = read_json(path, "pair file")
-        for key in ("grid", "N", "L"):
-            if key not in data:
-                raise IngestionError(f"pair file {path} is missing '{key}'")
-        try:
-            grid = BoxGrid(np.asarray(data["grid"]["domain"], dtype=float),
-                           data["grid"]["shape"])
-        except (KeyError, TypeError) as exc:
-            raise IngestionError(f"pair file {path} has malformed 'grid': {exc}") from exc
-        return cls.from_boxes(grid, data["N"], data["L"])
+        return load_json(path, "pair file", cls.from_dict)
 
 
-def build_index_pair(graph, region):
-    """Construct an index pair around the invariant part of a region.
+def build_index_pair(mg):
+    """Construct an index pair around the invariant part of a Morse graph's region.
 
     N is the forward closure of the invariant part inside the region; L
     collects the boxes of N with an edge leaving N, closed under relative
     positive invariance.  The result is validated before being returned.
     """
-    inv, isolated = invariant_part(graph, region)
+    graph, region, inv = mg.graph, mg.region, mg.invariant
     if not inv:
         raise IsolationError("the region has an empty invariant part")
-    if not isolated:
+    if not inv.isdisjoint(graph.grid.boundary_layer(region)):
         raise IsolationError(
             "the invariant part touches the region's boundary layer; "
             "enlarge the region or refine the grid")
@@ -349,9 +339,7 @@ def regularity_check(system, pair, n_samples=50, t_probe=1.0, rng=None):
     violations = []
     n_checked = 0
     if pair.L:
-        picks = pair.L.ids[rng.integers(0, len(pair.L), size=n_samples)]
-        bounds = grid.bounds(picks)
-        pts = bounds[:, :, 0] + rng.random((n_samples, grid.dimension)) * grid.widths
+        picks, pts = sample_in_boxes(rng, grid, pair.L, n_samples)
         _require_inside(system, pts)
         stayed = np.ones(n_samples, dtype=bool)
         for s in np.linspace(0.0, t_probe, 9):
@@ -415,9 +403,7 @@ def retraction_check(system, pair, n_samples=50, rng=None, dt=1e-3):
     grid = pair.grid
     if not pair.core:
         return RetractionReport(passed=True, failures=[], n_tested=0, n_skipped=0)
-    picks = pair.core.ids[rng.integers(0, len(pair.core), size=n_samples)]
-    bounds = grid.bounds(picks)
-    pts = bounds[:, :, 0] + rng.random((n_samples, grid.dimension)) * grid.widths
+    _, pts = sample_in_boxes(rng, grid, pair.core, n_samples)
     taus = _exit_times_batch(system, pair, pts, dt, horizon=1.0 + 4 * dt)
 
     l_distance = BoxSetDistance(grid, pair.L)

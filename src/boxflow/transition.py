@@ -19,10 +19,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .errors import CapacityError, IngestionError, PreconditionError
+from .errors import CapacityError, PreconditionError
 from .flows import _advance
-from .grid import MAX_PAIRS, BoxGrid, BoxSet, ingest_ids
-from .jsonio import read_json, write_json
+from .grid import MAX_PAIRS, BoxGrid, BoxSet
+from .jsonio import load_json, number, positive, write_json
 
 EXIT = -1
 
@@ -127,7 +127,7 @@ class TransitionGraph:
             "map_time": self.map_time,
             "padding": self.padding,
             "samples_per_axis": self.samples_per_axis,
-            "grid": {"domain": self.grid.domain.tolist(), "shape": list(self.grid.shape)},
+            "grid": self.grid.to_dict(),
             "edges": edges,
             "exit_node": self.has_exit,
         }
@@ -135,28 +135,19 @@ class TransitionGraph:
 
     @classmethod
     def from_json(cls, path):
-        data = read_json(path, "graph file")
-        try:
-            grid = BoxGrid(np.asarray(data["grid"]["domain"], dtype=float),
-                           data["grid"]["shape"])
+        def parse(data, where):
+            grid = BoxGrid.from_dict(data["grid"], where)
             src = []
             dst = []
             for b, targets in data["edges"]:
                 src.extend([b] * len(targets))
                 dst.extend(targets)
-            src = ingest_ids(src, f"graph file {path} sources")
-            dst = ingest_ids(dst, f"graph file {path} targets")
-            bad_src = src[(src < 0) | (src >= grid.n_boxes)]
-            bad_dst = dst[(dst < EXIT) | (dst >= grid.n_boxes)]
-            if bad_src.size or bad_dst.size:
-                raise IngestionError(
-                    f"graph file {path} has edges outside the grid's boxes "
-                    f"0..{grid.n_boxes - 1} (EXIT is {EXIT}): sources "
-                    f"{bad_src[:5].tolist()}, targets {bad_dst[:5].tolist()}")
-            return cls(grid, data["map_time"], data["padding"], data["samples_per_axis"],
-                       src, dst)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestionError(f"graph file {path} is missing fields: {exc}") from exc
+            return cls(grid, positive(data["map_time"], f"{where} map_time"),
+                       number(data["padding"], f"{where} padding"),
+                       positive(data["samples_per_axis"], f"{where} samples_per_axis", int),
+                       grid.ingest_ids(src, f"{where} sources"),
+                       grid.ingest_ids(dst, f"{where} targets", low=EXIT))
+        return load_json(path, "graph file", parse)
 
     def to_dot(self):
         lines = ["digraph transition {"]

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .distances import BoxSetDistance
-from .errors import ConstructionError, FiltrationError, IngestionError, IsolationError
+from .errors import ConstructionError, FiltrationError, IsolationError
 from .flows import _advance
-from .grid import BoxSet, build_grid
-from .jsonio import read_json, write_json
+from .grid import BoxSet, build_grid, sample_in_boxes
+from .jsonio import load_json, write_json
 from .lyapunov import (Filtration, LyapunovParams, complete_lyapunov,
                        extract_filtration, morse_lyapunov, pair_lyapunov,
                        renewal_residual, sup_envelope, _march_quotient)
@@ -105,12 +105,10 @@ class VerifyReport:
 
     @classmethod
     def from_json(cls, path):
-        data = read_json(path, "verify report")
-        try:
+        def parse(data, where):
             return cls(system=data["system"], parameters=dict(data["parameters"]),
                        checks=[CheckResult.from_dict(c) for c in data["checks"]])
-        except (KeyError, TypeError) as exc:
-            raise IngestionError(f"verify report {path} is missing fields: {exc}") from exc
+        return load_json(path, "verify report", parse)
 
     def __eq__(self, other):
         if not isinstance(other, VerifyReport):
@@ -131,12 +129,6 @@ class VerifyReport:
             body = " ".join(s for s in (nums + tol, c.detail) if s)
             lines.append(f"  {c.verdict:4s} {c.name:26s} {body}".rstrip())
         return "\n".join(lines) + "\n"
-
-
-def _sample_in_boxes(rng, grid, boxset, n):
-    picks = boxset.ids[rng.integers(0, len(boxset), size=n)]
-    bounds = grid.bounds(picks)
-    return bounds[:, :, 0] + rng.random((n, grid.dimension)) * grid.widths
 
 
 def _sample_in_domain(rng, system, n):
@@ -179,9 +171,7 @@ def _flow_checks(system, rng, add):
 
 def _graph_checks(system, grid, graph, inv, rng, add):
     n_probe = 200
-    bidx = rng.integers(0, grid.n_boxes, size=n_probe)
-    bounds = grid.bounds(bidx)
-    pts = bounds[:, :, 0] + rng.random((n_probe, grid.dimension)) * grid.widths
+    bidx, pts = sample_in_boxes(rng, grid, grid.all_boxes(), n_probe)
     end, esc, _ = _advance(system, pts, graph.map_time)
     diag = float(np.linalg.norm(grid.widths))
     violations = 0
@@ -388,7 +378,7 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
     skipped = 0
     for field in fields:
         profs = {0: field.profiles[0], len(field.profiles) - 1: field.profiles[-1]}
-        pts = _sample_in_boxes(rng, grid, field.pair.core, 4)
+        _, pts = sample_in_boxes(rng, grid, field.pair.core, 4)
         n = pts.shape[0]
         nxt, esc, _ = _advance(system, pts, dt)
         boxes = grid.box_of(nxt)
@@ -414,7 +404,7 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
     worst = 0.0
     count = 0
     for field in fields:
-        pts = _sample_in_boxes(rng, grid, field.pair.core, 4)
+        _, pts = sample_in_boxes(rng, grid, field.pair.core, 4)
         worst = max(worst, float(renewal_residual(system, field, pts, 1.0).max()))
         count += pts.shape[0]
     add("lyapunov_renewal", worst < 2e-3, True,
@@ -426,7 +416,7 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
     mono_viol = 0
     total = 0
     for field in fields:
-        pts = _sample_in_boxes(rng, grid, field.pair.core, 40)
+        _, pts = sample_in_boxes(rng, grid, field.pair.core, 40)
         g0, probes = _g_along_orbits(system, field, pts,
                                      [int(round(t / dt)) for t in t_probes], dt)
         for gt in probes:
@@ -449,7 +439,7 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
         cand = field.pair.core.difference(grid.dilate(pinned, 2))
         if not cand:
             continue
-        pts = _sample_in_boxes(rng, grid, cand, 30)
+        _, pts = sample_in_boxes(rng, grid, cand, 30)
         g0, (gt,) = _g_along_orbits(system, field, pts, [int(round(1.0 / dt))], dt)
         dec = g0 - gt
         dec_viol += int((dec <= 1e-4).sum())
@@ -541,8 +531,8 @@ def _roundtrip_check(graph, pair, f_morse, filtration, add):
         "serialized and reloaded: " + ", ".join(names))
 
 
-def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, horizon=20.0,
-              t_max=12.0, epsilon=None, seed=0):
+def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
+              epsilon=None, seed=0):
     """Run every check against one system and collect a VerifyReport.
 
     The checks consume one seeded generator in a fixed order, so two runs
@@ -570,7 +560,7 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, horizon=20.0,
     pair = None
     fail_reason = None
     try:
-        pair = build_index_pair(graph, region)
+        pair = build_index_pair(mg)
     except (IsolationError, ConstructionError) as exc:
         fail_reason = str(exc)
     _pair_checks(system, grid, graph, pair, fail_reason, rng, add)
@@ -598,7 +588,6 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, horizon=20.0,
         "map_time": map_time,
         "padding": graph.padding,
         "dt": dt,
-        "horizon": horizon,
         "t_max": t_max,
         "epsilon": epsilon,
         "seed": seed,

@@ -50,7 +50,7 @@ def saddle():
 @pytest.fixture(scope="session")
 def doublewell():
     b = _bundle("doublewell1d", (256,))
-    b.pair = bf.build_index_pair(b.graph, b.region)
+    b.pair = bf.build_index_pair(b.mg)
     b.recurrent = bf.chain_recurrent_boxes(b.graph, b.region)
     b.ar = bf.ar_regions_in_pair(b.mg, b.graph, b.region, frozenset({1}))
     b.pair_field = bf.pair_lyapunov(b.system, b.pair, b.ar, graph=b.graph)
@@ -66,7 +66,7 @@ def gradient():
 @pytest.fixture(scope="session")
 def hopf():
     b = _bundle("hopf2d", (64, 64))
-    b.pair = bf.build_index_pair(b.graph, b.region)
+    b.pair = bf.build_index_pair(b.mg)
     b.recurrent = bf.chain_recurrent_boxes(b.graph, b.region)
     b.complete_field = bf.complete_lyapunov(b.system, b.pair, b.mg, b.graph)
     return b

@@ -19,8 +19,8 @@ from boxflow.transition import TransitionGraph
 
 def _cfg(**kw):
     base = dict(system="saddle1d", system_file=None, depth=(64,),
-                map_time=1.0, padding=None, dt=0.05, horizon=20.0,
-                t_max=12.0, epsilon=None, seed=0, out="out")
+                map_time=1.0, padding=None, dt=0.05, t_max=12.0,
+                epsilon=None, seed=0, out="out")
     base.update(kw)
     return cli.RunConfig(**base)
 
@@ -46,6 +46,8 @@ def test_config_rejects_bad_numbers():
         _cfg(epsilon=0.0).validate()
     with pytest.raises(ConfigError):
         _cfg(padding=-1.0).validate()
+    with pytest.raises(ConfigError):
+        _cfg(seed=-1).validate()
 
 
 def test_depth_parsing():

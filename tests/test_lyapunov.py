@@ -128,7 +128,7 @@ def test_batch_field_matches_pointwise_composition():
     graph = bf.build_transition_graph(system, grid, 1.0)
     region = grid.all_boxes()
     mg = bf.morse_graph(graph, region)
-    pair = bf.build_index_pair(graph, region)
+    pair = bf.build_index_pair(mg)
     ar = bf.ar_regions_in_pair(mg, graph, region, frozenset({1}))
     params = LyapunovParams(dt=0.1, t_max=6.0)
     field = bf.pair_lyapunov(system, pair, ar, params=params, graph=graph)
@@ -289,7 +289,7 @@ def test_coarse_grid_fails_with_a_named_level():
     graph = bf.build_transition_graph(system, grid, 1.0)
     region = grid.all_boxes()
     mg = bf.morse_graph(graph, region)
-    pair = bf.build_index_pair(graph, region)
+    pair = bf.build_index_pair(mg)
     field = bf.morse_lyapunov(system, pair, mg)
     with pytest.raises(FiltrationError) as exc:
         bf.extract_filtration(system, field, pair, graph,
@@ -333,7 +333,7 @@ def test_morse_field_equals_the_brute_force_distance_field(monkeypatch, name, de
     graph = bf.build_transition_graph(system, grid, 1.0)
     region = grid.all_boxes()
     mg = bf.morse_graph(graph, region)
-    pair = bf.build_index_pair(graph, region)
+    pair = bf.build_index_pair(mg)
     fast = bf.morse_lyapunov(system, pair, mg)
     with monkeypatch.context() as m:
         _brute_rho_distances(m)

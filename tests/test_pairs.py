@@ -211,7 +211,7 @@ def test_pair_membership_helpers(doublewell):
 
 def test_construction_requires_isolation(saddle):
     with pytest.raises(IsolationError):
-        bf.build_index_pair(saddle.graph, BoxSet([31, 32]))
+        bf.build_index_pair(bf.morse_graph(saddle.graph, BoxSet([31, 32])))
 
 
 def test_construction_rejects_a_swallowed_core():
@@ -221,7 +221,7 @@ def test_construction_rejects_a_swallowed_core():
     graph = TransitionGraph(grid, 1.0, 0.0, 3,
                             [3, 3, 4, 4], [3, 4, -1, 3])
     with pytest.raises(ConstructionError):
-        bf.build_index_pair(graph, grid.all_boxes())
+        bf.build_index_pair(bf.morse_graph(graph, grid.all_boxes()))
 
 
 def test_pair_rejects_box_ids_outside_the_grid(tmp_path, saddle):
