@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CatalogError, DomainError, IngestionError, NumericalError, PreconditionError
 from .grid import ingest_domain
-from .jsonio import load_json, positive, string
+from .jsonio import load_json, number, positive, string
 
 # rows marched together by _advance; a chunk's RK4 stages fit in cache
 ADVANCE_CHUNK = 16384
@@ -166,6 +166,40 @@ def _advance(system, points, t):
     return pts, escaped, esc_time
 
 
+def _advance_rows(system, points, t):
+    """_advance with one time per row: row i gets exactly the position,
+    escape flag and escape time of _advance(system, points[i:i+1], t[i]).
+
+    Each group of rows with the same whole-step count makes one _advance
+    call; the rows still inside then take their remainder steps as one RK4
+    step with a column of step sizes.
+    """
+    pts = np.array(points, dtype=float, copy=True)
+    t = np.asarray(t, dtype=float)
+    if t.shape != pts.shape[:1] or not (t >= 0).all():
+        raise PreconditionError(f"need one nonnegative time per row, got {t!r:.60}")
+    whole, rem = np.array([_schedule(ti, system.step) for ti in t.tolist()]).reshape(-1, 2).T
+    whole = whole.astype(np.int64)
+    escaped = np.zeros(len(pts), dtype=bool)
+    esc_time = np.full(len(pts), np.nan)
+    for n in np.unique(whole[whole > 0]).tolist():
+        rows = np.flatnonzero(whole == n)
+        pts[rows], escaped[rows], esc_time[rows] = _advance(system, pts[rows], n * system.step)
+    rows = np.flatnonzero((rem > 0) & ~escaped)
+    if not rows.size:
+        return pts, escaped, esc_time
+    nxt = _rk4_step(system.field, pts[rows], rem[rows, None])
+    if not np.isfinite(nxt).all():
+        raise NumericalError(f"integration of {system.name} produced non-finite values")
+    out = ~system.contains(nxt)
+    # the elapsed time before a remainder step, summed in step order as in _advance
+    elapsed = list(itertools.accumulate([system.step] * int(whole.max()), initial=0.0))
+    escaped[rows[out]] = True
+    esc_time[rows[out]] = np.take(elapsed, whole[rows[out]])
+    pts[rows[~out]] = nxt[~out]
+    return pts, escaped, esc_time
+
+
 def _require_inside(system, points):
     """Raise DomainError naming the first point outside the closed domain."""
     outside = ~system.contains(points)
@@ -219,19 +253,22 @@ def polynomial_field(terms, dimension):
 
     Each term is a mapping with "coeffs" (one coefficient per output axis)
     and "exponents" (one nonnegative integer per input axis); the term
-    contributes coeffs * prod(x**exponents) to the velocity.
+    contributes coeffs * prod(x**exponents) to the velocity.  Every entry
+    must be a number (an integral float such as 2.0 is an integer exponent);
+    booleans and strings are rejected.
     """
     coeffs = []
     expos = []
     for i, term in enumerate(terms):
         try:
-            c = np.asarray(term["coeffs"], dtype=float)
-            e = np.asarray(term["exponents"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            c, e = term["coeffs"], term["exponents"]
+        except (KeyError, TypeError) as exc:
             raise IngestionError(f"term {i} needs numeric 'coeffs' and 'exponents'") from exc
-        if c.shape != (dimension,) or e.shape != (dimension,):
+        if not all(isinstance(v, (list, tuple)) and len(v) == dimension for v in (c, e)):
             raise IngestionError(
                 f"term {i}: coeffs and exponents must each have {dimension} entries")
+        c = np.array([number(v, f"term {i} coeffs") for v in c], dtype=float)
+        e = np.array([number(v, f"term {i} exponents") for v in e], dtype=float)
         if (e < 0).any() or (e != np.round(e)).any():
             raise IngestionError(f"term {i}: exponents must be nonnegative integers")
         coeffs.append(c)

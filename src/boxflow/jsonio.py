@@ -5,8 +5,8 @@ with one repr per value, so equal data gives equal bytes.  Every input file
 is read through load_json: a file that cannot be read or decoded, whose
 top level is not an object, or whose fields are missing or of the wrong
 type raises IngestionError, which the command line reports with exit
-code 2.  number, positive and string are the typed checks loaders apply
-to the scalars they read.
+code 2.  number, positive, string, boolean and mapping are the typed
+checks loaders apply to the values they read.
 """
 
 import json
@@ -92,8 +92,22 @@ def positive(value, what, kind=float):
     return value
 
 
+def _of_type(value, what, kind, name):
+    if not isinstance(value, kind):
+        raise IngestionError(f"{what} must be {name}, got {value!r:.40}")
+    return value
+
+
 def string(value, what):
     """value, when it is a JSON string."""
-    if not isinstance(value, str):
-        raise IngestionError(f"{what} must be a string, got {value!r:.40}")
-    return value
+    return _of_type(value, what, str, "a string")
+
+
+def boolean(value, what):
+    """value, when it is JSON true or false."""
+    return _of_type(value, what, bool, "true or false")
+
+
+def mapping(value, what):
+    """value, when it is a JSON object."""
+    return _of_type(value, what, dict, "an object")

@@ -21,7 +21,8 @@ from .errors import (FiltrationError, IngestionError, PreconditionError,
 from .flows import _advance
 from .grid import BoxSet, sample_in_boxes
 from .jsonio import csv_text, load_json, number, string, write_json
-from .pairs import BASEPOINT, IndexPair, regularity_check, validate_index_pair
+from .pairs import (BASEPOINT, IndexPair, _march_quotient, regularity_check,
+                    validate_index_pair)
 from .recurrence import ar_regions, enumerate_ar_pairs
 from .transition import EXIT
 
@@ -126,37 +127,6 @@ def rho(pair, A_region, R_region, x):
     if x is BASEPOINT:
         return 0.0
     return fn(np.asarray(x, dtype=float))
-
-
-def _march_quotient(system, pair, points, n_steps, dt):
-    """Quotient-orbit samples of a point batch.
-
-    Returns (positions, absorbed) with shapes (n_steps+1, m, d) and
-    (n_steps+1, m); a row is absorbed from the first sample whose box falls
-    outside N−L or whose orbit leaves the domain, and its position freezes.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    positions = np.empty((n_steps + 1, m, pts.shape[1]))
-    absorbed = np.zeros((n_steps + 1, m), dtype=bool)
-    positions[0] = pts
-    boxes = np.atleast_1d(pair.grid.box_of(pts))
-    dead = ~(pair._core_mask[np.maximum(boxes, 0)] & (boxes >= 0))
-    absorbed[0] = dead
-    current = pts.copy()
-    for k in range(1, n_steps + 1):
-        live = ~dead
-        if live.any():
-            nxt, escaped, _ = _advance(system, current[live], dt)
-            current[live] = nxt
-            boxes = np.atleast_1d(pair.grid.box_of(nxt))
-            ok = ~escaped & (boxes >= 0) & pair._core_mask[np.maximum(boxes, 0)]
-            idx = np.flatnonzero(live)
-            dead = dead.copy()
-            dead[idx[~ok]] = True
-        positions[k] = current
-        absorbed[k] = dead
-    return positions, absorbed
 
 
 def _quadrature_weights(n_quad, dt):
@@ -281,29 +251,19 @@ def discounted_average(system, pair, h_fn, x, dt=0.05, t_max=12.0):
     """Normalized discounted average of h along one quotient orbit.
 
     h_fn maps a point or BASEPOINT to a value in [0,1]; absorbed samples
-    contribute 0.  This is the reference single-point path; field builders
-    share one march across boxes instead.
+    contribute 0.  The orbit is one row of _march_quotient, the march the
+    field builders share across boxes, and h_fn is called once per live
+    sample.
     """
     if x is BASEPOINT:
         return 0.0
-    x = np.asarray(x, dtype=float)
     n_quad = int(round(t_max / dt))
-    h = np.zeros(n_quad + 1)
-    current = x
-    alive = pair.in_core(pair.grid.box_of(x))
-    for k in range(n_quad + 1):
-        if alive:
-            h[k] = h_fn(current)
-        if k == n_quad:
-            break
-        if alive:
-            nxt, escaped, _ = _advance(system, current[None, :], dt)
-            if escaped[0]:
-                alive = False
-            else:
-                current = nxt[0]
-                alive = pair.in_core(pair.grid.box_of(current))
-    return float(_discounted_from_h(h[:, None], n_quad, dt)[0])
+    positions, absorbed = _march_quotient(system, pair, np.asarray(x, dtype=float)[None, :],
+                                          n_quad, dt)
+    h = np.zeros((n_quad + 1, 1))
+    for k in np.flatnonzero(~absorbed[:, 0]):
+        h[k] = h_fn(positions[k, 0])
+    return float(_discounted_from_h(h, n_quad, dt)[0])
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 
 from .distances import BoxSetDistance
 from .errors import ConstructionError, IsolationError, PreconditionError
-from .flows import Escape, _advance, _require_inside, flow_map
+from .flows import _advance, _advance_rows, _require_inside, _schedule
 from .grid import BoxGrid, BoxSet, sample_in_boxes
 from .jsonio import load_json, write_json
 from .transition import EXIT, invariant_part, reachable
@@ -203,14 +203,16 @@ def _exit_times_batch(system, pair, points, dt, horizon):
     """Exit times of closure(N−L) for a batch of points, inf if never.
 
     Marches all points with step dt, then refines each crossing by bisection
-    to dt/1024.  Points in L-boxes have exit time 0 by definition.
+    to dt/1024.  Points in L-boxes have exit time 0 by definition.  Every
+    halving advances all rows still bisecting in one _advance_rows call,
+    each row by its own midpoint, and each row stops on its own bracket
+    width, so every row gets the exit time it would get alone.
     """
     grid = pair.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     m = pts.shape[0]
     out = np.full(m, math.inf)
-    boxes = grid.box_of(pts)
-    boxes = np.atleast_1d(boxes)
+    boxes = np.atleast_1d(grid.box_of(pts))
     out[pair._L_mask[np.maximum(boxes, 0)] & (boxes >= 0)] = 0.0
 
     active = out > 0
@@ -234,22 +236,20 @@ def _exit_times_batch(system, pair, points, dt, horizon):
         current[idx[inside]] = nxt[inside]
         t += dt
 
-    crossed = np.isinf(out) & ~active & (bracket_lo >= 0)
-    for i in np.flatnonzero(crossed):
-        lo, hi = 0.0, dt
-        while hi - lo > dt / 1024:
-            mid = 0.5 * (lo + hi)
-            probe = flow_map(system, base[i], mid)
-            if isinstance(probe, Escape):
-                inside = False
-            else:
-                b = grid.box_of(probe)
-                inside = pair.in_isolating(b)
-            if inside:
-                lo = mid
-            else:
-                hi = mid
-        out[i] = bracket_lo[i] + 0.5 * (lo + hi)
+    crossed = np.flatnonzero(np.isinf(out) & ~active)
+    _require_inside(system, base[crossed])
+    lo = np.zeros(crossed.size)
+    hi = np.full(crossed.size, dt)
+    rows = np.arange(crossed.size)
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        probe, escaped, _ = _advance_rows(system, base[crossed[rows]], mid)
+        boxes = grid.box_of(probe)
+        inside = ~escaped & (boxes >= 0) & pair._isolating_mask[np.maximum(boxes, 0)]
+        lo[rows[inside]] = mid[inside]
+        hi[rows[~inside]] = mid[~inside]
+        rows = rows[hi[rows] - lo[rows] > dt / 1024]
+    out[crossed] = bracket_lo[crossed] + 0.5 * (lo + hi)
     return out
 
 
@@ -267,41 +267,61 @@ def exit_time(system, pair, x, dt=1e-3, horizon=50.0):
     return float(_exit_times_batch(system, pair, x[None, :], dt, horizon)[0])
 
 
+def _march_quotient(system, pair, points, n_steps, dt):
+    """Quotient-orbit samples of a point batch, n_steps steps of dt.
+
+    Returns (positions, absorbed) with shapes (n_steps+1, m, d) and
+    (n_steps+1, m); a row is absorbed from the first sample whose box falls
+    outside N−L or whose orbit leaves the domain, and its position freezes.
+    Each step advances the rows still live in one _advance call.
+    """
+    current = np.array(np.atleast_2d(points), dtype=float)
+    positions = np.empty((n_steps + 1,) + current.shape)
+    absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
+    boxes = np.atleast_1d(pair.grid.box_of(current))
+    dead = (boxes < 0) | ~pair._core_mask[np.maximum(boxes, 0)]
+    for k in range(n_steps + 1):
+        if k and not dead.all():
+            live = ~dead
+            nxt, escaped, _ = _advance(system, current[live], dt)
+            current[live] = nxt
+            boxes = np.atleast_1d(pair.grid.box_of(nxt))
+            dead[live] = escaped | (boxes < 0) | ~pair._core_mask[np.maximum(boxes, 0)]
+        positions[k] = current
+        absorbed[k] = dead
+    return positions, absorbed
+
+
 def quotient_flow(system, pair, x, t, dt=0.05):
     """The induced semiflow on N/L: the basepoint absorbs exiting orbits.
 
     Returns the advanced point when every sample along [0, t] at spacing dt
-    stays in N−L boxes, and BASEPOINT otherwise.
+    stays in N−L boxes, and BASEPOINT otherwise.  The samples are those of
+    _march_quotient: whole steps of dt, then one shorter step to t.
     """
     if x is BASEPOINT:
         return BASEPOINT
-    x = np.asarray(x, dtype=float)
-    box = pair.grid.box_of(x)
-    if not pair.in_core(box):
-        return BASEPOINT
-    current = x
-    elapsed = 0.0
-    while elapsed < t - 1e-12:
-        step = min(dt, t - elapsed)
-        nxt = flow_map(system, current, step)
-        if isinstance(nxt, Escape):
+    n_steps, rem = _schedule(max(t, 0.0), dt)
+    current = np.asarray(x, dtype=float)[None, :]
+    for steps, size in ((n_steps, dt), (int(rem > 0), rem)):
+        positions, absorbed = _march_quotient(system, pair, current, steps, size)
+        if absorbed[-1, 0]:
             return BASEPOINT
-        if not pair.in_core(pair.grid.box_of(nxt)):
-            return BASEPOINT
-        current = nxt
-        elapsed += step
-    return current
+        current = positions[-1]
+    return current[0]
 
 
 def stopped_flow(system, pair, x, t, dt=1e-3):
-    """The flow stopped at the exit time: φ advanced by min(t, τ₊(x))."""
+    """The flow stopped at the exit time: φ advanced by min(t, τ₊(x)).
+
+    τ₊ is exit_time's over a horizon of max(t, 1) + dt.  An orbit that
+    leaves the domain first stops at its last in-domain position.
+    """
     x = np.asarray(x, dtype=float)
     tau = exit_time(system, pair, x, dt=dt, horizon=max(t, 1.0) + dt)
-    advance_by = min(t, tau)
-    result = flow_map(system, x, advance_by)
-    if isinstance(result, Escape):
-        return result.point
-    return result
+    _require_inside(system, x)
+    end, _, _ = _advance(system, x[None, :], min(t, tau))
+    return end[0]
 
 
 @dataclass
@@ -398,28 +418,29 @@ def retraction_check(system, pair, n_samples=50, rng=None, dt=1e-3):
     Samples core points with exit time at most 1, stops them at that time,
     and requires the endpoint within one box width of the L-boxes; also
     checks that stopping at time 0 is the identity.
+
+    The samples take one identity probe, one exit-time batch, one
+    _advance_rows call to their own exit times and one distance query
+    together.  A stopped_flow re-march would find the same τ, since up to
+    the crossing it takes the same steps, so the endpoints are those of
+    stopped_flow.  Failures are listed in sample order.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     grid = pair.grid
     if not pair.core:
         return RetractionReport(passed=True, failures=[], n_tested=0, n_skipped=0)
     _, pts = sample_in_boxes(rng, grid, pair.core, n_samples)
+    _require_inside(system, pts)
     taus = _exit_times_batch(system, pair, pts, dt, horizon=1.0 + 4 * dt)
 
-    l_distance = BoxSetDistance(grid, pair.L)
-    tol = float(grid.widths.max()) + 1e-9
-    failures = []
-    tested = 0
-    for i in range(n_samples):
-        frozen = flow_map(system, pts[i], 0.0)
-        if not np.array_equal(frozen, pts[i]):
-            failures.append(pts[i].tolist())
-            continue
-        if not taus[i] <= 1.0:
-            continue
-        tested += 1
-        end = stopped_flow(system, pair, pts[i], taus[i], dt=dt)
-        if l_distance(end) > tol:
-            failures.append(pts[i].tolist())
-    return RetractionReport(passed=not failures, failures=failures,
-                            n_tested=tested, n_skipped=n_samples - tested)
+    frozen, _, _ = _advance(system, pts, 0.0)
+    moved = ~(frozen == pts).all(axis=1)
+    tested = ~moved & (taus <= 1.0)
+    failed = moved.copy()
+    if tested.any():
+        end, _, _ = _advance_rows(system, pts[tested], taus[tested])
+        tol = float(grid.widths.max()) + 1e-9
+        failed[tested] = BoxSetDistance(grid, pair.L)(end) > tol
+    n_tested = int(tested.sum())
+    return RetractionReport(passed=not failed.any(), failures=pts[failed].tolist(),
+                            n_tested=n_tested, n_skipped=n_samples - n_tested)

@@ -19,12 +19,13 @@ from .distances import BoxSetDistance
 from .errors import ConstructionError, FiltrationError, IsolationError
 from .flows import _advance
 from .grid import BoxSet, build_grid, sample_in_boxes
-from .jsonio import load_json, write_json
+from .jsonio import boolean, load_json, mapping, number, string, write_json
 from .lyapunov import (Filtration, LyapunovParams, complete_lyapunov,
                        extract_filtration, morse_lyapunov, pair_lyapunov,
-                       renewal_residual, sup_envelope, _march_quotient)
+                       renewal_residual, sup_envelope)
 from .pairs import (BASEPOINT, IndexPair, build_index_pair, regularity_check,
-                    retraction_check, validate_index_pair, _exit_times_batch)
+                    retraction_check, validate_index_pair, _exit_times_batch,
+                    _march_quotient)
 from .recurrence import (chain_recurrent_boxes, check_R_equals_intersection,
                          enumerate_ar_pairs, ar_regions_in_pair,
                          epsilon_chain_oracle, morse_graph)
@@ -59,10 +60,15 @@ class CheckResult:
         }
 
     @classmethod
-    def from_dict(cls, data):
-        return cls(name=data["name"], passed=data["passed"],
-                   applicable=data["applicable"], measured=dict(data["measured"]),
-                   tolerance=data["tolerance"], detail=data["detail"])
+    def from_dict(cls, data, what="check"):
+        """The check one entry of a report's checks list holds; what names it in messages."""
+        tolerance = data["tolerance"]
+        return cls(name=string(data["name"], f"{what} name"),
+                   passed=boolean(data["passed"], f"{what} passed"),
+                   applicable=boolean(data["applicable"], f"{what} applicable"),
+                   measured=dict(mapping(data["measured"], f"{what} measured")),
+                   tolerance=None if tolerance is None else number(tolerance, f"{what} tolerance"),
+                   detail=string(data["detail"], f"{what} detail"))
 
 
 def _clean(v):
@@ -106,8 +112,10 @@ class VerifyReport:
     @classmethod
     def from_json(cls, path):
         def parse(data, where):
-            return cls(system=data["system"], parameters=dict(data["parameters"]),
-                       checks=[CheckResult.from_dict(c) for c in data["checks"]])
+            return cls(system=string(data["system"], f"{where} system"),
+                       parameters=dict(mapping(data["parameters"], f"{where} parameters")),
+                       checks=[CheckResult.from_dict(c, f"{where} check {i}")
+                               for i, c in enumerate(data["checks"])])
         return load_json(path, "verify report", parse)
 
     def __eq__(self, other):
@@ -380,9 +388,8 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
         profs = {0: field.profiles[0], len(field.profiles) - 1: field.profiles[-1]}
         _, pts = sample_in_boxes(rng, grid, field.pair.core, 4)
         n = pts.shape[0]
-        nxt, esc, _ = _advance(system, pts, dt)
-        boxes = grid.box_of(nxt)
-        live = ~esc & (boxes >= 0) & pair._core_mask[np.maximum(boxes, 0)]
+        positions, absorbed = _march_quotient(system, pair, pts, 1, dt)
+        nxt, live = positions[1], ~absorbed[1]
         for _, (_, rho_fn) in sorted(profs.items()):
             h, conv = sup_envelope(system, pair, rho_fn, np.concatenate([pts, nxt[live]]),
                                    dt=dt, horizon=horizon)

@@ -8,7 +8,9 @@ import pytest
 
 import boxflow as bf
 from boxflow.flows import _advance
+from boxflow import grid as bfgrid
 from boxflow.grid import BoxSet
+from boxflow.lyapunov import _discounted_from_h
 
 ACCEPTANCE_LINES = []
 
@@ -129,3 +131,83 @@ def envelope_cases():
         # orbits leave the domain
         "escape": (saddle, whole, bf.make_rho(whole, BoxSet([0, 1, 62, 63]), mid), 14.0),
     }
+
+
+def _exit_time_oracle(system, pair, x, dt, horizon):
+    """One point's exit time: flow_map steps of dt to bracket the crossing,
+    then a bisection with one flow_map per halving."""
+    grid = pair.grid
+    if pair.in_L(grid.box_of(x)):
+        return 0.0
+
+    def inside(p):
+        return not isinstance(p, bf.Escape) and pair.in_isolating(grid.box_of(p))
+
+    current, t = x, 0.0
+    for _ in range(int(math.ceil(horizon / dt - 1e-9))):
+        nxt = bf.flow_map(system, current, dt)
+        if not inside(nxt):
+            break
+        current, t = nxt, t + dt
+    else:
+        return math.inf
+    lo, hi = 0.0, dt
+    while hi - lo > dt / 1024:
+        mid = 0.5 * (lo + hi)
+        if inside(bf.flow_map(system, current, mid)):
+            lo = mid
+        else:
+            hi = mid
+    return t + 0.5 * (lo + hi)
+
+
+def _stopped_flow_oracle(system, pair, x, t, dt=1e-3):
+    """φ(x, min(t, τ₊)) with τ₊ from _exit_time_oracle and one flow_map."""
+    tau = _exit_time_oracle(system, pair, x, dt, max(t, 1.0) + dt)
+    end = bf.flow_map(system, x, min(t, tau))
+    return end.point if isinstance(end, bf.Escape) else end
+
+
+def _retraction_oracle(system, pair, rng, n_samples=50, dt=1e-3):
+    """retraction_check one sample at a time: a flow_map identity probe, then
+    a stopped flow that marches the sample again to find its exit time."""
+    grid = pair.grid
+    _, pts = bfgrid.sample_in_boxes(rng, grid, pair.core, n_samples)
+    l_distance = bf.BoxSetDistance(grid, pair.L)
+    tol = float(grid.widths.max()) + 1e-9
+    failures = []
+    tested = 0
+    for x in pts:
+        if not np.array_equal(bf.flow_map(system, x, 0.0), x):
+            failures.append(x.tolist())
+            continue
+        tau = _exit_time_oracle(system, pair, x, dt, 1.0 + 4 * dt)
+        if not tau <= 1.0:
+            continue
+        tested += 1
+        if l_distance(_stopped_flow_oracle(system, pair, x, tau, dt)) > tol:
+            failures.append(x.tolist())
+    return bf.RetractionReport(passed=not failures, failures=failures,
+                               n_tested=tested, n_skipped=n_samples - tested)
+
+
+def _discounted_average_oracle(system, pair, h_fn, x, dt=0.05, t_max=12.0):
+    """The single-point discounted average: one _advance and one h_fn call
+    per step, the orbit absorbed once it leaves the domain or N−L."""
+    n_quad = int(round(t_max / dt))
+    h = np.zeros(n_quad + 1)
+    current = x
+    alive = pair.in_core(pair.grid.box_of(x))
+    for k in range(n_quad + 1):
+        if alive:
+            h[k] = h_fn(current)
+        if k == n_quad:
+            break
+        if alive:
+            nxt, escaped, _ = _advance(system, current[None, :], dt)
+            if escaped[0]:
+                alive = False
+            else:
+                current = nxt[0]
+                alive = pair.in_core(pair.grid.box_of(current))
+    return float(_discounted_from_h(h[:, None], n_quad, dt)[0])

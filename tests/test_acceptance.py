@@ -12,7 +12,7 @@ import pytest
 import boxflow as bf
 from boxflow import cli
 from boxflow.grid import BoxSet
-from boxflow.lyapunov import _march_quotient
+from boxflow.pairs import _march_quotient
 
 from conftest import sample_in_boxes
 

@@ -9,7 +9,7 @@ import pytest
 import boxflow as bf
 from boxflow import flows
 from boxflow.errors import DomainError, IngestionError, NumericalError, PreconditionError
-from boxflow.flows import ADVANCE_CHUNK, Escape, _advance, polynomial_field
+from boxflow.flows import ADVANCE_CHUNK, Escape, _advance, _advance_rows, polynomial_field
 
 
 def test_linear_decay_matches_exponential():
@@ -93,6 +93,13 @@ def test_polynomial_field_matches_builtin_cubic():
     assert np.allclose(field(pts), system.field(pts), atol=1e-14)
 
 
+def test_polynomial_field_takes_integral_float_exponents():
+    pts = np.linspace(-1.0, 1.0, 7)[:, None]
+    as_int = polynomial_field([{"coeffs": [-1.0], "exponents": [3]}], 1)
+    as_float = polynomial_field([{"coeffs": [-1], "exponents": [3.0]}], 1)
+    np.testing.assert_array_equal(as_int(pts), as_float(pts))
+
+
 def test_polynomial_field_rejects_malformed_terms():
     with pytest.raises(IngestionError):
         polynomial_field([{"coeffs": [1.0]}], 1)
@@ -152,7 +159,9 @@ def _saddle2d():
 
 
 def _row_at_a_time(system, pts, t):
-    rows = [_advance(system, pts[i:i + 1], t) for i in range(len(pts))]
+    # t is one time for every row, or one time per row
+    ts = np.broadcast_to(np.asarray(t, dtype=float), len(pts))
+    rows = [_advance(system, pts[i:i + 1], float(ts[i])) for i in range(len(pts))]
     return tuple(np.concatenate([r[k] for r in rows]) for k in range(3))
 
 
@@ -205,3 +214,54 @@ def test_non_finite_values_name_the_earliest_failure_across_chunks():
         _advance(system, pts[:ADVANCE_CHUNK + 5], 1.0)
     # rows that never reach the wall march on
     assert not _advance(system, pts[:ADVANCE_CHUNK], 1.0)[1].any()
+
+
+def test_per_row_times_equal_row_at_a_time(monkeypatch):
+    # 240 rows in chunks of 16: zero times, whole multiples of the step
+    # (one group of 40 rows spans three chunks) and times with remainders
+    monkeypatch.setattr(flows, "ADVANCE_CHUNK", 16)
+    system = _saddle2d()
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.0, 1.0, size=(240, 2))
+    h = system.step
+    t = np.concatenate([np.zeros(20), np.full(40, 30 * h), rng.integers(1, 120, 60) * h,
+                        rng.uniform(0.0, 1.2, 120)])
+    got = _advance_rows(system, pts, t)
+    assert 20 < got[1].sum() < 200
+    for a, b in zip(got, _row_at_a_time(system, pts, t)):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got[0][:20], pts[:20])
+
+
+def test_per_row_escapes_during_whole_and_remainder_steps():
+    # x' = x leaves [-1, 1] at t = ln(1/x0) = 0.503, inside step 51
+    system = bf.builtin_system("saddle1d")
+    x0 = math.exp(-0.503)
+    pts = np.full((4, 1), x0)
+    t = np.array([0.5, 0.505, 0.9, 0.504])
+    pos, escaped, when = _advance_rows(system, pts, t)
+    ref = _row_at_a_time(system, pts, t)
+    for a, b in zip((pos, escaped, when), ref):
+        np.testing.assert_array_equal(a, b)
+    # 50 whole steps reach time 0.5; the remainder step (0.505, 0.504) and
+    # the 51st whole step (0.9) both leave the domain from there
+    assert escaped.tolist() == [False, True, True, True]
+    np.testing.assert_array_equal(pos[1:], np.repeat(pos[:1], 3, axis=0))
+    assert len(set(when[1:].tolist())) == 1
+
+
+def test_per_row_times_reject_negative_times_and_report_non_finite_values():
+    system = _saddle2d()
+    pts = np.zeros((3, 2))
+    with pytest.raises(PreconditionError):
+        _advance_rows(system, pts, [0.1, -0.2, 0.3])
+    with pytest.raises(PreconditionError):
+        _advance_rows(system, pts, [0.1, 0.2])
+    wall = bf.FlowSystem(dimension=1, field=lambda p: np.where(p > 5.0, np.inf, 1.0),
+                         domain=[[0.0, 10.0]], name="wall")
+    # the wall is reached in a whole step, and in a remainder step alone
+    for x0, t in ((4.2, 1.0), (4.999, 0.004)):
+        with pytest.raises(NumericalError):
+            _advance(wall, np.array([[x0]]), t)
+        with pytest.raises(NumericalError):
+            _advance_rows(wall, np.array([[0.0], [x0]]), [t, t])

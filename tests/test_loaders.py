@@ -13,6 +13,7 @@ from boxflow import cli
 from boxflow.errors import IngestionError
 from boxflow.lyapunov import Filtration, LyapunovField
 from boxflow.transition import TransitionGraph
+from boxflow.verify import VerifyReport
 
 # a valid pair for saddle1d at depth 8: the whole interval, empty exit set
 GRID = {"domain": [[-1.0, 1.0]], "shape": [8]}
@@ -26,6 +27,16 @@ def _edit(base, **changes):
 
 def _grid(**changes):
     return _edit(PAIR, grid={**GRID, **changes})
+
+
+def _terms(*terms):
+    return json.dumps({"field": list(terms), "dimension": 1, "domain": [[-1.0, 1.0]]})
+
+
+def _check(**changes):
+    check = {"name": "flow_composition", "passed": False, "applicable": True,
+             "measured": {}, "tolerance": None, "detail": ""}
+    return json.dumps({"system": "saddle1d", "parameters": {}, "checks": [{**check, **changes}]})
 
 
 PAIR_FILES = {
@@ -50,6 +61,14 @@ SYSTEM_FILES = {
     "step true": (_edit({"field": "saddle1d"}, step=True), "step must be a finite number"),
     "dimension true": (_edit({"field": TERMS, "domain": [[-1.0, 1.0]]}, dimension=True),
                        "dimension must be an integer"),
+    "term booleans": (_terms({"coeffs": [True], "exponents": [True]}),
+                      "term 0 coeffs must be a finite number"),
+    "term strings": (_terms({"coeffs": ["-1"], "exponents": ["1"]}),
+                     "term 0 coeffs must be a finite number"),
+    "term exponent string": (_terms({"coeffs": [-1.0], "exponents": ["1"]}),
+                             "term 0 exponents must be a finite number"),
+    "term exponent 1.5": (_terms({"coeffs": [-1.0], "exponents": [1.5]}),
+                          "exponents must be nonnegative integers"),
 }
 
 FIELD = {**PAIR, "construction": "morse-sum", "range_hint": [0.0, 2.0],
@@ -69,6 +88,13 @@ LOADED_FILES = {
                "exit_node": False}, map_time=True),
         "map_time must be a finite number"),
     "config file [1]": (cli.RunConfig, "[1]", "must hold a JSON object"),
+    "report passed 'no'": (VerifyReport, _check(passed="no"), "check 0 passed must be true or false"),
+    "report applicable 1": (VerifyReport, _check(applicable=1),
+                            "check 0 applicable must be true or false"),
+    "report measured pairs": (VerifyReport, _check(measured=[["max_error", 0.5]]),
+                              "check 0 measured must be an object"),
+    "report name 5": (VerifyReport, _check(name=5), "check 0 name must be a string"),
+    "report detail null": (VerifyReport, _check(detail=None), "check 0 detail must be a string"),
 }
 
 

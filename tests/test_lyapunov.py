@@ -11,7 +11,7 @@ from boxflow.grid import BoxSet
 from boxflow.lyapunov import Filtration, LyapunovField, LyapunovParams
 from boxflow.pairs import BASEPOINT
 
-from conftest import _sup_envelope_oracle, sample_in_boxes
+from conftest import _discounted_average_oracle, _sup_envelope_oracle, sample_in_boxes
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,21 @@ def test_discounted_average_normalizes_constants(contract_pair):
     system, pair = contract_pair
     got = bf.discounted_average(system, pair, lambda p: 1.0, np.array([0.3]))
     assert abs(got - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["zero-set", "absorbed", "escape"])
+def test_discounted_average_equals_the_per_step_oracle(envelope_cases, case):
+    # orbits that stay in N−L, start in L, leave N−L or leave the domain
+    system, pair, _, _ = envelope_cases[case]
+
+    def h_fn(p):
+        return min(1.0, abs(float(p[0])))
+
+    for x0 in (-0.99, -0.49, -0.3, 0.0, 0.2, 0.45, 0.9):
+        x = np.array([x0])
+        got = bf.discounted_average(system, pair, h_fn, x, dt=0.1, t_max=4.0)
+        assert got == _discounted_average_oracle(system, pair, h_fn, x, dt=0.1, t_max=4.0)
+    assert bf.discounted_average(system, pair, h_fn, BASEPOINT) == 0.0
 
 
 def test_sup_envelope_of_a_decreasing_profile(contract_pair):
@@ -122,7 +137,8 @@ def test_batched_sup_envelope_with_no_row_in_the_core(envelope_cases):
 
 def test_batch_field_matches_pointwise_composition():
     # route one: the field engine marches each center once and suffix-sups;
-    # route two: compose the public envelope and discounted average per point
+    # route two: compose the public envelope with the single-point
+    # discounted average oracle, which marches one _advance per step
     system = bf.builtin_system("doublewell1d")
     grid = bf.build_grid(system.domain, (64,))
     graph = bf.build_transition_graph(system, grid, 1.0)
@@ -142,8 +158,8 @@ def test_batch_field_matches_pointwise_composition():
         return h
 
     for x0 in (-0.55, 0.2):
-        direct = bf.discounted_average(system, pair, h_fn, np.array([x0]),
-                                       dt=0.1, t_max=6.0)
+        direct = _discounted_average_oracle(system, pair, h_fn, np.array([x0]),
+                                            dt=0.1, t_max=6.0)
         batch = float(field.evaluate(system, np.array([[x0]]))[0])
         assert abs(direct - batch) < 5e-3
 

@@ -13,6 +13,8 @@ from boxflow.grid import BoxSet
 from boxflow.pairs import BASEPOINT, _exit_times_batch
 from boxflow.transition import TransitionGraph
 
+from conftest import _exit_time_oracle, _retraction_oracle, _stopped_flow_oracle
+
 
 def test_constructed_pair_shape(doublewell):
     pair = doublewell.pair
@@ -84,8 +86,9 @@ def test_quotient_flow_absorbs_on_exit(saddle, window_pair):
 
 def test_quotient_flow_tracks_the_flow_inside(saddle, window_pair):
     x = np.array([0.3])
-    out = bf.quotient_flow(saddle.system, window_pair, x, 0.2)
-    assert np.allclose(out, bf.flow_map(saddle.system, x, 0.2), atol=1e-12)
+    for t in (0.0, 0.2, 0.23):
+        out = bf.quotient_flow(saddle.system, window_pair, x, t)
+        assert np.allclose(out, bf.flow_map(saddle.system, x, t), atol=1e-12)
 
 
 def test_stopped_flow_freezes_at_the_exit(saddle, window_pair):
@@ -179,6 +182,53 @@ def test_retraction_to_the_stopped_image(saddle, window_pair):
     assert rep.passed
     assert rep.failures == []
     assert rep.n_tested > 0
+
+
+def test_stopped_flow_equals_the_per_point_oracle(saddle, window_pair):
+    # stopped before the exit, at it, and long after; 0 never exits
+    for x0 in (0.3, -0.2, 0.0):
+        x = np.array([x0])
+        for t in (0.0, 0.2, 0.7, 1.5):
+            np.testing.assert_array_equal(
+                bf.stopped_flow(saddle.system, window_pair, x, t),
+                _stopped_flow_oracle(saddle.system, window_pair, x, t))
+
+
+# L rows (time 0), the fixed point 0 (never exits), rows outside N, and
+# rows that cross within one step or after many
+SADDLE_XS = np.array([-0.99, -0.49, -0.3, -0.06, 0.0, 0.011, 0.2, 0.45, 0.497, 0.9])[:, None]
+
+
+@pytest.mark.parametrize("dt, horizon", [(1e-2, 3.0), (1e-3, 1.0 + 4e-3)])
+def test_exit_times_batch_equals_the_per_row_oracle(saddle, window_pair, doublewell,
+                                                    dt, horizon):
+    with_l = bf.IndexPair.from_boxes(saddle.grid, saddle.grid.all_boxes().ids, [0, 63])
+    wells = np.array([-1.9, -1.02, -0.5, 0.0, 0.7, 1.02, 1.5])[:, None]
+    for system, pair, xs in ((saddle.system, saddle.hand_pair, SADDLE_XS),
+                             (saddle.system, window_pair, SADDLE_XS),
+                             (saddle.system, with_l, SADDLE_XS),
+                             (doublewell.system, doublewell.pair, wells)):
+        got = _exit_times_batch(system, pair, xs, dt, horizon)
+        ref = [_exit_time_oracle(system, pair, x, dt, horizon) for x in xs]
+        np.testing.assert_array_equal(got, ref)
+        assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+def test_retraction_check_equals_the_per_sample_oracle(saddle, window_pair, doublewell):
+    # the window pair tests the rows with exit time at most 1 and skips the
+    # rest; the hand pair has no L, so every tested row fails; no orbit
+    # leaves the doublewell pair, so nothing is tested there
+    cases = [(saddle.system, window_pair, seed, 20) for seed in (0, 5)]
+    cases += [(saddle.system, saddle.hand_pair, 0, 12), (doublewell.system, doublewell.pair, 0, 4)]
+    reports = []
+    for system, pair, seed, n in cases:
+        rep = bf.retraction_check(system, pair, n_samples=n, rng=np.random.default_rng(seed))
+        ref = _retraction_oracle(system, pair, np.random.default_rng(seed), n_samples=n)
+        assert rep.to_dict() == ref.to_dict()
+        reports.append(rep)
+    assert all(0 < r.n_tested < 20 and r.passed for r in reports[:2])
+    assert reports[2].failures and len(reports[2].failures) == reports[2].n_tested
+    assert reports[3].n_tested == 0
 
 
 def test_pair_round_trip(tmp_path, doublewell):
