@@ -6,6 +6,7 @@ property failure, and 2 on a configuration or ingestion problem.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, asdict
@@ -48,6 +49,11 @@ class RunConfig:
             raise ConfigError("give exactly one of --system or --system-file")
         if self.depth is not None and any(k < 1 for k in self.depth):
             raise ConfigError(f"depth must be at least 1 per axis, got {self.depth}")
+        for name, value in (("map time", self.map_time), ("dt", self.dt),
+                            ("tmax", self.t_max), ("padding", self.padding),
+                            ("epsilon", self.epsilon)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value}")
         if self.map_time <= 0:
             raise ConfigError(f"map time must be positive, got {self.map_time}")
         if self.dt <= 0:

@@ -17,6 +17,10 @@ MAX_BOXES = 2 ** 31
 # (sample point, target box) pairs one graph build may produce; the two
 # int64 edge arrays then stay near 1 GB
 MAX_PAIRS = 2 ** 26
+# coordinates one quotient march may store, (steps + 1) x points x d: 256 MiB
+# of float64 positions; the largest default march, hopf2d's field at 256²,
+# stores 7,915,208
+MAX_MARCH_VALUES = 2 ** 25
 
 
 def ingest_domain(values, what):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .distances import BoxSetDistance, boxset_min_distance
-from .errors import (FiltrationError, IngestionError, PreconditionError,
-                     RegionOverlapError)
+from .errors import (CapacityError, FiltrationError, IngestionError,
+                     PreconditionError, RegionOverlapError)
 from .flows import _advance
 from .grid import BoxSet, sample_in_boxes
 from .jsonio import csv_text, load_json, number, string, write_json
@@ -41,9 +41,17 @@ class LyapunovParams:
     settle: float = 2.0
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max < 1.0 or self.settle < 0:
+        finite = all(math.isfinite(v) for v in (self.dt, self.t_max, self.settle))
+        if not finite or self.dt <= 0 or self.t_max < 1.0 or self.settle < 0:
             raise PreconditionError(
-                f"need dt > 0, t_max >= 1, settle >= 0; got {self}")
+                f"need finite dt > 0, t_max >= 1, settle >= 0; got {self}")
+        if not math.isfinite((self.t_max + self.settle) / self.dt):
+            raise CapacityError(f"dt={self.dt:g} gives more steps than a float can count")
+
+    def steps(self):
+        """(n_quad, n_total): the steps of dt to t_max, and to t_max + settle."""
+        n_quad = int(round(self.t_max / self.dt))
+        return n_quad, n_quad + int(round(self.settle / self.dt))
 
 
 class RhoFunction:
@@ -159,41 +167,94 @@ def _discounted_from_h(h, n_quad, dt):
     return num / den
 
 
-def _sample_profiles(pair, profiles, positions, absorbed):
-    """ρ of each profile at the quotient-orbit samples, 0 where absorbed.
+def _suffix_max(vals):
+    """Running maximum over each sample and all later ones, per column."""
+    return np.maximum.accumulate(vals[::-1], axis=0)[::-1]
 
-    Absorbed samples are not evaluated.  The box ids of the samples and
-    their distances to the L-boxes of the pair, which every profile of the
-    pair shares, are computed once for all profiles.
+
+class _QuotientSamples:
+    """ρ of any profile of a pair at the samples of one quotient march.
+
+    positions and absorbed are the two arrays of _march_quotient.  The box
+    ids of the live samples and their distances to the L-boxes of the
+    pair, which every profile of the pair shares, are computed once.
+    Absorbed samples are not evaluated and get ρ = 0.
     """
-    k_samples, m, d = positions.shape
-    live = ~absorbed.ravel()
-    pts = positions.reshape(-1, d)[live]
-    boxes = pair.grid.box_of(pts)
-    users = [rho_fn for _, rho_fn in profiles if rho_fn.uses_L]
-    dL = users[0]._dL(pts, boxes) if users else None
-    for _, rho_fn in profiles:
-        vals = np.zeros(k_samples * m)
-        vals[live] = rho_fn(pts, boxes, dL)
-        yield vals.reshape(k_samples, m)
+
+    def __init__(self, pair, positions, absorbed):
+        k_samples, m, d = positions.shape
+        self.shape = (k_samples, m)
+        self.live = ~absorbed.ravel()
+        self.points = positions.reshape(-1, d)[self.live]
+        self.boxes = pair.grid.box_of(self.points)
+        self._dL = None
+
+    def rho(self, rho_fn):
+        """ρ at every sample, shape (n_steps + 1, m)."""
+        if rho_fn.uses_L and self._dL is None:
+            self._dL = rho_fn._dL(self.points, self.boxes)
+        vals = np.zeros(self.live.size)
+        vals[self.live] = rho_fn(self.points, self.boxes, self._dL)
+        return vals.reshape(self.shape)
+
+
+def _profile_g(vals, params, k=0):
+    """g of one profile at the k-step images of the marched points.
+
+    vals holds ρ along marches of at least k + n_total steps.  A march
+    from the k-step image is the same march shifted by k samples, so g
+    there is the quadrature over samples [k, k + n_total]: the envelope h
+    is the running maximum to the end of that window, not of the whole
+    march.  An image already absorbed gets g = 0.
+    """
+    n_quad, n_total = params.steps()
+    return _discounted_from_h(_suffix_max(vals[k:k + n_total + 1]), n_quad, params.dt)
 
 
 def _evaluate_profiles(system, pair, profiles, points, params):
     """g values of every weighted profile of the pair at a batch of points.
 
-    One march serves all profiles: ρ is evaluated on the stored samples,
-    the envelope h is the suffix running maximum, and g is the normalized
-    discounted quadrature with an e^{-t_max} tail term.
+    One march of n_total steps serves all profiles: ρ is evaluated on the
+    stored samples, the envelope h is the suffix running maximum, and g is
+    the normalized discounted quadrature with an e^{-t_max} tail term.
+    This is the path of LyapunovField.evaluate; the field builders take
+    the same values at the core centers from a CenterTable.
     """
-    dt = params.dt
-    n_quad = int(round(params.t_max / dt))
-    n_total = n_quad + int(round(params.settle / dt))
-    positions, absorbed = _march_quotient(system, pair, points, n_total, dt)
-    out = np.empty((len(profiles), positions.shape[1]))
-    for p, vals in enumerate(_sample_profiles(pair, profiles, positions, absorbed)):
-        h = np.maximum.accumulate(vals[::-1], axis=0)[::-1]
-        out[p] = _discounted_from_h(h, n_quad, dt)
-    return out
+    _, n_total = params.steps()
+    samples = _QuotientSamples(pair, *_march_quotient(system, pair, points, n_total, params.dt))
+    return np.array([_profile_g(samples.rho(rho_fn), params) for _, rho_fn in profiles])
+
+
+class CenterTable:
+    """g of any profile of a pair at the core box centers, from one march.
+
+    The pair, Morse-sum and complete fields of one pair and one
+    LyapunovParams are weightings of g at the same centers, so a table
+    marches the centers once, and each distinct (Z, R) profile gets one
+    ρ, h and g column, which later fields reuse.  Pass one table to
+    every field builder of a pair to share it; a builder given none
+    makes its own.
+    """
+
+    def __init__(self, system, pair, params):
+        self.system = system
+        self.pair = pair
+        self.params = params
+        _, n_total = params.steps()
+        centers = pair.grid.centers(pair.core.ids)
+        self._samples = _QuotientSamples(
+            pair, *_march_quotient(system, pair, centers, n_total, params.dt))
+        self._g = {}
+
+    def g(self, profiles):
+        """(len(profiles), core boxes) array of g, one row per profile."""
+        rows = []
+        for _, rho_fn in profiles:
+            key = (rho_fn.zero_set, rho_fn.one_set)
+            if key not in self._g:
+                self._g[key] = _profile_g(self._samples.rho(rho_fn), self.params)
+            rows.append(self._g[key])
+        return np.array(rows)
 
 
 def sup_envelope(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
@@ -360,23 +421,31 @@ class LyapunovField:
 
 
 def _field_from_profiles(system, pair, profiles, construction, range_hint, params,
-                         morse_graph=None, down_set=None):
-    boxes = pair.core.ids
-    centers = pair.grid.centers(boxes)
-    g = _evaluate_profiles(system, pair, profiles, centers, params)
-    values = _ordered_sum(np.array([w for w, _ in profiles]), g)
-    return LyapunovField(pair=pair, construction=construction, boxes=boxes,
+                         morse_graph=None, down_set=None, table=None):
+    """The field of weighted profiles: Σ w·g at the core box centers.
+
+    g comes from table, a CenterTable of the same system, pair and
+    params that other fields of the pair may share, or from a table
+    made here when none is given.
+    """
+    if table is None:
+        table = CenterTable(system, pair, params)
+    elif table.system is not system or table.pair != pair or table.params != params:
+        raise PreconditionError("the center table belongs to another system, pair or params")
+    values = _ordered_sum(np.array([w for w, _ in profiles]), table.g(profiles))
+    return LyapunovField(pair=pair, construction=construction, boxes=pair.core.ids,
                          values=values, range_hint=range_hint, params=params,
                          profiles=profiles, morse_graph=morse_graph,
                          down_set=down_set)
 
 
-def pair_lyapunov(system, pair, ar, params=None, graph=None):
+def pair_lyapunov(system, pair, ar, params=None, graph=None, table=None):
     """Lyapunov function of one attractor-repeller pair (values in [0,1]).
 
     When ar carries the one-sided orbit regions alpha/omega those are used
     as the pinned zero/one sets; otherwise the attractor and repeller boxes
-    themselves are.
+    themselves are.  table is an optional CenterTable shared with other
+    fields of the pair.
     """
     params = params or LyapunovParams()
     zero_region = getattr(ar, "alpha", None)
@@ -385,14 +454,15 @@ def pair_lyapunov(system, pair, ar, params=None, graph=None):
         zero_region, one_region = ar.attractor, ar.repeller
     profiles = [(1.0, RhoFunction(pair, zero_region, one_region, graph=graph))]
     return _field_from_profiles(system, pair, profiles, "single-pair", (0.0, 1.0),
-                                params, down_set=ar.down_set)
+                                params, down_set=ar.down_set, table=table)
 
 
-def morse_lyapunov(system, pair, mg, params=None):
+def morse_lyapunov(system, pair, mg, params=None, table=None):
     """Sum of pair Lyapunov functions over the down-sets {1..j}, j = 0..n.
 
     The value on the Morse set of admissible index i is close to i and the
-    range is [0, n+1].
+    range is [0, n+1].  table is an optional CenterTable shared with other
+    fields of the pair.
     """
     if mg.n < 1:
         raise PreconditionError("the Morse graph has no Morse sets")
@@ -403,15 +473,16 @@ def morse_lyapunov(system, pair, mg, params=None):
         profiles.append((1.0, RhoFunction(pair, ar.attractor, ar.repeller,
                                           graph=mg.graph)))
     return _field_from_profiles(system, pair, profiles, "morse-sum",
-                                (0.0, mg.n + 1.0), params, morse_graph=mg)
+                                (0.0, mg.n + 1.0), params, morse_graph=mg, table=table)
 
 
-def complete_lyapunov(system, pair, mg, graph, params=None):
+def complete_lyapunov(system, pair, mg, graph, params=None, table=None):
     """Weighted sum 2^{-i} g_i over every attractor-repeller pair.
 
     The enumeration is canonical (by down-set size, then lexicographic), so
     the value assigned to each chain recurrent class is reproducible; the
-    range is [0, 1).
+    range is [0, 1).  table is an optional CenterTable shared with other
+    fields of the pair.
     """
     params = params or LyapunovParams()
     pairs = enumerate_ar_pairs(mg, graph, mg.region)
@@ -420,43 +491,57 @@ def complete_lyapunov(system, pair, mg, graph, params=None):
         profiles.append((2.0 ** -i, RhoFunction(pair, ar.attractor, ar.repeller,
                                                 graph=graph)))
     return _field_from_profiles(system, pair, profiles, "complete", (0.0, 1.0),
-                                params, morse_graph=mg)
+                                params, morse_graph=mg, table=table)
 
 
 def renewal_residual(system, field, x, t):
     """Residual of g(x) = ∫_0^t e^{-s} h(φ_♯^s x) ds + e^{-t} g(φ_♯^t x).
 
-    Both sides are computed from a single orbit march on the field's dt
-    grid, so the residual measures quadrature and truncation error only.
-    t snaps to the nearest dt multiple.  x is one point (a float is
-    returned) or an (m, d) batch (an array is returned); a batch shares
-    one march, and each row's residual equals that of its own march.
+    Both sides are computed from a single orbit march of
+    n_total + round(t/dt) steps on the field's dt grid, so the residual
+    measures quadrature and truncation error only.  t snaps to the nearest
+    dt multiple.  x is one point (a float is returned) or an (m, d) batch
+    (an array is returned); a batch shares one march, and each row's
+    residual equals that of its own march.  The verify suite reads the
+    same residual off a prefix of its one march of all check samples,
+    through _renewal_from_rho.
     """
     if field.profiles is None:
         raise PreconditionError("field has no profile functions")
-    params = field.params
-    dt = params.dt
-    k_t = max(1, int(round(t / dt)))
-    t_eff = k_t * dt
-    n_quad = int(round(params.t_max / dt))
-    n_total = n_quad + k_t + int(round(params.settle / dt))
+    k_t = _renewal_steps(field.params, t)
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
-    positions, absorbed = _march_quotient(system, field.pair, np.atleast_2d(pts),
-                                          n_total, dt)
+    _, n_total = field.params.steps()
+    samples = _QuotientSamples(field.pair, *_march_quotient(
+        system, field.pair, np.atleast_2d(pts), n_total + k_t, field.params.dt))
+    res = _renewal_from_rho(field, [samples.rho(rho_fn) for _, rho_fn in field.profiles], k_t)
+    return float(res[0]) if single else res
 
-    h_bar = np.zeros(positions.shape[:2])
-    samples = _sample_profiles(field.pair, field.profiles, positions, absorbed)
-    for (w, _), vals in zip(field.profiles, samples):
-        h_bar += w * np.maximum.accumulate(vals[::-1], axis=0)[::-1]
+
+def _renewal_steps(params, t):
+    """The steps of dt that the renewal time t snaps to, at least one."""
+    return max(1, int(round(t / params.dt)))
+
+
+def _renewal_from_rho(field, rhos, k_t):
+    """Renewal residuals at time k_t·dt from ρ of each profile of the field.
+
+    rhos[p] holds profile p along marches of exactly n_total + k_t steps
+    (longer marches: pass their prefix), one column per point.
+    """
+    params = field.params
+    dt = params.dt
+    n_quad, _ = params.steps()
+    h_bar = np.zeros(rhos[0].shape)
+    for (w, _), vals in zip(field.profiles, rhos):
+        h_bar += w * _suffix_max(vals)
 
     g0 = _discounted_from_h(h_bar, n_quad, dt)
     gt = _discounted_from_h(h_bar[k_t:], n_quad, dt)
     w_i, _ = _quadrature_weights(k_t, dt)
     den = _quadrature_weights(n_quad, dt)[0].sum() + math.exp(-params.t_max)
     integral = _ordered_sum(w_i, h_bar[:k_t + 1])
-    res = np.abs(g0 - (integral / den + math.exp(-t_eff) * gt))
-    return float(res[0]) if single else res
+    return np.abs(g0 - (integral / den + math.exp(-k_t * dt) * gt))
 
 
 def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,

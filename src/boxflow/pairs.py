@@ -12,9 +12,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .distances import BoxSetDistance
-from .errors import ConstructionError, IsolationError, PreconditionError
+from .errors import CapacityError, ConstructionError, IsolationError, PreconditionError
 from .flows import _advance, _advance_rows, _require_inside, _schedule
-from .grid import BoxGrid, BoxSet, sample_in_boxes
+from .grid import MAX_MARCH_VALUES, BoxGrid, BoxSet, sample_in_boxes
 from .jsonio import load_json, write_json
 from .transition import EXIT, invariant_part, reachable
 
@@ -273,9 +273,16 @@ def _march_quotient(system, pair, points, n_steps, dt):
     Returns (positions, absorbed) with shapes (n_steps+1, m, d) and
     (n_steps+1, m); a row is absorbed from the first sample whose box falls
     outside N−L or whose orbit leaves the domain, and its position freezes.
-    Each step advances the rows still live in one _advance call.
+    Each step advances the rows still live in one _advance call.  A march
+    that would store more than MAX_MARCH_VALUES coordinates raises
+    CapacityError before it allocates.
     """
     current = np.array(np.atleast_2d(points), dtype=float)
+    n_values = (n_steps + 1) * current.size
+    if n_values > MAX_MARCH_VALUES:
+        raise CapacityError(
+            f"{float(n_steps):.6g} steps of dt={dt:g} over {current.shape[0]} points would "
+            f"store {float(n_values):.6g} coordinates, limit is {MAX_MARCH_VALUES}")
     positions = np.empty((n_steps + 1,) + current.shape)
     absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
     boxes = np.atleast_1d(pair.grid.box_of(current))

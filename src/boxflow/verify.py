@@ -20,9 +20,10 @@ from .errors import ConstructionError, FiltrationError, IsolationError
 from .flows import _advance
 from .grid import BoxSet, build_grid, sample_in_boxes
 from .jsonio import boolean, load_json, mapping, number, string, write_json
-from .lyapunov import (Filtration, LyapunovParams, complete_lyapunov,
-                       extract_filtration, morse_lyapunov, pair_lyapunov,
-                       renewal_residual, sup_envelope)
+from .lyapunov import (CenterTable, Filtration, LyapunovParams, _QuotientSamples,
+                       _ordered_sum, _profile_g, _renewal_from_rho, _renewal_steps,
+                       complete_lyapunov, extract_filtration, morse_lyapunov,
+                       pair_lyapunov, sup_envelope)
 from .pairs import (BASEPOINT, IndexPair, build_index_pair, regularity_check,
                     retraction_check, validate_index_pair, _exit_times_batch,
                     _march_quotient)
@@ -348,31 +349,104 @@ def _pair_checks(system, grid, graph, pair, fail_reason, rng, add):
         "orbits stopped at their exit time land next to L")
 
 
-def _g_along_orbits(system, field, pts, ks, dt):
-    """g at the points and at their quotient images after k·dt, k in ks.
+def _g_along_orbits(field, rhos, ks):
+    """g at the marched points and at their quotient images after k·dt, k in ks.
 
-    One march to the largest k serves every k, since a shorter march is a
-    prefix of a longer one, and one evaluate covers the points and every
-    live image.  Returns g at the points and one array per k, 0 where the
-    orbit was absorbed.
+    rhos[p] holds the field's profile p along the points' own marches of
+    at least max(ks) + n_total steps.  g at the k-step image is the
+    quadrature over the window of samples [k, k + n_total] of that march,
+    since the march from the image is the same march shifted by k, so no
+    image is marched again.  Returns g at the points and one array per k,
+    0 where the orbit was absorbed.
     """
-    positions, absorbed = _march_quotient(system, field.pair, pts, max(ks), dt)
-    live = [~absorbed[k] for k in ks]
-    g = field.evaluate(system, np.concatenate(
-        [pts] + [positions[k][lv] for k, lv in zip(ks, live)]))
-    n = pts.shape[0]
-    images = []
-    start = n
-    for lv in live:
-        gt = np.zeros(n)
-        gt[lv] = g[start:start + lv.sum()]
-        start += lv.sum()
-        images.append(gt)
-    return g[:n], images
+    weights = np.array([w for w, _ in field.profiles])
+
+    def g_at(k):
+        return _ordered_sum(weights, np.array([_profile_g(v, field.params, k) for v in rhos]))
+    return g_at(0), [g_at(k) for k in ks]
+
+
+def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, add):
+    """The renewal, monotone and strict-decrease checks of fields, all fields of pair.
+
+    The samples of every field are drawn first, in the order the checks
+    list them, and then marched together in one _march_quotient long
+    enough for each check; ρ of each profile is evaluated once per field
+    over that field's samples.
+    """
+    dt = params.dt
+    t_probes = (0.5, 1.0, 2.0)
+    probe_ks = [int(round(t / dt)) for t in t_probes]
+    k_renew = _renewal_steps(params, 1.0)
+    k_strict = int(round(1.0 / dt))
+    renew = [sample_in_boxes(rng, grid, pair.core, 4)[1] for _ in fields]
+    mono = [sample_in_boxes(rng, grid, pair.core, 40)[1] for _ in fields]
+    strict = []
+    for field in fields:
+        if field.construction == "single-pair":
+            pinned = ar_first.alpha.union(ar_first.omega).union(pair.L)
+        else:
+            pinned = recurrent.union(pair.L)
+        cand = pair.core.difference(grid.dilate(pinned, 2))
+        strict.append(sample_in_boxes(rng, grid, cand, 30)[1] if cand
+                      else np.empty((0, grid.dimension)))
+
+    per_field = list(zip(renew, mono, strict))
+    _, n_total = params.steps()
+    positions, absorbed = _march_quotient(
+        system, pair, np.concatenate([pts for parts in per_field for pts in parts]),
+        n_total + max(k_renew, max(probe_ks), k_strict), dt)
+
+    renew_worst = 0.0
+    renew_count = 0
+    max_inc = 0.0
+    mono_viol = 0
+    mono_total = 0
+    dec_viol = 0
+    tested = 0
+    min_dec = math.inf
+    start = 0
+    for field, (renew_pts, mono_pts, strict_pts) in zip(fields, per_field):
+        a = renew_pts.shape[0]
+        b = a + mono_pts.shape[0]
+        cols = slice(start, start + b + strict_pts.shape[0])
+        start = cols.stop
+        samples = _QuotientSamples(pair, positions[:, cols], absorbed[:, cols])
+        rhos = [samples.rho(rho_fn) for _, rho_fn in field.profiles]
+
+        res = _renewal_from_rho(field, [v[:n_total + k_renew + 1, :a] for v in rhos], k_renew)
+        renew_worst = max(renew_worst, float(res.max()))
+        renew_count += a
+
+        g0, probes = _g_along_orbits(field, [v[:, a:b] for v in rhos], probe_ks)
+        for gt in probes:
+            inc = gt - g0
+            mono_viol += int((inc > 1e-6).sum())
+            max_inc = max(max_inc, float(inc.max()))
+            mono_total += mono_pts.shape[0]
+
+        if strict_pts.shape[0]:
+            g0, (gt,) = _g_along_orbits(field, [v[:, b:] for v in rhos], [k_strict])
+            dec = g0 - gt
+            dec_viol += int((dec <= 1e-4).sum())
+            min_dec = min(min_dec, float(dec.min()))
+            tested += strict_pts.shape[0]
+
+    add("lyapunov_renewal", renew_worst < 2e-3, True,
+        {"evaluations": renew_count, "max_residual": renew_worst}, 2e-3,
+        "discounted average satisfies its renewal identity at t = 1")
+    add("lyapunov_monotone", mono_viol == 0, True,
+        {"samples": mono_total, "violations": mono_viol, "max_increase": max_inc}, 1e-6,
+        "g never grows along quotient orbits at t in {0.5, 1, 2}")
+    add("lyapunov_strict_decrease", dec_viol == 0, True,
+        {"samples": tested, "violations": dec_viol,
+         "min_decrease": None if tested == 0 else min_dec}, 1e-4,
+        "g drops along orbits seeded two boxes away from the pinned sets")
 
 
 def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
                      params, rng, add):
+    """The Lyapunov checks of fields, which are all fields of pair."""
     if not fields:
         for name in ("lyapunov_fixed_point", "lyapunov_renewal", "lyapunov_monotone",
                      "lyapunov_strict_decrease", "lyapunov_levels"):
@@ -408,54 +482,7 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
          "max_residual": worst}, 1e-6,
         "envelope satisfies h(x) = max(rho(x), h after one step)")
 
-    worst = 0.0
-    count = 0
-    for field in fields:
-        _, pts = sample_in_boxes(rng, grid, field.pair.core, 4)
-        worst = max(worst, float(renewal_residual(system, field, pts, 1.0).max()))
-        count += pts.shape[0]
-    add("lyapunov_renewal", worst < 2e-3, True,
-        {"evaluations": count, "max_residual": worst}, 2e-3,
-        "discounted average satisfies its renewal identity at t = 1")
-
-    t_probes = (0.5, 1.0, 2.0)
-    max_inc = 0.0
-    mono_viol = 0
-    total = 0
-    for field in fields:
-        _, pts = sample_in_boxes(rng, grid, field.pair.core, 40)
-        g0, probes = _g_along_orbits(system, field, pts,
-                                     [int(round(t / dt)) for t in t_probes], dt)
-        for gt in probes:
-            inc = gt - g0
-            mono_viol += int((inc > 1e-6).sum())
-            max_inc = max(max_inc, float(inc.max()))
-            total += pts.shape[0]
-    add("lyapunov_monotone", mono_viol == 0, True,
-        {"samples": total, "violations": mono_viol, "max_increase": max_inc}, 1e-6,
-        "g never grows along quotient orbits at t in {0.5, 1, 2}")
-
-    dec_viol = 0
-    tested = 0
-    min_dec = math.inf
-    for field in fields:
-        if field.construction == "single-pair":
-            pinned = ar_first.alpha.union(ar_first.omega).union(pair.L)
-        else:
-            pinned = recurrent.union(pair.L)
-        cand = field.pair.core.difference(grid.dilate(pinned, 2))
-        if not cand:
-            continue
-        _, pts = sample_in_boxes(rng, grid, cand, 30)
-        g0, (gt,) = _g_along_orbits(system, field, pts, [int(round(1.0 / dt))], dt)
-        dec = g0 - gt
-        dec_viol += int((dec <= 1e-4).sum())
-        min_dec = min(min_dec, float(dec.min()))
-        tested += pts.shape[0]
-    add("lyapunov_strict_decrease", dec_viol == 0, True,
-        {"samples": tested, "violations": dec_viol,
-         "min_decrease": None if tested == 0 else min_dec}, 1e-4,
-        "g drops along orbits seeded two boxes away from the pinned sets")
+    _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, add)
 
     f_morse = next((f for f in fields if f.construction == "morse-sum"), None)
     deep = min(grid.shape) >= (256 if grid.dimension == 1 else 64)
@@ -577,11 +604,13 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
     f_morse = None
     f_complete = None
     if pair is not None and mg.n >= 1:
+        table = CenterTable(system, pair, params)
         if mg.n >= 2:
             ar_first = ar_regions_in_pair(mg, graph, region, frozenset({1}))
-            fields.append(pair_lyapunov(system, pair, ar_first, params, graph=graph))
-        f_morse = morse_lyapunov(system, pair, mg, params)
-        f_complete = complete_lyapunov(system, pair, mg, graph, params)
+            fields.append(pair_lyapunov(system, pair, ar_first, params, graph=graph,
+                                        table=table))
+        f_morse = morse_lyapunov(system, pair, mg, params, table=table)
+        f_complete = complete_lyapunov(system, pair, mg, graph, params, table=table)
         fields.extend([f_morse, f_complete])
     _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
                      params, rng, add)

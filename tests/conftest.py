@@ -11,6 +11,7 @@ from boxflow.flows import _advance
 from boxflow import grid as bfgrid
 from boxflow.grid import BoxSet
 from boxflow.lyapunov import _discounted_from_h
+from boxflow.pairs import _march_quotient
 
 ACCEPTANCE_LINES = []
 
@@ -211,3 +212,76 @@ def _discounted_average_oracle(system, pair, h_fn, x, dt=0.05, t_max=12.0):
                 current = nxt[0]
                 alive = pair.in_core(pair.grid.box_of(current))
     return float(_discounted_from_h(h[:, None], n_quad, dt)[0])
+
+
+def _g_along_orbits_oracle(system, field, pts, ks, dt):
+    """g at the points and at their k·dt quotient images, k in ks: one march
+    to the images, then one evaluate that marches every live image again."""
+    positions, absorbed = _march_quotient(system, field.pair, pts, max(ks), dt)
+    live = [~absorbed[k] for k in ks]
+    g = field.evaluate(system, np.concatenate(
+        [pts] + [positions[k][lv] for k, lv in zip(ks, live)]))
+    n = pts.shape[0]
+    images = []
+    start = n
+    for lv in live:
+        gt = np.zeros(n)
+        gt[lv] = g[start:start + lv.sum()]
+        start += lv.sum()
+        images.append(gt)
+    return g[:n], images
+
+
+def _orbit_checks_oracle(system, grid, pair, fields, ar_first, recurrent, params, rng, add):
+    """verify's renewal, monotone and strict-decrease checks on per-check
+    marches: renewal_residual marches each field's samples, and each probe
+    set is marched, then evaluated on marches of its own."""
+    dt = params.dt
+    worst = 0.0
+    count = 0
+    for field in fields:
+        _, pts = bfgrid.sample_in_boxes(rng, grid, field.pair.core, 4)
+        worst = max(worst, float(bf.renewal_residual(system, field, pts, 1.0).max()))
+        count += pts.shape[0]
+    add("lyapunov_renewal", worst < 2e-3, True,
+        {"evaluations": count, "max_residual": worst}, 2e-3,
+        "discounted average satisfies its renewal identity at t = 1")
+
+    t_probes = (0.5, 1.0, 2.0)
+    max_inc = 0.0
+    mono_viol = 0
+    total = 0
+    for field in fields:
+        _, pts = bfgrid.sample_in_boxes(rng, grid, field.pair.core, 40)
+        g0, probes = _g_along_orbits_oracle(system, field, pts,
+                                            [int(round(t / dt)) for t in t_probes], dt)
+        for gt in probes:
+            inc = gt - g0
+            mono_viol += int((inc > 1e-6).sum())
+            max_inc = max(max_inc, float(inc.max()))
+            total += pts.shape[0]
+    add("lyapunov_monotone", mono_viol == 0, True,
+        {"samples": total, "violations": mono_viol, "max_increase": max_inc}, 1e-6,
+        "g never grows along quotient orbits at t in {0.5, 1, 2}")
+
+    dec_viol = 0
+    tested = 0
+    min_dec = math.inf
+    for field in fields:
+        if field.construction == "single-pair":
+            pinned = ar_first.alpha.union(ar_first.omega).union(pair.L)
+        else:
+            pinned = recurrent.union(pair.L)
+        cand = field.pair.core.difference(grid.dilate(pinned, 2))
+        if not cand:
+            continue
+        _, pts = bfgrid.sample_in_boxes(rng, grid, cand, 30)
+        g0, (gt,) = _g_along_orbits_oracle(system, field, pts, [int(round(1.0 / dt))], dt)
+        dec = g0 - gt
+        dec_viol += int((dec <= 1e-4).sum())
+        min_dec = min(min_dec, float(dec.min()))
+        tested += pts.shape[0]
+    add("lyapunov_strict_decrease", dec_viol == 0, True,
+        {"samples": tested, "violations": dec_viol,
+         "min_decrease": None if tested == 0 else min_dec}, 1e-4,
+        "g drops along orbits seeded two boxes away from the pinned sets")

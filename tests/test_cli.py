@@ -12,7 +12,7 @@ import pytest
 import boxflow as bf
 from boxflow import cli
 from boxflow.errors import ConfigError
-from boxflow.grid import MAX_PAIRS
+from boxflow.grid import MAX_MARCH_VALUES, MAX_PAIRS
 from boxflow.lyapunov import LyapunovField
 from boxflow.transition import TransitionGraph
 
@@ -259,6 +259,45 @@ def test_padding_past_the_pair_limit_exits_2_without_allocating_the_pairs(tmp_pa
     assert f"gives {64 * 64 * 9 * 64 * 64} " in err and f"limit is {MAX_PAIRS}" in err
     assert peak < 32 * 2 ** 20
     assert not os.path.exists(tmp_path / "x" / "graph.json")
+
+
+@pytest.mark.parametrize("command,option,value", [
+    ("lyapunov", "--tmax", "inf"),
+    ("lyapunov", "--tmax", "nan"),
+    ("lyapunov", "--map-time", "nan"),
+    ("lyapunov", "--map-time", "inf"),
+    ("lyapunov", "--dt", "nan"),
+    ("lyapunov", "--dt", "inf"),
+    ("lyapunov", "--padding", "nan"),
+    ("lyapunov", "--epsilon", "nan"),
+    ("verify", "--epsilon", "nan"),
+    ("lyapunov", "--dt", "1e-300"),
+    ("lyapunov", "--dt", "1e-320"),
+])
+def test_non_finite_and_oversized_options_exit_2(tmp_path, capsys, command, option, value):
+    out = tmp_path / "x"
+    code = cli.main([command, "--system", "doublewell1d", "--depth", "16", option, value,
+                     "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "field.json").exists() and not (out / "verify.json").exists()
+    if (out / "config.json").exists():
+        json.loads((out / "config.json").read_text(), parse_constant=pytest.fail)
+
+
+def test_dt_past_the_march_limit_exits_2_without_allocating_the_march(tmp_path, capsys):
+    # the morse field would march the 12 core centers 140 M steps: 1.3 GB
+    tracemalloc.start()
+    try:
+        code = cli.main(["lyapunov", "--system", "doublewell1d", "--depth", "16",
+                         "--dt", "1e-7", "--out", str(tmp_path / "x")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1.4e+08 steps of dt=1e-07" in err and f"limit is {MAX_MARCH_VALUES}" in err
+    assert peak < 32 * 2 ** 20
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 import boxflow as bf
-from boxflow.errors import FiltrationError, IngestionError, PreconditionError
-from boxflow.grid import BoxSet
-from boxflow.lyapunov import Filtration, LyapunovField, LyapunovParams
-from boxflow.pairs import BASEPOINT
+from numpy.testing import assert_array_equal
 
-from conftest import _discounted_average_oracle, _sup_envelope_oracle, sample_in_boxes
+from boxflow.errors import CapacityError, FiltrationError, IngestionError, PreconditionError
+from boxflow.grid import BoxSet
+from boxflow.lyapunov import (CenterTable, Filtration, LyapunovField, LyapunovParams,
+                              _QuotientSamples, _renewal_from_rho, _renewal_steps)
+from boxflow.pairs import BASEPOINT, _march_quotient
+from boxflow.verify import _g_along_orbits
+
+from conftest import (_bundle, _discounted_average_oracle, _sup_envelope_oracle,
+                      sample_in_boxes)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +34,13 @@ def test_params_validation():
         LyapunovParams(t_max=0.5)
     with pytest.raises(PreconditionError):
         LyapunovParams(settle=-1.0)
+    with pytest.raises(PreconditionError):
+        LyapunovParams(dt=math.nan)
+    with pytest.raises(PreconditionError):
+        LyapunovParams(t_max=math.inf)
+    # 14 / 1e-320 overflows, so no step count exists
+    with pytest.raises(CapacityError):
+        LyapunovParams(dt=1e-320)
 
 
 def test_rho_is_zero_on_a_one_on_r(doublewell):
@@ -384,3 +396,81 @@ def test_empty_region_shortcuts_match_both_distances(monkeypatch):
             with monkeypatch.context() as m:
                 _brute_rho_distances(m)
                 assert np.array_equal(got, bf.make_rho(pair, zero, one)(pts))
+
+
+@pytest.fixture(scope="module", params=[("doublewell1d", (256,)), ("saddle1d", (64,)),
+                                        ("hopf2d", (32, 32))],
+                ids=["doublewell1d-256", "saddle1d-64", "hopf2d-32"])
+def field_case(request):
+    """A pipeline bundle with its pair, Morse-sum and complete fields, each
+    field built alone; saddle1d 64 is the one with a nonempty L."""
+    b = _bundle(*request.param)
+    b.pair = bf.build_index_pair(b.mg)
+    b.fields = []
+    if b.mg.n >= 2:
+        ar = bf.ar_regions_in_pair(b.mg, b.graph, b.region, frozenset({1}))
+        b.fields.append(bf.pair_lyapunov(b.system, b.pair, ar, graph=b.graph))
+    b.fields.append(bf.morse_lyapunov(b.system, b.pair, b.mg))
+    b.fields.append(bf.complete_lyapunov(b.system, b.pair, b.mg, b.graph))
+    rng = np.random.default_rng(5)
+    # core samples, then samples outside N−L, which start absorbed
+    b.points = np.concatenate([
+        sample_in_boxes(rng, b.grid, b.pair.core, 30),
+        sample_in_boxes(rng, b.grid, b.grid.all_boxes().difference(b.pair.core), 6)])
+    return b
+
+
+def test_probe_windows_equal_evaluate_at_the_marched_images(field_case):
+    b = field_case
+    params = LyapunovParams()
+    _, n_total = params.steps()
+    ks = [1, 10, 20, 40, 100]
+    positions, absorbed = _march_quotient(b.system, b.pair, b.points, max(ks) + n_total,
+                                          params.dt)
+    samples = _QuotientSamples(b.pair, positions, absorbed)
+    assert absorbed[0, 30:].all()
+    if b.pair.L:
+        assert (absorbed[max(ks)] & ~absorbed[0]).any()
+    for field in b.fields:
+        g0, images = _g_along_orbits(field, [samples.rho(fn) for _, fn in field.profiles], ks)
+        assert_array_equal(g0, field.evaluate(b.system, b.points))
+        for k, gk in zip(ks, images):
+            live = ~absorbed[k]
+            expected = np.zeros(b.points.shape[0])
+            expected[live] = field.evaluate(b.system, positions[k][live])
+            assert_array_equal(gk, expected)
+
+
+def test_fields_from_one_center_table_equal_fields_built_alone(field_case):
+    b = field_case
+    params = LyapunovParams()
+    table = CenterTable(b.system, b.pair, params)
+    shared = []
+    if b.mg.n >= 2:
+        ar = bf.ar_regions_in_pair(b.mg, b.graph, b.region, frozenset({1}))
+        shared.append(bf.pair_lyapunov(b.system, b.pair, ar, params, graph=b.graph,
+                                       table=table))
+    shared.append(bf.morse_lyapunov(b.system, b.pair, b.mg, params, table=table))
+    shared.append(bf.complete_lyapunov(b.system, b.pair, b.mg, b.graph, params, table=table))
+    for together, alone in zip(shared, b.fields):
+        assert_array_equal(together.values, alone.values)
+        assert together == alone
+    # one g column per distinct (Z, R), and the complete field reuses some
+    keys = {(fn.zero_set, fn.one_set) for f in shared for _, fn in f.profiles}
+    assert len(table._g) == len(keys) < sum(len(f.profiles) for f in shared)
+    with pytest.raises(PreconditionError):
+        bf.morse_lyapunov(b.system, b.pair, b.mg, LyapunovParams(t_max=6.0), table=table)
+
+
+def test_renewal_from_a_shared_march_prefix_equals_renewal_residual(field_case):
+    b = field_case
+    params = LyapunovParams()
+    _, n_total = params.steps()
+    k_t = _renewal_steps(params, 1.0)
+    positions, absorbed = _march_quotient(b.system, b.pair, b.points, n_total + k_t + 20,
+                                          params.dt)
+    samples = _QuotientSamples(b.pair, positions, absorbed)
+    for field in b.fields:
+        rhos = [samples.rho(fn)[:n_total + k_t + 1] for _, fn in field.profiles]
+        assert_array_equal(_renewal_from_rho(field, rhos, k_t),
+                           bf.renewal_residual(b.system, field, b.points, 1.0))

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import boxflow as bf
+from boxflow import verify
 from boxflow.errors import IngestionError
 from boxflow.verify import CheckResult, _clean
+
+from conftest import _orbit_checks_oracle
 
 CHECK_NAMES = [
     "flow_semigroup", "flow_equilibria", "flow_determinism",
@@ -103,3 +106,25 @@ def test_clean_maps_non_finite_to_none():
     assert _clean("text") == "text"
     assert _clean(1.25) == 1.25
     assert _clean(math.inf) is None
+
+
+def _built_alone(builder):
+    """The field builder, marching its own core centers instead of a shared table."""
+    def build(*args, table=None, **kwargs):
+        return builder(*args, **kwargs)
+    return build
+
+
+@pytest.mark.parametrize("name,depth,seed", [("doublewell1d", (256,), 0),
+                                             ("saddle1d", (64,), 0),
+                                             ("hopf2d", (32, 32), 3)])
+def test_suite_equals_the_per_check_march_oracle(monkeypatch, name, depth, seed):
+    system = bf.builtin_system(name)
+    shared = bf.run_suite(system, depth, seed=seed).to_dict()
+    assert all(c["applicable"] for c in shared["checks"]
+               if c["name"] in ("lyapunov_renewal", "lyapunov_monotone",
+                                "lyapunov_strict_decrease"))
+    monkeypatch.setattr(verify, "_orbit_checks", _orbit_checks_oracle)
+    for builder in ("pair_lyapunov", "morse_lyapunov", "complete_lyapunov"):
+        monkeypatch.setattr(verify, builder, _built_alone(getattr(verify, builder)))
+    assert bf.run_suite(system, depth, seed=seed).to_dict() == shared
