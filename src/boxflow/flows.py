@@ -121,6 +121,15 @@ def _advance(system, points, t):
     alone, so the result does not depend on the batch it arrives in.  A
     non-finite value raises NumericalError naming the earliest step at which
     any row still inside the domain produced one.
+
+    After each step the whole chunk is tested against the domain bounds
+    tiled to its rows: two elementwise comparisons and one reduction over
+    contiguous memory, where a per-row mask runs numpy inner loops of
+    length d.  The test is sound because FlowSystem requires finite
+    bounds: NaN compares False with both, and +-inf fails one, so a chunk
+    that passes has no non-finite value and no escaped row.  Only when it
+    fails do the isfinite scan and the per-row escape bookkeeping run, in
+    the order they always ran.
     """
     if t < 0:
         raise PreconditionError(f"advance time must be nonnegative, got {t}")
@@ -137,6 +146,10 @@ def _advance(system, points, t):
     sizes = [system.step] * n_steps + ([rem] if rem > 0 else [])
     # elapsed time before each step, summed in step order
     starts = list(itertools.accumulate(sizes[:-1], initial=0.0))
+    # the bounds repeated for every row of the largest chunk; shorter and
+    # shrunken chunks compare with a leading slice
+    lo_rows = np.tile(lo, (min(n, ADVANCE_CHUNK), 1))
+    hi_rows = np.tile(hi, (min(n, ADVANCE_CHUNK), 1))
     failed_at = len(sizes)
     for first in range(0, n, ADVANCE_CHUNK):
         rows = np.arange(first, min(first + ADVANCE_CHUNK, n))
@@ -144,6 +157,10 @@ def _advance(system, points, t):
         # a step at or after an earlier chunk's failure cannot move the error
         for k in range(failed_at):
             nxt = _rk4_step(system.field, cur, sizes[k])
+            m = rows.size
+            if ((nxt >= lo_rows[:m]) & (nxt <= hi_rows[:m])).all():
+                cur = nxt
+                continue
             if not np.isfinite(nxt).all():
                 failed_at = k
                 break
@@ -189,11 +206,14 @@ def _advance_rows(system, points, t):
     if not rows.size:
         return pts, escaped, esc_time
     nxt = _rk4_step(system.field, pts[rows], rem[rows, None])
-    if not np.isfinite(nxt).all():
-        raise NumericalError(f"integration of {system.name} produced non-finite values")
-    out = ~system.contains(nxt)
     # the elapsed time before a remainder step, summed in step order as in _advance
     elapsed = list(itertools.accumulate([system.step] * int(whole.max()), initial=0.0))
+    bad = ~np.isfinite(nxt).all(axis=1)
+    if bad.any():
+        t_bad = np.take(elapsed, whole[rows[bad]]) + rem[rows[bad]]
+        raise NumericalError(
+            f"integration of {system.name} produced non-finite values at t={t_bad.min():g}")
+    out = ~system.contains(nxt)
     escaped[rows[out]] = True
     esc_time[rows[out]] = np.take(elapsed, whole[rows[out]])
     pts[rows[~out]] = nxt[~out]

@@ -8,6 +8,7 @@ independent point-level epsilon-chain oracle cross-checks the box picture.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -97,15 +98,14 @@ class MorseGraph:
     def connecting(self):
         """Non-recurrent invariant boxes with their (reach, coreach) class sets."""
         if self._connecting is None:
-            out = {}
-            for i in np.flatnonzero(self._class_of_local == 0):
-                box = int(self._inv_ids[i])
-                out[box] = (
-                    frozenset(int(k) for k in
-                              np.flatnonzero(self._reach_bits[:, i]) + 1),
-                    frozenset(int(k) for k in
-                              np.flatnonzero(self._coreach_bits[:, i]) + 1))
-            self._connecting = out
+            local = np.flatnonzero(self._class_of_local == 0)
+            indices = range(1, self.n + 1)
+            # one row of class bits per connecting box
+            reach = self._reach_bits[:, local].T.tolist()
+            coreach = self._coreach_bits[:, local].T.tolist()
+            self._connecting = {
+                box: (frozenset(compress(indices, r)), frozenset(compress(indices, c)))
+                for box, r, c in zip(self._inv_ids[local].tolist(), reach, coreach)}
         return self._connecting
 
     def __repr__(self):

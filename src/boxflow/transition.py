@@ -118,11 +118,11 @@ class TransitionGraph:
                 f"map_time={self.map_time})")
 
     def to_json(self, path):
-        edges = []
-        for b in range(self.grid.n_boxes):
-            t = self.targets_of(b)
-            if t.size:
-                edges.append([b, t.tolist()])
+        # one tolist of all targets, sliced per box with an edge
+        dst = self._dst.tolist()
+        starts = self._starts.tolist()
+        edges = [[b, dst[starts[b]:starts[b + 1]]]
+                 for b in np.flatnonzero(np.diff(self._starts)).tolist()]
         data = {
             "map_time": self.map_time,
             "padding": self.padding,
@@ -150,13 +150,14 @@ class TransitionGraph:
         return load_json(path, "graph file", parse)
 
     def to_dot(self):
-        lines = ["digraph transition {"]
+        head = "digraph transition {\n"
         if self.has_exit:
-            lines.append('  exit [label="EXIT", shape=doublecircle];')
-        for s, t in zip(self._src.tolist(), self._dst.tolist()):
-            lines.append(f"  b{s} -> exit;" if t == EXIT else f"  b{s} -> b{t};")
-        lines.append("}")
-        return "\n".join(lines)
+            head += '  exit [label="EXIT", shape=doublecircle];\n'
+        # one % format over every (src, dst) pair; box ids are nonnegative,
+        # so "b-1" can only be an EXIT target
+        pairs = np.column_stack([self._src, self._dst]).ravel().tolist()
+        body = ("  b%d -> b%d;\n" * self.n_edges) % tuple(pairs)
+        return head + body.replace(f" -> b{EXIT};", " -> exit;") + "}"
 
 
 def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):

@@ -285,3 +285,36 @@ def _orbit_checks_oracle(system, grid, pair, fields, ar_first, recurrent, params
         {"samples": tested, "violations": dec_viol,
          "min_decrease": None if tested == 0 else min_dec}, 1e-4,
         "g drops along orbits seeded two boxes away from the pinned sets")
+
+
+def _graph_edges_oracle(graph):
+    """The "edges" list of graph.json, one targets_of call per box."""
+    edges = []
+    for b in range(graph.grid.n_boxes):
+        t = graph.targets_of(b)
+        if t.size:
+            edges.append([b, t.tolist()])
+    return edges
+
+
+def _graph_dot_oracle(graph):
+    """graph.to_dot() with one f-string per edge."""
+    lines = ["digraph transition {"]
+    if graph.has_exit:
+        lines.append('  exit [label="EXIT", shape=doublecircle];')
+    src, dst = graph.edge_arrays()
+    for s, t in zip(src.tolist(), dst.tolist()):
+        lines.append(f"  b{s} -> exit;" if t == bf.EXIT else f"  b{s} -> b{t};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def _connecting_oracle(mg):
+    """MorseGraph.connecting with two flatnonzero calls per connecting box."""
+    out = {}
+    for i in np.flatnonzero(mg._class_of_local == 0):
+        box = int(mg._inv_ids[i])
+        out[box] = (
+            frozenset(int(k) for k in np.flatnonzero(mg._reach_bits[:, i]) + 1),
+            frozenset(int(k) for k in np.flatnonzero(mg._coreach_bits[:, i]) + 1))
+    return out

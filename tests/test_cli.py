@@ -308,3 +308,20 @@ def test_module_entry_point_runs_without_warnings():
     assert done.returncode == 0
     assert done.stderr == ""
     assert "analyze" in done.stdout
+
+
+def test_a_march_that_blows_up_exits_1_naming_the_time(tmp_path):
+    # x' = x^2 overflows to inf within the first RK4 step from the lattice
+    # points near 1e160; the field's own overflow warning is expected
+    system = tmp_path / "blowup.json"
+    system.write_text(json.dumps({
+        "field": [{"coeffs": [1.0], "exponents": [2]}], "dimension": 1,
+        "domain": [[0.5, 1e160]], "name": "blowup"}))
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-m", "boxflow", "analyze", "--system-file",
+                           str(system), "--depth", "8", "--out", str(tmp_path / "x")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1
+    assert "non-finite values at t=0.01" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "x" / "graph.json").exists()

@@ -259,9 +259,111 @@ def test_per_row_times_reject_negative_times_and_report_non_finite_values():
         _advance_rows(system, pts, [0.1, 0.2])
     wall = bf.FlowSystem(dimension=1, field=lambda p: np.where(p > 5.0, np.inf, 1.0),
                          domain=[[0.0, 10.0]], name="wall")
-    # the wall is reached in a whole step, and in a remainder step alone
-    for x0, t in ((4.2, 1.0), (4.999, 0.004)):
-        with pytest.raises(NumericalError):
+    # the wall is reached in a whole step, and in a remainder step alone;
+    # either way the message names the time _advance names for that row
+    for x0, t, when in ((4.2, 1.0, "t=0.81"), (4.999, 0.004, "t=0.004")):
+        with pytest.raises(NumericalError) as alone:
             _advance(wall, np.array([[x0]]), t)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError) as rows:
             _advance_rows(wall, np.array([[0.0], [x0]]), [t, t])
+        assert str(rows.value) == str(alone.value)
+        assert when in str(rows.value)
+    # the earliest of several rows failing in their remainder steps
+    with pytest.raises(NumericalError, match=r"t=0\.003$"):
+        _advance_rows(wall, np.array([[4.999], [4.999], [0.0]]), [0.004, 0.003, 0.004])
+
+
+def _rows_match_row_at_a_time(system, pts, t):
+    got = _advance(system, pts, t)
+    for a, b in zip(got, _row_at_a_time(system, pts, t)):
+        np.testing.assert_array_equal(a, b)
+    return got
+
+
+def _same_failure(system, pts, t, row):
+    # the batch raises the NumericalError that the failing row raises alone
+    with pytest.raises(NumericalError) as alone:
+        _advance(system, pts[row:row + 1], t)
+    with pytest.raises(NumericalError) as batch:
+        _advance(system, pts, t)
+    assert str(batch.value) == str(alone.value)
+    return str(batch.value)
+
+
+def _nan_wall(p):
+    # speed 1 along x; the y velocity is NaN past x = 0.5
+    out = np.zeros_like(p)
+    out[:, 0] = 1.0
+    out[:, 1] = np.where(p[:, 0] > 0.5, np.nan, 0.0)
+    return out
+
+
+def test_nan_in_one_coordinate_names_the_earliest_failure_across_a_chunk_border(monkeypatch):
+    monkeypatch.setattr(flows, "ADVANCE_CHUNK", 16)
+    system = bf.FlowSystem(dimension=2, field=_nan_wall,
+                           domain=[[0.0, 10.0], [-1.0, 1.0]], name="nanwall")
+    pts = np.zeros((40, 2))
+    pts[:, 1] = np.linspace(-0.9, 0.9, 40)
+    pts[15, 0] = 0.4125
+    pts[16, 0] = 0.4525
+    msg = _same_failure(system, pts, 1.0, 16)
+    assert "t=0.05" in msg
+    # without row 16 the first chunk's row 15 fails, later
+    assert "t=0.09" in _same_failure(system, pts[:16], 1.0, 15)
+    # rows that stay left of the NaN wall march on, row for row
+    got = _rows_match_row_at_a_time(system, pts[17:], 0.3)
+    assert not got[1].any()
+
+
+def test_a_step_with_an_escape_and_a_non_finite_row_still_raises(monkeypatch):
+    # rows with y > 0.5 hit a NaN wall at x = 5; all rows move right at
+    # speed 1 and leave the domain at x = 10.  In the first step row 3
+    # escapes and row 5 turns non-finite; the error wins, at the same t.
+    monkeypatch.setattr(flows, "ADVANCE_CHUNK", 16)
+
+    def field(p):
+        out = np.zeros_like(p)
+        out[:, 0] = np.where((p[:, 1] > 0.5) & (p[:, 0] > 5.0), np.nan, 1.0)
+        return out
+
+    system = bf.FlowSystem(dimension=2, field=field,
+                           domain=[[0.0, 10.0], [0.0, 1.0]], name="escape-and-wall")
+    pts = np.column_stack([np.linspace(1.0, 2.0, 10), np.full(10, 0.2)])
+    pts[3] = [9.995, 0.2]
+    pts[5] = [4.996, 0.8]
+    assert _advance(system, pts[3:4], 0.01)[1][0]
+    assert "t=0.01" in _same_failure(system, pts, 1.0, 5)
+    # without the failing row the escape is frozen as usual
+    keep = np.arange(10) != 5
+    got = _rows_match_row_at_a_time(system, pts[keep], 1.0)
+    assert got[1].tolist() == [False, False, False, True] + [False] * 5
+
+
+def test_images_exactly_on_the_domain_bounds_stay_inside():
+    # one RK4 step of 0.5 under a constant field moves (0.5, -0.5) exactly
+    # onto the corner (hi, lo) of the closed domain; the next step leaves it
+    system = bf.FlowSystem(dimension=2, field=lambda p: np.broadcast_to([1.0, -1.0], p.shape),
+                           domain=[[-1.0, 1.0], [-1.0, 1.0]], step=0.5, name="drift")
+    pts = np.array([[0.5, -0.5], [0.0, 0.0], [-0.5, 0.5]])
+    pos, escaped, when = _rows_match_row_at_a_time(system, pts, 0.5)
+    assert not escaped.any()
+    np.testing.assert_array_equal(pos[0], [1.0, -1.0])
+    pos, escaped, when = _rows_match_row_at_a_time(system, pts, 1.0)
+    assert escaped.tolist() == [True, False, False]
+    np.testing.assert_array_equal(pos[0], [1.0, -1.0])
+    assert when[0] == 0.5
+
+
+def test_short_last_chunks_and_shrinking_chunks_equal_row_at_a_time(monkeypatch):
+    # 37 rows in chunks of 16: the last chunk has 5 rows, and rows near
+    # x = +-1 leave every chunk in the first steps, so each chunk shrinks
+    monkeypatch.setattr(flows, "ADVANCE_CHUNK", 16)
+    system = _saddle2d()
+    pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(37, 2))
+    near = [0, 7, 15, 16, 20, 31, 33, 36]
+    pts[near, 0] = np.where(np.arange(len(near)) % 2, 0.995, -0.99)
+    got = _rows_match_row_at_a_time(system, pts, 0.7)
+    assert set(np.flatnonzero(got[1]) // 16) == {0, 1, 2}
+    assert set(near) <= set(np.flatnonzero(got[1]))
+    # a batch shorter than one chunk
+    _rows_match_row_at_a_time(system, pts[30:], 0.7)

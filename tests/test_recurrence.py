@@ -12,6 +12,7 @@ import boxflow as bf
 from boxflow.errors import PreconditionError
 from boxflow.grid import BoxSet
 from boxflow.transition import TransitionGraph
+from conftest import _bundle, _connecting_oracle
 
 
 def _kosaraju(n, edges):
@@ -242,3 +243,11 @@ def test_importing_the_package_does_not_load_networkx():
     code = "import boxflow, sys; assert 'networkx' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+def test_connecting_boxes_equal_the_per_box_loop(doublewell):
+    mg = _bundle("hopf2d", (32, 32)).mg
+    assert len(mg.connecting) > 0
+    for m in (mg, doublewell.mg):
+        assert m.connecting == _connecting_oracle(m)
+        assert list(m.connecting) == list(_connecting_oracle(m))

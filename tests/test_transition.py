@@ -12,7 +12,9 @@ import boxflow as bf
 from boxflow.errors import IngestionError
 from boxflow.flows import _advance, polynomial_field
 from boxflow.grid import BoxSet
+from boxflow.jsonio import write_json
 from boxflow.transition import EXIT, TransitionGraph, _peel, box_image, reachable
+from conftest import _graph_dot_oracle, _graph_edges_oracle
 
 
 def test_contract_edges_match_interval_arithmetic():
@@ -332,3 +334,30 @@ def test_shared_faces_are_merged_only_when_bitwise_equal():
     # sides, so the merge lands between the vertex count and the full count
     distinct, full = _distinct_rows(bf.build_grid([(-2.0, 2.0)] * 2, (100, 37)), 3)
     assert 201 * 75 < distinct < full
+
+
+def _hand_graphs():
+    # boxes 1, 3 and 4 have no targets; box 0 starts with EXIT; the
+    # second graph has no edge at all
+    grid = bf.build_grid(np.array([[0.0, 6.0]]), (6,))
+    return [TransitionGraph(grid, 1.0, 0.5, 3, [0, 0, 2, 5, 5], [EXIT, 1, 2, EXIT, 0]),
+            TransitionGraph(grid, 1.0, 0.5, 3, [], [])]
+
+
+def test_graph_writers_give_the_bytes_of_the_per_box_and_per_edge_loops(tmp_path, saddle, hopf):
+    some, empty = _hand_graphs()
+    graphs = [saddle.graph, hopf.graph, some, empty]
+    assert saddle.graph.has_exit and some.has_exit and empty.n_edges == 0
+    for i, graph in enumerate(graphs):
+        assert graph.to_dot() == _graph_dot_oracle(graph)
+        got = tmp_path / f"got{i}.json"
+        graph.to_json(str(got))
+        data = json.loads(got.read_text())
+        data["edges"] = _graph_edges_oracle(graph)
+        want = tmp_path / f"want{i}.json"
+        write_json(str(want), data)
+        assert got.read_bytes() == want.read_bytes()
+        assert TransitionGraph.from_json(str(got)) == graph
+    assert some.to_dot().splitlines()[2:] == [
+        "  b0 -> exit;", "  b0 -> b1;", "  b2 -> b2;", "  b5 -> exit;", "  b5 -> b0;", "}"]
+    assert empty.to_dot() == "digraph transition {\n}"
