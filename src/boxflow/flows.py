@@ -148,8 +148,10 @@ def _advance(system, points, t):
     starts = list(itertools.accumulate(sizes[:-1], initial=0.0))
     # the bounds repeated for every row of the largest chunk; shorter and
     # shrunken chunks compare with a leading slice
-    lo_rows = np.tile(lo, (min(n, ADVANCE_CHUNK), 1))
-    hi_rows = np.tile(hi, (min(n, ADVANCE_CHUNK), 1))
+    lo_rows = np.empty((min(n, ADVANCE_CHUNK), lo.size))
+    hi_rows = np.empty_like(lo_rows)
+    lo_rows[:] = lo
+    hi_rows[:] = hi
     failed_at = len(sizes)
     for first in range(0, n, ADVANCE_CHUNK):
         rows = np.arange(first, min(first + ADVANCE_CHUNK, n))

@@ -18,7 +18,6 @@ import numpy as np
 from .distances import BoxSetDistance, boxset_min_distance
 from .errors import (CapacityError, FiltrationError, IngestionError,
                      PreconditionError, RegionOverlapError)
-from .flows import _advance
 from .grid import BoxSet, sample_in_boxes
 from .jsonio import csv_text, load_json, number, string, write_json
 from .pairs import (BASEPOINT, IndexPair, _march_quotient, regularity_check,
@@ -184,6 +183,7 @@ class _QuotientSamples:
     def __init__(self, pair, positions, absorbed):
         k_samples, m, d = positions.shape
         self.shape = (k_samples, m)
+        self.n_boxes = pair.grid.n_boxes
         self.live = ~absorbed.ravel()
         self.points = positions.reshape(-1, d)[self.live]
         self.boxes = pair.grid.box_of(self.points)
@@ -196,6 +196,27 @@ class _QuotientSamples:
         vals = np.zeros(self.live.size)
         vals[self.live] = rho_fn(self.points, self.boxes, self._dL)
         return vals.reshape(self.shape)
+
+    def envelope(self, rho_fn, k, n, vals=None):
+        """sup_envelope's (h, converged) at the k-step images, horizon n steps.
+
+        The march from the k-step image is this march shifted by k, so h is
+        the maximum of ρ over the samples [k, k + n], up to the first entry
+        (after sample k) into a forward-closed zero set.  vals is ρ of this
+        profile from rho(), if the caller has it already.
+        """
+        window = (self.rho(rho_fn) if vals is None else vals)[k:k + n + 1]
+        # entered[i]: the row entered the zero set at a window sample in [1, i]
+        entered = np.zeros(window.shape, dtype=bool)
+        if rho_fn.zero_forward_closed:
+            hit = np.zeros(self.live.size, dtype=bool)
+            hit[self.live] = rho_fn.zero_set.mask(self.n_boxes)[self.boxes]
+            entered[1:] = np.logical_or.accumulate(
+                hit.reshape(self.shape)[k + 1:k + n + 1], axis=0)
+        counted = np.ones(window.shape, dtype=bool)
+        counted[1:] = ~entered[:-1]
+        h = np.where(counted, window, 0.0).max(axis=0)
+        return h, entered[-1] | ~self.live.reshape(self.shape)[k + n]
 
 
 def _profile_g(vals, params, k=0):
@@ -257,52 +278,32 @@ class CenterTable:
         return np.array(rows)
 
 
+def _envelope_steps(horizon, dt):
+    """The steps of dt that cover the envelope horizon."""
+    return int(math.ceil(horizon / dt - 1e-9))
+
+
 def sup_envelope(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
     """Supremum of a profile along forward quotient orbits.
 
     x is one point, BASEPOINT or an (m, d) batch.  Returns (h, converged),
     two scalars for one point and two length-m arrays for a batch.  A row
-    stops marching once its orbit is absorbed (it leaves the domain or the
+    stops counting samples once its orbit is absorbed (it leaves the domain or the
     N−L boxes), or once it enters the profile's zero set when that set is
     known to be forward closed; its h is then exact.  A row still marching
     at the horizon is not converged, and its h is a certified lower bound.
     A row that starts outside N−L has h = 0.
 
-    The batch marches together, one _advance per dt over the rows still
-    marching, and ρ is evaluated once over every sample kept; each row
-    gets the same h and verdict as it would alone.
+    The batch is one _march_quotient run read by _QuotientSamples.envelope,
+    so each row gets the same h and verdict as it would alone.
     """
     if x is BASEPOINT:
         return 0.0, True
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    grid = pair.grid
-    core = pair._core_mask
-    closed = rho_fn.zero_set.mask(grid.n_boxes) if rho_fn.zero_forward_closed else None
-
-    boxes = grid.box_of(pts)
-    rows = np.flatnonzero((boxes >= 0) & core[np.maximum(boxes, 0)])
-    current = pts[rows]
-    kept = [(rows, current, boxes[rows])]
-    for _ in range(int(math.ceil(horizon / dt - 1e-9))):
-        if not rows.size:
-            break
-        nxt, escaped, _ = _advance(system, current, dt)
-        boxes = grid.box_of(nxt)
-        go = ~escaped & (boxes >= 0) & core[np.maximum(boxes, 0)]
-        rows, current, boxes = rows[go], nxt[go], boxes[go]
-        kept.append((rows, current, boxes))
-        if closed is not None:
-            go = ~closed[boxes]
-            rows, current = rows[go], current[go]
-
-    h = np.zeros(pts.shape[0])
-    converged = np.ones(pts.shape[0], dtype=bool)
-    converged[rows] = False
-    idx, samples, sample_boxes = (np.concatenate(parts) for parts in zip(*kept))
-    if idx.size:
-        np.maximum.at(h, idx, rho_fn(samples, sample_boxes))
+    n = _envelope_steps(horizon, dt)
+    samples = _QuotientSamples(pair, *_march_quotient(system, pair, np.atleast_2d(pts), n, dt))
+    h, converged = samples.envelope(rho_fn, 0, n)
     if single:
         return float(h[0]), bool(converged[0])
     return h, converged

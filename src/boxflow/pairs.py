@@ -6,6 +6,7 @@ The quotient space N/L collapses L to a single absorbing basepoint; the
 exit-time map records when orbits leave the closure of N−L.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
@@ -202,54 +203,47 @@ def validate_index_pair(graph, pair):
 def _exit_times_batch(system, pair, points, dt, horizon):
     """Exit times of closure(N−L) for a batch of points, inf if never.
 
-    Marches all points with step dt, then refines each crossing by bisection
-    to dt/1024.  Points in L-boxes have exit time 0 by definition.  Every
-    halving advances all rows still bisecting in one _advance_rows call,
-    each row by its own midpoint, and each row stops on its own bracket
-    width, so every row gets the exit time it would get alone.
+    Brackets each crossing on a _march_quotient run of step dt that absorbs
+    on closure(N−L), then refines it by bisection to dt/1024.  Points in
+    L-boxes have exit time 0 by definition and are not marched.  A row
+    first absorbed at sample j crossed during step max(j, 1), from sample
+    max(j, 1) − 1, so a row that starts outside closure(N−L) crossed during
+    the first step.  Every halving advances all rows still bisecting in one
+    _advance_rows call, each row by its own midpoint, and each row stops on
+    its own bracket width, so every row gets the exit time it would get
+    alone.
     """
     grid = pair.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    m = pts.shape[0]
-    out = np.full(m, math.inf)
+    out = np.full(pts.shape[0], math.inf)
     boxes = np.atleast_1d(grid.box_of(pts))
     out[pair._L_mask[np.maximum(boxes, 0)] & (boxes >= 0)] = 0.0
 
-    active = out > 0
-    current = pts.copy()
-    bracket_lo = np.zeros(m)
-    base = pts.copy()
-    t = 0.0
+    marched = np.flatnonzero(out > 0)
     n_steps = int(math.ceil(horizon / dt - 1e-9))
-    for _ in range(n_steps):
-        if not active.any():
-            break
-        nxt, escaped, _ = _advance(system, current[active], dt)
-        idx = np.flatnonzero(active)
-        boxes = np.atleast_1d(grid.box_of(nxt))
-        inside = ~escaped & (boxes >= 0) & pair._isolating_mask[np.maximum(boxes, 0)]
-        crossed = idx[~inside]
-        if crossed.size:
-            bracket_lo[crossed] = t
-            base[crossed] = current[crossed]
-            active[crossed] = False
-        current[idx[inside]] = nxt[inside]
-        t += dt
+    positions, absorbed = _march_quotient(system, pair, pts[marched], n_steps, dt,
+                                          mask=pair._isolating_mask)
+    hit = absorbed.any(axis=0)
+    crossed = marched[hit]
+    step = np.maximum(absorbed[:, hit].argmax(axis=0), 1)
+    base = positions[step - 1, np.flatnonzero(hit)]
+    # the elapsed time before each step, summed in step order
+    elapsed = list(itertools.accumulate([dt] * (int(step.max(initial=1)) - 1), initial=0.0))
+    bracket_lo = np.take(elapsed, step - 1)
 
-    crossed = np.flatnonzero(np.isinf(out) & ~active)
-    _require_inside(system, base[crossed])
+    _require_inside(system, base)
     lo = np.zeros(crossed.size)
     hi = np.full(crossed.size, dt)
     rows = np.arange(crossed.size)
     while rows.size:
         mid = 0.5 * (lo[rows] + hi[rows])
-        probe, escaped, _ = _advance_rows(system, base[crossed[rows]], mid)
+        probe, escaped, _ = _advance_rows(system, base[rows], mid)
         boxes = grid.box_of(probe)
         inside = ~escaped & (boxes >= 0) & pair._isolating_mask[np.maximum(boxes, 0)]
         lo[rows[inside]] = mid[inside]
         hi[rows[~inside]] = mid[~inside]
         rows = rows[hi[rows] - lo[rows] > dt / 1024]
-    out[crossed] = bracket_lo[crossed] + 0.5 * (lo + hi)
+    out[crossed] = bracket_lo + 0.5 * (lo + hi)
     return out
 
 
@@ -267,16 +261,20 @@ def exit_time(system, pair, x, dt=1e-3, horizon=50.0):
     return float(_exit_times_batch(system, pair, x[None, :], dt, horizon)[0])
 
 
-def _march_quotient(system, pair, points, n_steps, dt):
+def _march_quotient(system, pair, points, n_steps, dt, mask=None):
     """Quotient-orbit samples of a point batch, n_steps steps of dt.
 
     Returns (positions, absorbed) with shapes (n_steps+1, m, d) and
     (n_steps+1, m); a row is absorbed from the first sample whose box falls
-    outside N−L or whose orbit leaves the domain, and its position freezes.
-    Each step advances the rows still live in one _advance call.  A march
-    that would store more than MAX_MARCH_VALUES coordinates raises
-    CapacityError before it allocates.
+    outside the boxes of mask (by default those of N−L) or whose orbit
+    leaves the domain, and its position freezes.  Each step advances the
+    rows still live in one _advance call; once every row is absorbed the
+    remaining samples are filled in without stepping.  Exit times,
+    envelopes, probes and fields all step their orbits here.  A march that
+    would store more than MAX_MARCH_VALUES coordinates raises CapacityError
+    before it allocates.
     """
+    mask = pair._core_mask if mask is None else mask
     current = np.array(np.atleast_2d(points), dtype=float)
     n_values = (n_steps + 1) * current.size
     if n_values > MAX_MARCH_VALUES:
@@ -286,14 +284,18 @@ def _march_quotient(system, pair, points, n_steps, dt):
     positions = np.empty((n_steps + 1,) + current.shape)
     absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
     boxes = np.atleast_1d(pair.grid.box_of(current))
-    dead = (boxes < 0) | ~pair._core_mask[np.maximum(boxes, 0)]
+    dead = (boxes < 0) | ~mask[np.maximum(boxes, 0)]
     for k in range(n_steps + 1):
-        if k and not dead.all():
+        if dead.all():
+            positions[k:] = current
+            absorbed[k:] = True
+            break
+        if k:
             live = ~dead
             nxt, escaped, _ = _advance(system, current[live], dt)
             current[live] = nxt
             boxes = np.atleast_1d(pair.grid.box_of(nxt))
-            dead[live] = escaped | (boxes < 0) | ~pair._core_mask[np.maximum(boxes, 0)]
+            dead[live] = escaped | (boxes < 0) | ~mask[np.maximum(boxes, 0)]
         positions[k] = current
         absorbed[k] = dead
     return positions, absorbed

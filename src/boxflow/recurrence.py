@@ -205,27 +205,20 @@ def _check_down_set(mg, down_set):
     return D
 
 
-def _class_set_members(mg, allowed):
-    """Invariant boxes whose class set is contained in the allowed indices.
+def _within_classes(cls, bits, allowed):
+    """Mask of the boxes whose classes all lie in the allowed indices.
 
-    A recurrent box contributes its own class; a connecting box contributes
-    every class it reaches or is reached from.
+    cls holds each box's Morse set index, 0 for a box in none; such a box
+    has the classes that its column of bits, one row per class, marks.
     """
-    if mg._inv_ids.size == 0:
-        return BoxSet([])
-    allowed_bits = np.zeros(mg.n, dtype=bool)
+    allowed_bits = np.zeros(bits.shape[0], dtype=bool)
     for k in allowed:
         allowed_bits[k - 1] = True
-    cls = mg._class_of_local
     recurrent = cls > 0
-    ok = np.zeros(mg._inv_ids.size, dtype=bool)
+    ok = np.empty(cls.size, dtype=bool)
     ok[recurrent] = allowed_bits[cls[recurrent] - 1]
-    connecting = ~recurrent
-    if connecting.any() and mg.n:
-        union = mg._reach_bits | mg._coreach_bits
-        outside = union & ~allowed_bits[:, None]
-        ok[connecting] = ~outside[:, connecting].any(axis=0)
-    return BoxSet(mg._inv_ids[ok])
+    ok[~recurrent] = ~(bits[:, ~recurrent] & ~allowed_bits[:, None]).any(axis=0)
+    return ok
 
 
 def ar_regions(mg, graph, region, down_set):
@@ -238,8 +231,11 @@ def ar_regions(mg, graph, region, down_set):
         raise PreconditionError("region does not match the Morse graph's region")
     D = _check_down_set(mg, down_set)
     E = frozenset(range(1, mg.n + 1)) - D
-    return ARPair(attractor=_class_set_members(mg, D),
-                  repeller=_class_set_members(mg, E),
+    # a connecting box belongs to a side when every class it reaches or is
+    # reached from does
+    both = mg._reach_bits | mg._coreach_bits
+    return ARPair(attractor=BoxSet(mg._inv_ids[_within_classes(mg._class_of_local, both, D)]),
+                  repeller=BoxSet(mg._inv_ids[_within_classes(mg._class_of_local, both, E)]),
                   down_set=D)
 
 
@@ -266,32 +262,11 @@ def ar_regions_in_pair(mg, graph, region, down_set):
     reach, coreach = _class_bits(graph.restricted(region),
                                  [np.isin(ids, m.ids) for m in mg.morse_sets])
 
-    d_bits = np.zeros(mg.n, dtype=bool)
-    for k in D:
-        d_bits[k - 1] = True
-    e_bits = np.zeros(mg.n, dtype=bool)
-    for k in E:
-        e_bits[k - 1] = True
-
     cls = np.zeros(ids.size, dtype=np.int64)
     for k, m in enumerate(mg.morse_sets, start=1):
-        pos = np.searchsorted(ids, m.ids)
-        cls[pos] = k
-    recurrent = cls > 0
-
-    alpha_ok = np.zeros(ids.size, dtype=bool)
-    alpha_ok[recurrent] = d_bits[cls[recurrent] - 1] if mg.n else False
-    if (~recurrent).any() and mg.n:
-        bad = coreach & ~d_bits[:, None]
-        alpha_ok[~recurrent] = ~bad[:, ~recurrent].any(axis=0)
-    alpha = BoxSet(ids[alpha_ok]).intersection(w_back)
-
-    omega_ok = np.zeros(ids.size, dtype=bool)
-    omega_ok[recurrent] = e_bits[cls[recurrent] - 1] if mg.n else False
-    if (~recurrent).any() and mg.n:
-        bad = reach & ~e_bits[:, None]
-        omega_ok[~recurrent] = ~bad[:, ~recurrent].any(axis=0)
-    omega = BoxSet(ids[omega_ok]).intersection(w_fwd)
+        cls[np.searchsorted(ids, m.ids)] = k
+    alpha = BoxSet(ids[_within_classes(cls, coreach, D)]).intersection(w_back)
+    omega = BoxSet(ids[_within_classes(cls, reach, E)]).intersection(w_fwd)
 
     return ARRegions(pair.attractor, pair.repeller, alpha, omega, pair.down_set)
 

@@ -13,6 +13,7 @@ for a box set.
 """
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -178,8 +179,9 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
     # each image covers the boxes corner + off for 0 <= off <= ext per axis
     lo = grid.domain[:, 0]
     top = np.array(grid.shape, dtype=np.int64) - 1
-    low = np.clip(np.floor((img - padding - lo) / grid.widths).astype(np.int64), 0, top)
-    high = np.clip(np.floor((img + padding - lo) / grid.widths).astype(np.int64), 0, top)
+    # clipped while still floats: a huge padding would not survive the cast
+    low = np.clip(np.floor((img - padding - lo) / grid.widths), 0, top).astype(np.int64)
+    high = np.clip(np.floor((img + padding - lo) / grid.widths), 0, top).astype(np.int64)
     corner = grid.ravel(low)
     ext = high - low
     targets = np.where(escaped, 0, np.prod(ext + 1, axis=1))
@@ -211,19 +213,33 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
     return src[:filled], dst[:filled]
 
 
+def _checked_padding(system, grid, map_time, padding):
+    """The padding of a graph build, by default half the box diagonal,
+    rescaled by the widest side when its plain norm overflows."""
+    if map_time < system.step:
+        raise PreconditionError(
+            f"map_time must be at least one integrator step ({system.step}), got {map_time}")
+    if padding is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = float(np.linalg.norm(grid.widths))
+            if not math.isfinite(diagonal):
+                side = float(grid.widths.max())
+                diagonal = side * float(np.linalg.norm(grid.widths / side))
+        padding = 0.5 * diagonal
+    if padding < 0:
+        raise PreconditionError(f"padding must be nonnegative, got {padding}")
+    if not math.isfinite(padding):
+        raise CapacityError(f"padding {padding} is not finite: the boxes are too wide")
+    return padding
+
+
 def build_transition_graph(system, grid, map_time, padding=None, samples_per_axis=3):
     """Sample the time map on every box and assemble the transition graph.
 
     padding defaults to half the box diagonal, which makes the edge set an
     outer approximation of the true time map for modestly curved flows.
     """
-    if map_time < system.step:
-        raise PreconditionError(
-            f"map_time must be at least one integrator step ({system.step}), got {map_time}")
-    if padding is None:
-        padding = 0.5 * float(np.linalg.norm(grid.widths))
-    if padding < 0:
-        raise PreconditionError(f"padding must be nonnegative, got {padding}")
+    padding = _checked_padding(system, grid, map_time, padding)
     ids = np.arange(grid.n_boxes, dtype=np.int64)
     src, dst = _image_pairs(system, grid, ids, map_time, padding, samples_per_axis)
     return TransitionGraph(grid, map_time, padding, samples_per_axis, src, dst)
@@ -231,11 +247,7 @@ def build_transition_graph(system, grid, map_time, padding=None, samples_per_axi
 
 def box_image(system, grid, box, map_time, padding=None, samples_per_axis=3):
     """The target boxes of a single box, as a BoxSet; may include EXIT."""
-    if map_time < system.step:
-        raise PreconditionError(
-            f"map_time must be at least one integrator step ({system.step}), got {map_time}")
-    if padding is None:
-        padding = 0.5 * float(np.linalg.norm(grid.widths))
+    padding = _checked_padding(system, grid, map_time, padding)
     ids = np.asarray([box], dtype=np.int64)
     _, dst = _image_pairs(system, grid, ids, map_time, padding, samples_per_axis)
     return BoxSet(dst)

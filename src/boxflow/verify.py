@@ -21,15 +21,15 @@ from .flows import _advance
 from .grid import BoxSet, build_grid, sample_in_boxes
 from .jsonio import boolean, load_json, mapping, number, string, write_json
 from .lyapunov import (CenterTable, Filtration, LyapunovParams, _QuotientSamples,
-                       _ordered_sum, _profile_g, _renewal_from_rho, _renewal_steps,
-                       complete_lyapunov, extract_filtration, morse_lyapunov,
-                       pair_lyapunov, sup_envelope)
-from .pairs import (BASEPOINT, IndexPair, build_index_pair, regularity_check,
+                       _envelope_steps, _ordered_sum, _profile_g, _renewal_from_rho,
+                       _renewal_steps, complete_lyapunov, extract_filtration,
+                       morse_lyapunov, pair_lyapunov)
+from .pairs import (IndexPair, build_index_pair, regularity_check,
                     retraction_check, validate_index_pair, _exit_times_batch,
                     _march_quotient)
-from .recurrence import (chain_recurrent_boxes, check_R_equals_intersection,
-                         enumerate_ar_pairs, ar_regions_in_pair,
-                         epsilon_chain_oracle, morse_graph)
+from .recurrence import (_within_classes, chain_recurrent_boxes,
+                         check_R_equals_intersection, enumerate_ar_pairs,
+                         ar_regions_in_pair, epsilon_chain_oracle, morse_graph)
 from .transition import EXIT, TransitionGraph, build_transition_graph, invariant_part
 
 
@@ -243,7 +243,6 @@ def _recurrence_checks(grid, graph, inv, mg, region, add):
 
     src, dst = graph.edge_arrays()
     inv_mask = inv.mask(grid.n_boxes)
-    inv_ids = inv.ids.tolist()
     fwd_viol = 0
     for ar in pairs:
         if not ar.attractor:
@@ -252,12 +251,8 @@ def _recurrence_checks(grid, graph, inv, mg, region, add):
         # that other classes also feed into, so test the forward-reach classes
         # of the targets rather than membership in the attractor itself
         reach_ok = np.zeros(grid.n_boxes, dtype=bool)
-        for b in inv_ids:
-            k = mg.class_of(b)
-            if k is not None:
-                reach_ok[b] = k in ar.down_set
-            else:
-                reach_ok[b] = mg.reach_classes(b) <= ar.down_set
+        reach_ok[mg._inv_ids] = _within_classes(mg._class_of_local, mg._reach_bits,
+                                                ar.down_set)
         a_mask = ar.attractor.mask(grid.n_boxes)
         sel = a_mask[src] & (dst >= 0) & inv_mask[np.maximum(dst, 0)]
         fwd_viol += int((sel & ~reach_ok[np.maximum(dst, 0)]).sum())
@@ -367,18 +362,23 @@ def _g_along_orbits(field, rhos, ks):
 
 
 def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, add):
-    """The renewal, monotone and strict-decrease checks of fields, all fields of pair.
+    """The fixed-point, renewal, monotone and strict-decrease checks of
+    fields, which are all fields of pair.
 
     The samples of every field are drawn first, in the order the checks
     list them, and then marched together in one _march_quotient long
     enough for each check; ρ of each profile is evaluated once per field
-    over that field's samples.
+    over that field's samples.  The envelope h at a fixed-point sample and
+    at its one-step image is read off the windows of samples [0, n_env]
+    and [1, 1 + n_env] of that march.
     """
     dt = params.dt
     t_probes = (0.5, 1.0, 2.0)
     probe_ks = [int(round(t / dt)) for t in t_probes]
     k_renew = _renewal_steps(params, 1.0)
     k_strict = int(round(1.0 / dt))
+    n_env = _envelope_steps(params.t_max + params.settle, dt)
+    fixed = [sample_in_boxes(rng, grid, pair.core, 4)[1] for _ in fields]
     renew = [sample_in_boxes(rng, grid, pair.core, 4)[1] for _ in fields]
     mono = [sample_in_boxes(rng, grid, pair.core, 40)[1] for _ in fields]
     strict = []
@@ -391,12 +391,15 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
         strict.append(sample_in_boxes(rng, grid, cand, 30)[1] if cand
                       else np.empty((0, grid.dimension)))
 
-    per_field = list(zip(renew, mono, strict))
+    per_field = list(zip(fixed, renew, mono, strict))
     _, n_total = params.steps()
     positions, absorbed = _march_quotient(
         system, pair, np.concatenate([pts for parts in per_field for pts in parts]),
-        n_total + max(k_renew, max(probe_ks), k_strict), dt)
+        max(n_total + max(k_renew, max(probe_ks), k_strict), 1 + n_env), dt)
 
+    fixed_worst = 0.0
+    fixed_evaluated = 0
+    fixed_skipped = 0
     renew_worst = 0.0
     renew_count = 0
     max_inc = 0.0
@@ -406,17 +409,29 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
     tested = 0
     min_dec = math.inf
     start = 0
-    for field, (renew_pts, mono_pts, strict_pts) in zip(fields, per_field):
-        a = renew_pts.shape[0]
+    for field, (fixed_pts, renew_pts, mono_pts, strict_pts) in zip(fields, per_field):
+        f = fixed_pts.shape[0]
+        a = f + renew_pts.shape[0]
         b = a + mono_pts.shape[0]
         cols = slice(start, start + b + strict_pts.shape[0])
         start = cols.stop
         samples = _QuotientSamples(pair, positions[:, cols], absorbed[:, cols])
         rhos = [samples.rho(rho_fn) for _, rho_fn in field.profiles]
 
-        res = _renewal_from_rho(field, [v[:n_total + k_renew + 1, :a] for v in rhos], k_renew)
+        for p in sorted({0, len(field.profiles) - 1}):
+            rho_fn = field.profiles[p][1]
+            h, conv = (out[:f] for out in samples.envelope(rho_fn, 0, n_env, rhos[p]))
+            h1, c1 = (out[:f] for out in samples.envelope(rho_fn, 1, n_env, rhos[p]))
+            ok = conv & c1
+            fixed_skipped += int((~ok).sum())
+            fixed_evaluated += int(ok.sum())
+            if ok.any():
+                res = np.abs(h[ok] - np.maximum(rho_fn(fixed_pts[ok]), h1[ok]))
+                fixed_worst = max(fixed_worst, float(res.max()))
+
+        res = _renewal_from_rho(field, [v[:n_total + k_renew + 1, f:a] for v in rhos], k_renew)
         renew_worst = max(renew_worst, float(res.max()))
-        renew_count += a
+        renew_count += renew_pts.shape[0]
 
         g0, probes = _g_along_orbits(field, [v[:, a:b] for v in rhos], probe_ks)
         for gt in probes:
@@ -432,6 +447,10 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
             min_dec = min(min_dec, float(dec.min()))
             tested += strict_pts.shape[0]
 
+    add("lyapunov_fixed_point", fixed_worst <= 1e-6, True,
+        {"evaluations": fixed_evaluated, "skipped_unconverged": fixed_skipped,
+         "max_residual": fixed_worst}, 1e-6,
+        "envelope satisfies h(x) = max(rho(x), h after one step)")
     add("lyapunov_renewal", renew_worst < 2e-3, True,
         {"evaluations": renew_count, "max_residual": renew_worst}, 2e-3,
         "discounted average satisfies its renewal identity at t = 1")
@@ -452,35 +471,6 @@ def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
                      "lyapunov_strict_decrease", "lyapunov_levels"):
             add(name, True, False, {}, None, "no Lyapunov fields available")
         return
-
-    dt = params.dt
-    horizon = params.t_max + params.settle
-    worst = 0.0
-    evaluated = 0
-    skipped = 0
-    for field in fields:
-        profs = {0: field.profiles[0], len(field.profiles) - 1: field.profiles[-1]}
-        _, pts = sample_in_boxes(rng, grid, field.pair.core, 4)
-        n = pts.shape[0]
-        positions, absorbed = _march_quotient(system, pair, pts, 1, dt)
-        nxt, live = positions[1], ~absorbed[1]
-        for _, (_, rho_fn) in sorted(profs.items()):
-            h, conv = sup_envelope(system, pair, rho_fn, np.concatenate([pts, nxt[live]]),
-                                   dt=dt, horizon=horizon)
-            h1 = np.zeros(n)
-            c1 = np.ones(n, dtype=bool)
-            h1[live] = h[n:]
-            c1[live] = conv[n:]
-            ok = conv[:n] & c1
-            skipped += int((~ok).sum())
-            evaluated += int(ok.sum())
-            if ok.any():
-                res = np.abs(h[:n][ok] - np.maximum(rho_fn(pts[ok]), h1[ok]))
-                worst = max(worst, float(res.max()))
-    add("lyapunov_fixed_point", worst <= 1e-6, True,
-        {"evaluations": evaluated, "skipped_unconverged": skipped,
-         "max_residual": worst}, 1e-6,
-        "envelope satisfies h(x) = max(rho(x), h after one step)")
 
     _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, add)
 

@@ -233,10 +233,40 @@ def _g_along_orbits_oracle(system, field, pts, ks, dt):
 
 
 def _orbit_checks_oracle(system, grid, pair, fields, ar_first, recurrent, params, rng, add):
-    """verify's renewal, monotone and strict-decrease checks on per-check
-    marches: renewal_residual marches each field's samples, and each probe
-    set is marched, then evaluated on marches of its own."""
+    """verify's fixed-point, renewal, monotone and strict-decrease checks on
+    per-check marches: one sup_envelope per profile marches the fixed-point
+    samples and their one-step images, renewal_residual marches each
+    field's samples, and each probe set is marched, then evaluated on
+    marches of its own."""
     dt = params.dt
+    horizon = params.t_max + params.settle
+    worst = 0.0
+    evaluated = 0
+    skipped = 0
+    for field in fields:
+        profs = {0: field.profiles[0], len(field.profiles) - 1: field.profiles[-1]}
+        _, pts = bfgrid.sample_in_boxes(rng, grid, field.pair.core, 4)
+        n = pts.shape[0]
+        positions, absorbed = _march_quotient(system, pair, pts, 1, dt)
+        nxt, live = positions[1], ~absorbed[1]
+        for _, (_, rho_fn) in sorted(profs.items()):
+            h, conv = bf.sup_envelope(system, pair, rho_fn, np.concatenate([pts, nxt[live]]),
+                                      dt=dt, horizon=horizon)
+            h1 = np.zeros(n)
+            c1 = np.ones(n, dtype=bool)
+            h1[live] = h[n:]
+            c1[live] = conv[n:]
+            ok = conv[:n] & c1
+            skipped += int((~ok).sum())
+            evaluated += int(ok.sum())
+            if ok.any():
+                res = np.abs(h[:n][ok] - np.maximum(rho_fn(pts[ok]), h1[ok]))
+                worst = max(worst, float(res.max()))
+    add("lyapunov_fixed_point", worst <= 1e-6, True,
+        {"evaluations": evaluated, "skipped_unconverged": skipped,
+         "max_residual": worst}, 1e-6,
+        "envelope satisfies h(x) = max(rho(x), h after one step)")
+
     worst = 0.0
     count = 0
     for field in fields:
@@ -318,3 +348,16 @@ def _connecting_oracle(mg):
             frozenset(int(k) for k in np.flatnonzero(mg._reach_bits[:, i]) + 1),
             frozenset(int(k) for k in np.flatnonzero(mg._coreach_bits[:, i]) + 1))
     return out
+
+
+def _reach_ok_oracle(mg, down_set):
+    """verify's mask of the invariant boxes whose forward-reach classes lie
+    in down_set, one class_of or reach_classes call per box."""
+    reach_ok = np.zeros(mg.graph.grid.n_boxes, dtype=bool)
+    for b in mg.invariant.ids.tolist():
+        k = mg.class_of(b)
+        if k is not None:
+            reach_ok[b] = k in down_set
+        else:
+            reach_ok[b] = mg.reach_classes(b) <= down_set
+    return reach_ok

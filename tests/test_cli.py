@@ -325,3 +325,21 @@ def test_a_march_that_blows_up_exits_1_naming_the_time(tmp_path):
     assert "non-finite values at t=0.01" in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "x" / "graph.json").exists()
+
+
+def test_a_domain_of_very_wide_boxes_gets_a_finite_default_padding(tmp_path):
+    # x' = −x on [0.5, 1e160]: half the box diagonal overflows unless it is
+    # rescaled, and the graph.json the run writes must load back
+    system = tmp_path / "wide.json"
+    system.write_text(json.dumps({
+        "field": [{"coeffs": [-1.0], "exponents": [1]}], "dimension": 1,
+        "domain": [[0.5, 1e160]], "name": "wide"}))
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "boxflow",
+                           "analyze", "--system-file", str(system), "--depth", "8",
+                           "--out", str(tmp_path / "x")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    graph = bf.TransitionGraph.from_json(str(tmp_path / "x" / "graph.json"))
+    assert graph.padding == 6.25e158
+    assert graph.targets_of(7).tolist() == [2, 3]

@@ -139,6 +139,53 @@ def test_batched_sup_envelope_equals_the_single_point_oracle(envelope_cases, cas
     assert one == expected[20] and isinstance(one[0], float)
 
 
+@pytest.mark.parametrize("case", ["zero-set", "horizon", "absorbed", "escape"])
+def test_window_envelopes_equal_sup_envelope_at_the_points_and_their_images(envelope_cases,
+                                                                            case):
+    system, pair, rho_fn, horizon = envelope_cases[case]
+    dt = 0.05
+    n = int(math.ceil(horizon / dt - 1e-9))
+    lo, hi = system.domain[0]
+    pts = np.linspace(lo - 0.05, hi + 0.05, 41)[:, None]
+    positions, absorbed = _march_quotient(system, pair, pts, 1 + n, dt)
+    samples = _QuotientSamples(pair, positions, absorbed)
+    for k in (0, 1):
+        h, converged = samples.envelope(rho_fn, k, n)
+        live = ~absorbed[k]
+        ref_h, ref_c = bf.sup_envelope(system, pair, rho_fn, positions[k][live],
+                                       dt=dt, horizon=horizon)
+        np.testing.assert_array_equal(h[live], ref_h)
+        np.testing.assert_array_equal(converged[live], ref_c)
+        one = [_sup_envelope_oracle(system, pair, rho_fn, x, dt=dt, horizon=horizon)
+               for x in positions[k][live]]
+        np.testing.assert_array_equal(h[live], [e[0] for e in one])
+        np.testing.assert_array_equal(converged[live], [e[1] for e in one])
+        # an absorbed image has h = 0 and counts as converged
+        np.testing.assert_array_equal(h[~live], 0.0)
+        assert converged[~live].all()
+    assert live.any() and (~live).any()
+
+
+def test_window_envelopes_ignore_samples_after_the_zero_set_entry():
+    # the saddle pushes orbits out of a zero set flagged forward closed, so
+    # the samples after the first entry carry ρ > 0 and must not count
+    system = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(system.domain, (64,))
+    pair = bf.IndexPair.from_boxes(grid, grid.all_boxes().ids, [])
+    rho_fn = bf.make_rho(pair, BoxSet([30, 31, 32, 33]), BoxSet([0, 1, 62, 63]))
+    rho_fn.zero_forward_closed = True
+    pts = np.linspace(-0.1, 0.1, 9)[:, None]
+    positions, absorbed = _march_quotient(system, pair, pts, 1 + 40, 0.05)
+    samples = _QuotientSamples(pair, positions, absorbed)
+    everything = samples.rho(rho_fn)
+    for k in (0, 1):
+        h, converged = samples.envelope(rho_fn, k, 40)
+        one = [_sup_envelope_oracle(system, pair, rho_fn, x, horizon=2.0) for x in positions[k]]
+        np.testing.assert_array_equal(h, [e[0] for e in one])
+        np.testing.assert_array_equal(converged, [e[1] for e in one])
+        assert (h < everything[k:k + 41].max(axis=0)).any()
+
+
 def test_batched_sup_envelope_with_no_row_in_the_core(envelope_cases):
     system, pair, rho_fn, _ = envelope_cases["absorbed"]
     h, converged = bf.sup_envelope(system, pair, rho_fn, np.array([[-0.49], [0.9]]))

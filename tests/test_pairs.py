@@ -212,6 +212,20 @@ def test_exit_times_batch_equals_the_per_row_oracle(saddle, window_pair, doublew
         ref = [_exit_time_oracle(system, pair, x, dt, horizon) for x in xs]
         np.testing.assert_array_equal(got, ref)
         assert np.isinf(got).any() and np.isfinite(got).any()
+    # x' = x carries 0.9999 and -0.99995 out of the domain within the first
+    # step, from a start inside closure(N−L)
+    first = np.array([[0.9999], [-0.99995], [0.3]])
+    got = _exit_times_batch(saddle.system, saddle.hand_pair, first, dt, horizon)
+    ref = [_exit_time_oracle(saddle.system, saddle.hand_pair, x, dt, horizon) for x in first]
+    np.testing.assert_array_equal(got, ref)
+    assert (0 < got[:2]).all() and (got[:2] < dt).all() and got[2] > dt
+    # a batch of L rows marches no row
+    for pair, xs in ((with_l, [[-0.99], [0.99]]), (window_pair, [[-0.49], [0.48], [0.497]])):
+        xs = np.array(xs)
+        got = _exit_times_batch(saddle.system, pair, xs, dt, horizon)
+        np.testing.assert_array_equal(got, np.zeros(len(xs)))
+        np.testing.assert_array_equal(
+            got, [_exit_time_oracle(saddle.system, pair, x, dt, horizon) for x in xs])
 
 
 def test_retraction_check_equals_the_per_sample_oracle(saddle, window_pair, doublewell):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import boxflow as bf
-from boxflow.errors import IngestionError
+from boxflow.errors import CapacityError, IngestionError
 from boxflow.flows import _advance, polynomial_field
 from boxflow.grid import BoxSet
 from boxflow.jsonio import write_json
@@ -67,6 +67,48 @@ def test_box_image_matches_graph_row():
     for b in (2, 15, 29):
         assert set(box_image(system, grid, b, 1.0).ids.tolist()) \
             == set(graph.targets_of(b).tolist())
+
+
+def test_a_huge_padding_covers_every_box_like_a_large_one():
+    # floor((img ± padding − lo)/widths) is clipped before the int64 cast,
+    # so a padding of 1e300 cannot wrap to INT64_MIN and land on box 0
+    system = bf.builtin_system("doublewell1d")
+    grid = bf.build_grid(system.domain, (8,))
+    huge = bf.build_transition_graph(system, grid, 1.0, 1e300)
+    large = bf.build_transition_graph(system, grid, 1.0, 100.0)
+    assert large.n_edges == 64
+    for a, b in zip(huge.edge_arrays(), large.edge_arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_the_default_padding_of_very_wide_boxes_is_finite():
+    # 0.5·|widths| overflows for boxes 1.25e159 wide; the half diagonal is
+    # rescaled instead, in the graph build and in box_image alike
+    system = bf.FlowSystem(dimension=1, field=polynomial_field(
+        [{"coeffs": [-1.0], "exponents": [1]}], 1), domain=[[0.5, 1e160]], name="wide")
+    grid = bf.build_grid(system.domain, (8,))
+    graph = bf.build_transition_graph(system, grid, 1.0)
+    assert graph.padding == 0.5 * float(grid.widths[0])
+    assert graph.targets_of(7).tolist() == [2, 3]
+    for b in (0, 5, 7):
+        assert box_image(system, grid, b, 1.0).ids.tolist() == graph.targets_of(b).tolist()
+    plane = bf.FlowSystem(dimension=2, field=polynomial_field(
+        [{"coeffs": [-1.0, 0.0], "exponents": [1, 0]},
+         {"coeffs": [0.0, -1.0], "exponents": [0, 1]}], 2),
+        domain=[[0.5, 1e160], [0.5, 1e160]], name="wide-plane")
+    grid = bf.build_grid(plane.domain, (4, 4))
+    padding = bf.build_transition_graph(plane, grid, 1.0).padding
+    assert padding == 0.5 * float(grid.widths[0]) * float(np.linalg.norm([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("padding", [math.inf, math.nan])
+def test_a_padding_that_is_not_finite_is_refused(padding):
+    system = bf.builtin_system("doublewell1d")
+    grid = bf.build_grid(system.domain, (8,))
+    with pytest.raises(CapacityError, match="not finite"):
+        bf.build_transition_graph(system, grid, 1.0, padding)
+    with pytest.raises(CapacityError, match="not finite"):
+        box_image(system, grid, 3, 1.0, padding)
 
 
 def test_build_is_deterministic():

@@ -8,9 +8,10 @@ import pytest
 import boxflow as bf
 from boxflow import verify
 from boxflow.errors import IngestionError
+from boxflow.recurrence import _within_classes
 from boxflow.verify import CheckResult, _clean
 
-from conftest import _orbit_checks_oracle
+from conftest import _bundle, _orbit_checks_oracle, _reach_ok_oracle
 
 CHECK_NAMES = [
     "flow_semigroup", "flow_equilibria", "flow_determinism",
@@ -128,3 +129,33 @@ def test_suite_equals_the_per_check_march_oracle(monkeypatch, name, depth, seed)
     for builder in ("pair_lyapunov", "morse_lyapunov", "complete_lyapunov"):
         monkeypatch.setattr(verify, builder, _built_alone(getattr(verify, builder)))
     assert bf.run_suite(system, depth, seed=seed).to_dict() == shared
+
+
+@pytest.mark.parametrize("name,depth", [("hopf2d", (32, 32)), ("doublewell1d", (256,)),
+                                        ("gradient2d", (16, 16))])
+def test_attractor_edge_violations_equal_the_per_box_loop(name, depth):
+    b = _bundle(name, depth)
+    measured = {}
+
+    def add(check, passed, applicable, values, tolerance, detail):
+        measured[check] = values
+    verify._recurrence_checks(b.grid, b.graph, b.mg.invariant, b.mg, b.region, add)
+
+    src, dst = b.graph.edge_arrays()
+    inv_mask = b.mg.invariant.mask(b.grid.n_boxes)
+    expected = 0
+    connecting_ok = set()
+    for ar in bf.enumerate_ar_pairs(b.mg, b.graph, b.region):
+        if not ar.attractor:
+            continue
+        reach_ok = _reach_ok_oracle(b.mg, ar.down_set)
+        np.testing.assert_array_equal(
+            reach_ok[b.mg._inv_ids],
+            _within_classes(b.mg._class_of_local, b.mg._reach_bits, ar.down_set))
+        connecting_ok.update(reach_ok[list(b.mg.connecting)].tolist())
+        sel = ar.attractor.mask(b.grid.n_boxes)[src] & (dst >= 0) & inv_mask[np.maximum(dst, 0)]
+        expected += int((sel & ~reach_ok[np.maximum(dst, 0)]).sum())
+    assert measured["attractor_forward_invariance"]["edge_violations"] == expected
+    if name == "doublewell1d":
+        # connecting boxes take both verdicts, so their class bits are exercised
+        assert connecting_ok == {True, False}
