@@ -26,11 +26,16 @@ MAX_MARCH_VALUES = 2 ** 25
 def ingest_domain(values, what):
     """The float array of a domain read from outside the program.
 
-    Every bound must be a finite JSON number; the (d, 2) shape and low <
-    high are the preconditions of the grid or system built from it.
+    Every bound must be a finite JSON number, and every [low, high] pair
+    must span a finite width high - low; the (d, 2) shape and low < high
+    are the preconditions of the grid or system built from it.
     """
-    return np.array([[number(v, f"{what} domain") for v in row] for row in values],
-                    dtype=float)
+    rows = [[number(v, f"{what} domain") for v in row] for row in values]
+    for axis, row in enumerate(rows):
+        if len(row) == 2 and not math.isfinite(row[1] - row[0]):
+            raise IngestionError(f"{what} domain axis {axis} {row} has no finite "
+                                 f"width high - low")
+    return np.array(rows, dtype=float)
 
 
 def sample_in_boxes(rng, grid, boxset, n):
@@ -122,6 +127,11 @@ class BoxGrid:
             raise PreconditionError(f"every axis needs at least one box, got {self.shape}")
         if (self.domain[:, 0] >= self.domain[:, 1]).any():
             raise PreconditionError("each domain axis needs low < high")
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = np.flatnonzero(~np.isfinite(self.domain[:, 1] - self.domain[:, 0]))
+        if wide.size:
+            raise PreconditionError(f"domain axis {wide[0]} {self.domain[wide[0]].tolist()} "
+                                    f"has no finite width high - low")
         n = 1
         for s in self.shape:
             n *= s

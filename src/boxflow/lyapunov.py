@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .distances import BoxSetDistance, boxset_min_distance
+from .distances import BoxSetDistance, QueryBoxes, boxset_min_distance
 from .errors import (CapacityError, FiltrationError, IngestionError,
                      PreconditionError, RegionOverlapError)
 from .grid import BoxSet, sample_in_boxes
@@ -91,7 +91,7 @@ class RhoFunction:
         return bool(np.isin(dst[sel], boxes.ids).all())
 
     def __call__(self, points, boxes=None, dL=None):
-        """ρ at points; boxes (their box_of ids) and dL (their distances to
+        """ρ at points; boxes (their QueryBoxes) and dL (their distances to
         L) are computed here unless the caller shares them."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
@@ -102,7 +102,7 @@ class RhoFunction:
             out = np.ones(pts.shape[0])
         else:
             if boxes is None:
-                boxes = self.pair.grid.box_of(pts)
+                boxes = QueryBoxes(self.pair.grid, pts)
             dZ = self._dZ(pts, boxes)
             dR = self._dR(pts, boxes)
             if self.uses_L:
@@ -175,8 +175,9 @@ class _QuotientSamples:
     """ρ of any profile of a pair at the samples of one quotient march.
 
     positions and absorbed are the two arrays of _march_quotient.  The box
-    ids of the live samples and their distances to the L-boxes of the
-    pair, which every profile of the pair shares, are computed once.
+    ids of the live samples, their grouping by box (QueryBoxes, made at the
+    first ρ) and their distances to the L-boxes of the pair, which every
+    profile of the pair shares, are computed once.
     Absorbed samples are not evaluated and get ρ = 0.
     """
 
@@ -186,15 +187,19 @@ class _QuotientSamples:
         self.n_boxes = pair.grid.n_boxes
         self.live = ~absorbed.ravel()
         self.points = positions.reshape(-1, d)[self.live]
+        self.grid = pair.grid
         self.boxes = pair.grid.box_of(self.points)
+        self._query = None
         self._dL = None
 
     def rho(self, rho_fn):
         """ρ at every sample, shape (n_steps + 1, m)."""
+        if self._query is None:
+            self._query = QueryBoxes(self.grid, self.points, self.boxes)
         if rho_fn.uses_L and self._dL is None:
-            self._dL = rho_fn._dL(self.points, self.boxes)
+            self._dL = rho_fn._dL(self.points, self._query)
         vals = np.zeros(self.live.size)
-        vals[self.live] = rho_fn(self.points, self.boxes, self._dL)
+        vals[self.live] = rho_fn(self.points, self._query, self._dL)
         return vals.reshape(self.shape)
 
     def envelope(self, rho_fn, k, n, vals=None):

@@ -343,3 +343,22 @@ def test_a_domain_of_very_wide_boxes_gets_a_finite_default_padding(tmp_path):
     graph = bf.TransitionGraph.from_json(str(tmp_path / "x" / "graph.json"))
     assert graph.padding == 6.25e158
     assert graph.targets_of(7).tolist() == [2, 3]
+
+
+def test_a_domain_whose_width_overflows_exits_2(tmp_path):
+    # x' = −x on [-1e308, 1e308]: high - low is inf, so the lattice points
+    # would be inf − inf; the file is refused before any arithmetic warns
+    system = tmp_path / "huge.json"
+    system.write_text(json.dumps({
+        "field": [{"coeffs": [-1.0], "exponents": [1]}], "dimension": 1,
+        "domain": [[-1e308, 1e308]], "name": "huge"}))
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    for padding in ([], ["--padding", "1"]):
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "boxflow",
+                               "analyze", "--system-file", str(system), "--depth", "8",
+                               *padding, "--out", str(tmp_path / "x")],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2, done.stderr
+        assert "domain axis 0 [-1e+308, 1e+308] has no finite width" in done.stderr
+        assert "Traceback" not in done.stderr

@@ -132,3 +132,11 @@ def test_grid_validation():
         BoxGrid(np.array([[1.0, -1.0]]), (4,))
     with pytest.raises(PreconditionError):
         bf.build_grid([(-1.0, 1.0)], (0,))
+
+
+@pytest.mark.parametrize("axis", [[-1e308, 1e308], [-np.inf, 0.0], [np.nan, 1.0]])
+def test_a_domain_without_a_finite_width_is_refused(axis):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="axis 1 .* has no finite width"):
+            BoxGrid(np.array([[0.0, 1.0], axis]), (4, 4))

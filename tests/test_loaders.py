@@ -48,6 +48,8 @@ PAIR_FILES = {
     "negative shape": (_grid(shape=[-1]), "shape must be positive"),
     "nan domain": (_grid(domain=[[float("nan"), 1.0]]), "domain must be a finite number"),
     "low above high": (_grid(domain=[[1.0, -1.0]]), "needs low < high"),
+    "overflowing width": (_grid(domain=[[-1e308, 1e308]]),
+                          "domain axis 0 [-1e+308, 1e+308] has no finite width"),
     "L outside N": (_edit(PAIR, N=[1, 2], L=[3]), "L must be a subset of N"),
     "other domain": (_grid(domain=[[-2.0, 2.0]]),
                      "grid (8,) on [[-2.0, 2.0]] does not match the configured grid "
@@ -57,6 +59,8 @@ PAIR_FILES = {
 SYSTEM_FILES = {
     "domain string": (_edit({"field": "saddle1d"}, domain="x"),
                       "domain must be a finite number"),
+    "overflowing width": (_edit({"field": TERMS, "dimension": 1, "domain": [[-1e308, 1e308]]}),
+                          "domain axis 0 [-1e+308, 1e+308] has no finite width"),
     "step string": (_edit({"field": "saddle1d"}, step="abc"), "step must be a finite number"),
     "step true": (_edit({"field": "saddle1d"}, step=True), "step must be a finite number"),
     "dimension true": (_edit({"field": TERMS, "domain": [[-1.0, 1.0]]}, dimension=True),

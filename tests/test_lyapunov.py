@@ -393,7 +393,7 @@ def _brute_rho_distances(monkeypatch):
         out = _brute_distance(self.grid, self.boxset, np.atleast_2d(pts))
         return float(out[0]) if pts.ndim == 1 else out
 
-    def brute_min(grid, first, second, k=32):
+    def brute_min(grid, first, second):
         return _brute_gap(grid, first, second) if first and second else np.inf
 
     monkeypatch.setattr(bf.BoxSetDistance, "__call__", brute_call)

@@ -245,6 +245,13 @@ def test_importing_the_package_does_not_load_networkx():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_importing_the_package_does_not_load_scipy_spatial():
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    code = "import boxflow, sys; assert 'scipy.spatial' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_connecting_boxes_equal_the_per_box_loop(doublewell):
     mg = _bundle("hopf2d", (32, 32)).mg
     assert len(mg.connecting) > 0
