@@ -16,12 +16,12 @@ import numpy as np
 from .errors import (BoxflowError, CapacityError, CatalogError, ConfigError,
                      FiltrationError, IngestionError, SelectionError)
 from .flows import builtin_names, builtin_system, load_system
-from .grid import build_grid
+from .grid import BoxSet, build_grid
 from .jsonio import csv_text, load_json, number, positive, string, write_json
-from .lyapunov import (LyapunovParams, complete_lyapunov, extract_filtration,
+from .lyapunov import (Filtration, LyapunovParams, complete_lyapunov, extract_filtration,
                        morse_lyapunov, pair_lyapunov)
 from .pairs import IndexPair, build_index_pair, validate_index_pair
-from .recurrence import (ar_regions_in_pair, enumerate_ar_pairs, morse_graph)
+from .recurrence import ar_regions_in_pair, enumerate_ar_pairs, morse_graph
 from .transition import build_transition_graph
 from .verify import run_suite
 
@@ -179,15 +179,17 @@ def _plot_csv(field):
 
 def cmd_lyapunov(config, construction="morse", pair_index=None):
     """Compute one Lyapunov field and write CSV, JSON, and plot data."""
+    if pair_index is not None and construction != "pair":
+        raise SelectionError(f"--pair-index picks a pair of --construction pair, "
+                             f"not of {construction}")
     system, grid = _prepare(config)
     graph = build_transition_graph(system, grid, config.map_time, config.padding)
-    region = grid.all_boxes()
-    mg = morse_graph(graph, region)
+    mg = morse_graph(graph, grid.all_boxes())
     pair = build_index_pair(mg)
     params = LyapunovParams(dt=config.dt, t_max=config.t_max)
 
     if construction == "pair":
-        pairs = enumerate_ar_pairs(mg, graph, region)
+        pairs = enumerate_ar_pairs(mg)
         labels = [sorted(ar.down_set) for ar in pairs]
         if pair_index is None:
             proper = [i for i, ar in enumerate(pairs)
@@ -197,12 +199,12 @@ def cmd_lyapunov(config, construction="morse", pair_index=None):
             raise SelectionError(
                 f"pair index {pair_index} is out of range; valid pairs are "
                 + ", ".join(f"{i} (down-set {lab})" for i, lab in enumerate(labels)))
-        ar = ar_regions_in_pair(mg, graph, region, pairs[pair_index].down_set)
+        ar = ar_regions_in_pair(mg, pairs[pair_index].down_set)
         field = pair_lyapunov(system, pair, ar, params, graph=graph)
     elif construction == "morse":
         field = morse_lyapunov(system, pair, mg, params)
     elif construction == "complete":
-        field = complete_lyapunov(system, pair, mg, graph, params)
+        field = complete_lyapunov(system, pair, mg, params)
     else:
         raise SelectionError(
             f"unknown construction {construction!r}; pick pair, morse, or complete")
@@ -225,18 +227,13 @@ def cmd_filtration(config):
     """Extract a regular index filtration; fail loudly naming the level."""
     system, grid = _prepare(config)
     graph = build_transition_graph(system, grid, config.map_time, config.padding)
-    region = grid.all_boxes()
-    mg = morse_graph(graph, region)
+    mg = morse_graph(graph, grid.all_boxes())
     out = config.out
-    if not mg.invariant:
-        _write_json(os.path.join(out, "filtration.json"),
-                    {"n": 0, "levels": [], "thresholds": []})
-        print("empty invariant part: trivial filtration with 0 levels")
-        return 0
     if mg.n == 0:
-        _write_json(os.path.join(out, "filtration.json"),
-                    {"n": 0, "levels": [], "thresholds": []})
-        print("no recurrent classes: trivial filtration with 0 levels")
+        trivial = Filtration(levels=[], thresholds=[], pair=IndexPair(grid, BoxSet(), BoxSet()))
+        _atomic(os.path.join(out, "filtration.json"), trivial.to_json)
+        reason = "no recurrent classes" if mg.invariant else "empty invariant part"
+        print(f"{reason}: trivial filtration with 0 levels")
         return 0
 
     pair = build_index_pair(mg)
@@ -244,7 +241,7 @@ def cmd_filtration(config):
     field = morse_lyapunov(system, pair, mg, params)
     rng = np.random.default_rng(config.seed)
     try:
-        filtration, report = extract_filtration(system, field, pair, graph, rng=rng)
+        filtration, report = extract_filtration(system, field, rng=rng)
     except FiltrationError as exc:
         print(f"filtration failed at level {exc.level}: {exc}", file=sys.stderr)
         return 1

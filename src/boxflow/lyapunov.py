@@ -172,45 +172,65 @@ def _suffix_max(vals):
 
 
 class _QuotientSamples:
-    """ρ of any profile of a pair at the samples of one quotient march.
+    """ρ, envelopes, g and renewal residuals of the profiles of a pair, read
+    off the samples of one quotient march.
 
     positions and absorbed are the two arrays of _march_quotient.  The box
     ids of the live samples, their grouping by box (QueryBoxes, made at the
     first ρ) and their distances to the L-boxes of the pair, which every
-    profile of the pair shares, are computed once.
-    Absorbed samples are not evaluated and get ρ = 0.
+    profile of the pair shares, are computed once.  Absorbed samples are
+    not evaluated and get ρ = 0.  g keeps its column of each (Z, R)
+    profile, params and k for later calls.  ρ itself is kept per (Z, R)
+    only with keep_rho, for callers that read several windows of a
+    profile; otherwise one profile's ρ is held at a time.
     """
 
-    def __init__(self, pair, positions, absorbed):
+    def __init__(self, pair, positions, absorbed, keep_rho=False):
         k_samples, m, d = positions.shape
         self.shape = (k_samples, m)
         self.n_boxes = pair.grid.n_boxes
         self.live = ~absorbed.ravel()
         self.points = positions.reshape(-1, d)[self.live]
-        self.grid = pair.grid
+        self.pair = pair
         self.boxes = pair.grid.box_of(self.points)
+        self.system = self.dt = None    # known to samples made by march()
+        self.keep_rho = keep_rho
         self._query = None
         self._dL = None
+        self._rho = {}
+        self._g = {}
+
+    @classmethod
+    def march(cls, system, pair, points, n_steps, dt):
+        """The samples of one _march_quotient run of n_steps steps of dt."""
+        samples = cls(pair, *_march_quotient(system, pair, points, n_steps, dt))
+        samples.system, samples.dt = system, dt
+        return samples
 
     def rho(self, rho_fn):
         """ρ at every sample, shape (n_steps + 1, m)."""
+        key = (rho_fn.zero_set, rho_fn.one_set)
+        if key in self._rho:
+            return self._rho[key]
         if self._query is None:
-            self._query = QueryBoxes(self.grid, self.points, self.boxes)
+            self._query = QueryBoxes(self.pair.grid, self.points, self.boxes)
         if rho_fn.uses_L and self._dL is None:
             self._dL = rho_fn._dL(self.points, self._query)
         vals = np.zeros(self.live.size)
         vals[self.live] = rho_fn(self.points, self._query, self._dL)
-        return vals.reshape(self.shape)
+        vals = vals.reshape(self.shape)
+        if self.keep_rho:
+            self._rho[key] = vals
+        return vals
 
-    def envelope(self, rho_fn, k, n, vals=None):
+    def envelope(self, rho_fn, k, n):
         """sup_envelope's (h, converged) at the k-step images, horizon n steps.
 
         The march from the k-step image is this march shifted by k, so h is
         the maximum of ρ over the samples [k, k + n], up to the first entry
-        (after sample k) into a forward-closed zero set.  vals is ρ of this
-        profile from rho(), if the caller has it already.
+        (after sample k) into a forward-closed zero set.
         """
-        window = (self.rho(rho_fn) if vals is None else vals)[k:k + n + 1]
+        window = self.rho(rho_fn)[k:k + n + 1]
         # entered[i]: the row entered the zero set at a window sample in [1, i]
         entered = np.zeros(window.shape, dtype=bool)
         if rho_fn.zero_forward_closed:
@@ -223,64 +243,58 @@ class _QuotientSamples:
         h = np.where(counted, window, 0.0).max(axis=0)
         return h, entered[-1] | ~self.live.reshape(self.shape)[k + n]
 
+    def g(self, profiles, params, k=0):
+        """Σ w·g of the weighted profiles at the k-step images of the points.
 
-def _profile_g(vals, params, k=0):
-    """g of one profile at the k-step images of the marched points.
+        The march from the k-step image is this march shifted by k, so g of
+        one profile there is the quadrature over the samples [k, k + n_total]:
+        the envelope h is the running maximum to the end of that window, not
+        of the whole march.  The profiles are added in order; an image
+        already absorbed gets g = 0.
+        """
+        n_quad, n_total = params.steps()
+        columns = []
+        for _, rho_fn in profiles:
+            key = (rho_fn.zero_set, rho_fn.one_set, params, k)
+            if key not in self._g:
+                self._g[key] = _discounted_from_h(
+                    _suffix_max(self.rho(rho_fn)[k:k + n_total + 1]), n_quad, params.dt)
+            columns.append(self._g[key])
+        return _ordered_sum(np.array([w for w, _ in profiles]), np.array(columns))
 
-    vals holds ρ along marches of at least k + n_total steps.  A march
-    from the k-step image is the same march shifted by k samples, so g
-    there is the quadrature over samples [k, k + n_total]: the envelope h
-    is the running maximum to the end of that window, not of the whole
-    march.  An image already absorbed gets g = 0.
-    """
-    n_quad, n_total = params.steps()
-    return _discounted_from_h(_suffix_max(vals[k:k + n_total + 1]), n_quad, params.dt)
+    def renewal(self, field, k_t):
+        """Renewal residuals of the field at time k_t·dt, one per point.
+
+        Both sides of the identity are read off the samples [0, n_total + k_t],
+        so a longer march gives the residuals of its prefix.
+        """
+        params = field.params
+        dt = params.dt
+        n_quad, n_total = params.steps()
+        h_bar = np.zeros((n_total + k_t + 1, self.shape[1]))
+        for w, rho_fn in field.profiles:
+            h_bar += w * _suffix_max(self.rho(rho_fn)[:n_total + k_t + 1])
+
+        g0 = _discounted_from_h(h_bar, n_quad, dt)
+        gt = _discounted_from_h(h_bar[k_t:], n_quad, dt)
+        w_i, _ = _quadrature_weights(k_t, dt)
+        den = _quadrature_weights(n_quad, dt)[0].sum() + math.exp(-params.t_max)
+        integral = _ordered_sum(w_i, h_bar[:k_t + 1])
+        return np.abs(g0 - (integral / den + math.exp(-k_t * dt) * gt))
 
 
-def _evaluate_profiles(system, pair, profiles, points, params):
-    """g values of every weighted profile of the pair at a batch of points.
-
-    One march of n_total steps serves all profiles: ρ is evaluated on the
-    stored samples, the envelope h is the suffix running maximum, and g is
-    the normalized discounted quadrature with an e^{-t_max} tail term.
-    This is the path of LyapunovField.evaluate; the field builders take
-    the same values at the core centers from a CenterTable.
-    """
-    _, n_total = params.steps()
-    samples = _QuotientSamples(pair, *_march_quotient(system, pair, points, n_total, params.dt))
-    return np.array([_profile_g(samples.rho(rho_fn), params) for _, rho_fn in profiles])
-
-
-class CenterTable:
-    """g of any profile of a pair at the core box centers, from one march.
+def CenterTable(system, pair, params):
+    """The samples of one quotient march of the core box centers.
 
     The pair, Morse-sum and complete fields of one pair and one
-    LyapunovParams are weightings of g at the same centers, so a table
-    marches the centers once, and each distinct (Z, R) profile gets one
-    ρ, h and g column, which later fields reuse.  Pass one table to
-    every field builder of a pair to share it; a builder given none
-    makes its own.
+    LyapunovParams are weightings of g at the same centers, and the
+    samples keep each distinct (Z, R) profile's g column, which later
+    fields reuse.  Pass one table to every field builder of a pair to
+    share it; a builder given none makes its own.
     """
-
-    def __init__(self, system, pair, params):
-        self.system = system
-        self.pair = pair
-        self.params = params
-        _, n_total = params.steps()
-        centers = pair.grid.centers(pair.core.ids)
-        self._samples = _QuotientSamples(
-            pair, *_march_quotient(system, pair, centers, n_total, params.dt))
-        self._g = {}
-
-    def g(self, profiles):
-        """(len(profiles), core boxes) array of g, one row per profile."""
-        rows = []
-        for _, rho_fn in profiles:
-            key = (rho_fn.zero_set, rho_fn.one_set)
-            if key not in self._g:
-                self._g[key] = _profile_g(self._samples.rho(rho_fn), self.params)
-            rows.append(self._g[key])
-        return np.array(rows)
+    _, n_total = params.steps()
+    return _QuotientSamples.march(system, pair, pair.grid.centers(pair.core.ids),
+                                  n_total, params.dt)
 
 
 def _envelope_steps(horizon, dt):
@@ -299,16 +313,16 @@ def sup_envelope(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
     at the horizon is not converged, and its h is a certified lower bound.
     A row that starts outside N−L has h = 0.
 
-    The batch is one _march_quotient run read by _QuotientSamples.envelope,
-    so each row gets the same h and verdict as it would alone.
+    The batch is one quotient march read by _QuotientSamples.envelope, so
+    each row gets the same h and verdict as it would alone.
     """
     if x is BASEPOINT:
         return 0.0, True
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     n = _envelope_steps(horizon, dt)
-    samples = _QuotientSamples(pair, *_march_quotient(system, pair, np.atleast_2d(pts), n, dt))
-    h, converged = samples.envelope(rho_fn, 0, n)
+    h, converged = _QuotientSamples.march(system, pair, np.atleast_2d(pts), n, dt).envelope(
+        rho_fn, 0, n)
     if single:
         return float(h[0]), bool(converged[0])
     return h, converged
@@ -362,15 +376,19 @@ class LyapunovField:
         raise PreconditionError(f"box {box} is not in N")
 
     def evaluate(self, system, points):
-        """g at arbitrary points; points outside N−L boxes evaluate to 0."""
+        """g at arbitrary points; points outside N−L boxes evaluate to 0.
+
+        The points are marched once, and g is read off that march as the
+        field builders read it off the march of the core box centers.
+        """
         if self.profiles is None:
             raise PreconditionError(
                 "this field was loaded from disk and has no profile functions")
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        g = _evaluate_profiles(system, self.pair, self.profiles, pts, self.params)
-        out = _ordered_sum(np.array([w for w, _ in self.profiles]), g)
+        _, n_total = self.params.steps()
+        out = _QuotientSamples.march(system, self.pair, np.atleast_2d(pts), n_total,
+                                     self.params.dt).g(self.profiles, self.params)
         if single:
             return float(out[0])
         return out
@@ -434,13 +452,14 @@ def _field_from_profiles(system, pair, profiles, construction, range_hint, param
     params that other fields of the pair may share, or from a table
     made here when none is given.
     """
+    _, n_total = params.steps()
     if table is None:
         table = CenterTable(system, pair, params)
-    elif table.system is not system or table.pair != pair or table.params != params:
+    elif (table.system is not system or table.pair != pair
+          or (table.dt, table.shape[0]) != (params.dt, n_total + 1)):
         raise PreconditionError("the center table belongs to another system, pair or params")
-    values = _ordered_sum(np.array([w for w, _ in profiles]), table.g(profiles))
     return LyapunovField(pair=pair, construction=construction, boxes=pair.core.ids,
-                         values=values, range_hint=range_hint, params=params,
+                         values=table.g(profiles, params), range_hint=range_hint, params=params,
                          profiles=profiles, morse_graph=morse_graph,
                          down_set=down_set)
 
@@ -475,27 +494,27 @@ def morse_lyapunov(system, pair, mg, params=None, table=None):
     params = params or LyapunovParams()
     profiles = []
     for j in range(mg.n + 1):
-        ar = ar_regions(mg, None, None, frozenset(range(1, j + 1)))
+        ar = ar_regions(mg, frozenset(range(1, j + 1)))
         profiles.append((1.0, RhoFunction(pair, ar.attractor, ar.repeller,
                                           graph=mg.graph)))
     return _field_from_profiles(system, pair, profiles, "morse-sum",
                                 (0.0, mg.n + 1.0), params, morse_graph=mg, table=table)
 
 
-def complete_lyapunov(system, pair, mg, graph, params=None, table=None):
-    """Weighted sum 2^{-i} g_i over every attractor-repeller pair.
+def complete_lyapunov(system, pair, mg, params=None, table=None):
+    """Weighted sum 2^{-i} g_i over every attractor-repeller pair of mg.
 
     The enumeration is canonical (by down-set size, then lexicographic), so
     the value assigned to each chain recurrent class is reproducible; the
-    range is [0, 1).  table is an optional CenterTable shared with other
+    range is [0, 1).  The profiles know their zero sets forward closed or
+    not from mg.graph.  table is an optional CenterTable shared with other
     fields of the pair.
     """
     params = params or LyapunovParams()
-    pairs = enumerate_ar_pairs(mg, graph, mg.region)
     profiles = []
-    for i, ar in enumerate(pairs, start=1):
+    for i, ar in enumerate(enumerate_ar_pairs(mg), start=1):
         profiles.append((2.0 ** -i, RhoFunction(pair, ar.attractor, ar.repeller,
-                                                graph=graph)))
+                                                graph=mg.graph)))
     return _field_from_profiles(system, pair, profiles, "complete", (0.0, 1.0),
                                 params, morse_graph=mg, table=table)
 
@@ -510,7 +529,7 @@ def renewal_residual(system, field, x, t):
     (an array is returned); a batch shares one march, and each row's
     residual equals that of its own march.  The verify suite reads the
     same residual off a prefix of its one march of all check samples,
-    through _renewal_from_rho.
+    through _QuotientSamples.renewal.
     """
     if field.profiles is None:
         raise PreconditionError("field has no profile functions")
@@ -518,36 +537,14 @@ def renewal_residual(system, field, x, t):
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     _, n_total = field.params.steps()
-    samples = _QuotientSamples(field.pair, *_march_quotient(
-        system, field.pair, np.atleast_2d(pts), n_total + k_t, field.params.dt))
-    res = _renewal_from_rho(field, [samples.rho(rho_fn) for _, rho_fn in field.profiles], k_t)
+    res = _QuotientSamples.march(system, field.pair, np.atleast_2d(pts), n_total + k_t,
+                                 field.params.dt).renewal(field, k_t)
     return float(res[0]) if single else res
 
 
 def _renewal_steps(params, t):
     """The steps of dt that the renewal time t snaps to, at least one."""
     return max(1, int(round(t / params.dt)))
-
-
-def _renewal_from_rho(field, rhos, k_t):
-    """Renewal residuals at time k_t·dt from ρ of each profile of the field.
-
-    rhos[p] holds profile p along marches of exactly n_total + k_t steps
-    (longer marches: pass their prefix), one column per point.
-    """
-    params = field.params
-    dt = params.dt
-    n_quad, _ = params.steps()
-    h_bar = np.zeros(rhos[0].shape)
-    for (w, _), vals in zip(field.profiles, rhos):
-        h_bar += w * _suffix_max(vals)
-
-    g0 = _discounted_from_h(h_bar, n_quad, dt)
-    gt = _discounted_from_h(h_bar[k_t:], n_quad, dt)
-    w_i, _ = _quadrature_weights(k_t, dt)
-    den = _quadrature_weights(n_quad, dt)[0].sum() + math.exp(-params.t_max)
-    integral = _ordered_sum(w_i, h_bar[:k_t + 1])
-    return np.abs(g0 - (integral / den + math.exp(-k_t * dt) * gt))
 
 
 def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,
@@ -624,22 +621,23 @@ class Filtration:
         return load_json(path, "filtration file", parse)
 
 
-def extract_filtration(system, field, pair, graph, rng=None, n_samples=40):
+def extract_filtration(system, field, rng=None, n_samples=40):
     """Cut a Morse-sum field at k + 1/2 into a regular index filtration.
 
-    Each consecutive pair of levels must validate as an index pair, contain
-    its Morse set strictly between the levels, and pass the sampled
-    regularity criterion; the first failure raises a FiltrationError naming
-    the level.  Returns the filtration and a per-level report.
+    The levels nest in field.pair and are checked on the transition graph
+    of the field's Morse decomposition.  Each consecutive pair of levels
+    must validate as an index pair, contain its Morse set strictly between
+    the levels, and pass the sampled regularity criterion; the first
+    failure raises a FiltrationError naming the level.  Returns the
+    filtration and a per-level report.
     """
     if field.construction != "morse-sum":
         raise PreconditionError(
             f"filtrations need a morse-sum field, got '{field.construction}'")
-    if not field.pair == pair:
-        raise PreconditionError("field was computed for a different pair")
     mg = field.morse_graph
     if mg is None or mg.n < 1:
         raise PreconditionError("field carries no Morse decomposition")
+    pair = field.pair
     rng = np.random.default_rng(0) if rng is None else rng
 
     n = mg.n
@@ -655,7 +653,7 @@ def extract_filtration(system, field, pair, graph, rng=None, n_samples=40):
         if not levels[k - 1].issubset(levels[k]):
             raise FiltrationError(f"level {k - 1} is not contained in level {k}", k)
         level_pair = IndexPair(pair.grid, levels[k], levels[k - 1])
-        verdict = validate_index_pair(graph, level_pair)
+        verdict = validate_index_pair(mg.graph, level_pair)
         entry = {"level": k, "pair_boxes": [len(levels[k]), len(levels[k - 1])],
                  "validation": verdict.to_dict()}
         if not verdict.passed:

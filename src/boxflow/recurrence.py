@@ -221,14 +221,8 @@ def _within_classes(cls, bits, allowed):
     return ok
 
 
-def ar_regions(mg, graph, region, down_set):
-    """The attractor-repeller pair of boxes generated by a down-set."""
-    if graph is None:
-        graph = mg.graph
-    if region is None:
-        region = mg.region
-    if not region == mg.region:
-        raise PreconditionError("region does not match the Morse graph's region")
+def ar_regions(mg, down_set):
+    """The attractor-repeller pair of boxes of mg generated by a down-set."""
     D = _check_down_set(mg, down_set)
     E = frozenset(range(1, mg.n + 1)) - D
     # a connecting box belongs to a side when every class it reaches or is
@@ -239,20 +233,18 @@ def ar_regions(mg, graph, region, down_set):
                   down_set=D)
 
 
-def ar_regions_in_pair(mg, graph, region, down_set):
+def ar_regions_in_pair(mg, down_set):
     """Attractor-repeller pair plus the one-sided orbit regions.
 
-    alpha holds boxes carrying a full backward orbit in the region whose
-    sources among the Morse classes all lie in the down-set (recurrent boxes
-    qualify through their own class).  omega is the forward counterpart for
-    the complementary up-set.  These over-approximate the sets where the
-    pair's Lyapunov function is pinned at 0 and 1.
+    alpha holds boxes carrying a full backward orbit of mg.graph in
+    mg.region whose sources among the Morse classes all lie in the down-set
+    (recurrent boxes qualify through their own class).  omega is the
+    forward counterpart for the complementary up-set.  These
+    over-approximate the sets where the pair's Lyapunov function is pinned
+    at 0 and 1.
     """
-    if graph is None:
-        graph = mg.graph
-    if region is None:
-        region = mg.region
-    pair = ar_regions(mg, graph, region, down_set)
+    graph, region = mg.graph, mg.region
+    pair = ar_regions(mg, down_set)
     D = pair.down_set
     E = frozenset(range(1, mg.n + 1)) - D
 
@@ -271,7 +263,7 @@ def ar_regions_in_pair(mg, graph, region, down_set):
     return ARRegions(pair.attractor, pair.repeller, alpha, omega, pair.down_set)
 
 
-def enumerate_ar_pairs(mg, graph=None, region=None):
+def enumerate_ar_pairs(mg):
     """All attractor-repeller pairs, one per down-set, canonically ordered.
 
     Down-sets are ordered by size then lexicographically, so (∅, S) comes
@@ -287,7 +279,7 @@ def enumerate_ar_pairs(mg, graph=None, region=None):
         if all(lo in D for hi, lo in mg.partial_order if hi in D):
             down_sets.append(D)
     down_sets.sort(key=lambda D: (len(D), tuple(sorted(D))))
-    return [ar_regions(mg, graph, region, D) for D in down_sets]
+    return [ar_regions(mg, D) for D in down_sets]
 
 
 def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=19):
@@ -337,9 +329,9 @@ class IntersectionReport(NamedTuple):
     recurrent: BoxSet
 
 
-def check_R_equals_intersection(mg, graph=None, region=None):
-    """Compare the chain recurrent boxes with the intersection of A ∪ A*."""
-    pairs = enumerate_ar_pairs(mg, graph, region)
+def check_R_equals_intersection(mg):
+    """Compare the chain recurrent boxes of mg with the intersection of A ∪ A*."""
+    pairs = enumerate_ar_pairs(mg)
     intersection = mg.invariant
     for pair in pairs:
         intersection = intersection.intersection(pair.attractor.union(pair.repeller))

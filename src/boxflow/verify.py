@@ -21,9 +21,8 @@ from .flows import _advance
 from .grid import BoxSet, build_grid, sample_in_boxes
 from .jsonio import boolean, load_json, mapping, number, string, write_json
 from .lyapunov import (CenterTable, Filtration, LyapunovParams, _QuotientSamples,
-                       _envelope_steps, _ordered_sum, _profile_g, _renewal_from_rho,
-                       _renewal_steps, complete_lyapunov, extract_filtration,
-                       morse_lyapunov, pair_lyapunov)
+                       _envelope_steps, _renewal_steps, complete_lyapunov,
+                       extract_filtration, morse_lyapunov, pair_lyapunov)
 from .pairs import (IndexPair, build_index_pair, regularity_check,
                     retraction_check, validate_index_pair, _exit_times_batch,
                     _march_quotient)
@@ -213,7 +212,9 @@ def _graph_checks(system, grid, graph, inv, rng, add):
         "the invariant part is a fixed point of the restriction")
 
 
-def _recurrence_checks(grid, graph, inv, mg, region, add):
+def _recurrence_checks(mg, add):
+    graph, inv = mg.graph, mg.invariant
+    grid = graph.grid
     has_classes = mg.n >= 1
     if has_classes:
         order_viol = sum(1 for hi, lo in mg.partial_order if hi <= lo)
@@ -227,7 +228,7 @@ def _recurrence_checks(grid, graph, inv, mg, region, add):
         add("morse_admissible_order", True, False, {"n_morse_sets": 0},
             None, "no recurrent classes in the region")
 
-    pairs = enumerate_ar_pairs(mg, graph, region)
+    pairs = enumerate_ar_pairs(mg)
     recurrent = BoxSet([])
     for m in mg.morse_sets:
         recurrent = recurrent.union(m)
@@ -260,7 +261,7 @@ def _recurrence_checks(grid, graph, inv, mg, region, add):
         {"n_pairs": len(pairs), "edge_violations": fwd_viol}, None,
         "edges out of an attractor reach only classes in its down-set")
 
-    rep = check_R_equals_intersection(mg, graph, region)
+    rep = check_R_equals_intersection(mg)
     add("recurrence_intersection", rep.equal, True,
         {"symmetric_difference": len(rep.symmetric_difference),
          "recurrent_boxes": len(rep.recurrent)}, None,
@@ -344,33 +345,18 @@ def _pair_checks(system, grid, graph, pair, fail_reason, rng, add):
         "orbits stopped at their exit time land next to L")
 
 
-def _g_along_orbits(field, rhos, ks):
-    """g at the marched points and at their quotient images after k·dt, k in ks.
-
-    rhos[p] holds the field's profile p along the points' own marches of
-    at least max(ks) + n_total steps.  g at the k-step image is the
-    quadrature over the window of samples [k, k + n_total] of that march,
-    since the march from the image is the same march shifted by k, so no
-    image is marched again.  Returns g at the points and one array per k,
-    0 where the orbit was absorbed.
-    """
-    weights = np.array([w for w, _ in field.profiles])
-
-    def g_at(k):
-        return _ordered_sum(weights, np.array([_profile_g(v, field.params, k) for v in rhos]))
-    return g_at(0), [g_at(k) for k in ks]
-
-
 def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, add):
     """The fixed-point, renewal, monotone and strict-decrease checks of
     fields, which are all fields of pair.
 
     The samples of every field are drawn first, in the order the checks
     list them, and then marched together in one _march_quotient long
-    enough for each check; ρ of each profile is evaluated once per field
-    over that field's samples.  The envelope h at a fixed-point sample and
-    at its one-step image is read off the windows of samples [0, n_env]
-    and [1, 1 + n_env] of that march.
+    enough for each check.  The samples of each field are read through
+    one _QuotientSamples that keeps ρ, so ρ of each profile is evaluated
+    once per field: the envelope h at a fixed-point sample and at its
+    one-step image is read off the windows of samples [0, n_env] and
+    [1, 1 + n_env], g at a k-step image off the window shifted by k, and
+    the renewal residual off a prefix.
     """
     dt = params.dt
     t_probes = (0.5, 1.0, 2.0)
@@ -415,13 +401,12 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
         b = a + mono_pts.shape[0]
         cols = slice(start, start + b + strict_pts.shape[0])
         start = cols.stop
-        samples = _QuotientSamples(pair, positions[:, cols], absorbed[:, cols])
-        rhos = [samples.rho(rho_fn) for _, rho_fn in field.profiles]
+        samples = _QuotientSamples(pair, positions[:, cols], absorbed[:, cols], keep_rho=True)
 
         for p in sorted({0, len(field.profiles) - 1}):
             rho_fn = field.profiles[p][1]
-            h, conv = (out[:f] for out in samples.envelope(rho_fn, 0, n_env, rhos[p]))
-            h1, c1 = (out[:f] for out in samples.envelope(rho_fn, 1, n_env, rhos[p]))
+            h, conv = (out[:f] for out in samples.envelope(rho_fn, 0, n_env))
+            h1, c1 = (out[:f] for out in samples.envelope(rho_fn, 1, n_env))
             ok = conv & c1
             fixed_skipped += int((~ok).sum())
             fixed_evaluated += int(ok.sum())
@@ -429,20 +414,19 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
                 res = np.abs(h[ok] - np.maximum(rho_fn(fixed_pts[ok]), h1[ok]))
                 fixed_worst = max(fixed_worst, float(res.max()))
 
-        res = _renewal_from_rho(field, [v[:n_total + k_renew + 1, f:a] for v in rhos], k_renew)
+        res = samples.renewal(field, k_renew)[f:a]
         renew_worst = max(renew_worst, float(res.max()))
         renew_count += renew_pts.shape[0]
 
-        g0, probes = _g_along_orbits(field, [v[:, a:b] for v in rhos], probe_ks)
-        for gt in probes:
-            inc = gt - g0
+        g0 = samples.g(field.profiles, field.params)
+        for k in probe_ks:
+            inc = (samples.g(field.profiles, field.params, k) - g0)[a:b]
             mono_viol += int((inc > 1e-6).sum())
             max_inc = max(max_inc, float(inc.max()))
             mono_total += mono_pts.shape[0]
 
         if strict_pts.shape[0]:
-            g0, (gt,) = _g_along_orbits(field, [v[:, b:] for v in rhos], [k_strict])
-            dec = g0 - gt
+            dec = (g0 - samples.g(field.profiles, field.params, k_strict))[b:]
             dec_viol += int((dec <= 1e-4).sum())
             min_dec = min(min_dec, float(dec.min()))
             tested += strict_pts.shape[0]
@@ -463,8 +447,7 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
         "g drops along orbits seeded two boxes away from the pinned sets")
 
 
-def _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
-                     params, rng, add):
+def _lyapunov_checks(system, grid, pair, mg, fields, ar_first, recurrent, params, rng, add):
     """The Lyapunov checks of fields, which are all fields of pair."""
     if not fields:
         for name in ("lyapunov_fixed_point", "lyapunov_renewal", "lyapunov_monotone",
@@ -508,14 +491,13 @@ def _constancy_check(grid, mg, f_complete, add):
         "complete function is constant on the lowest Morse set")
 
 
-def _filtration_check(system, graph, pair, f_morse, rng, add):
+def _filtration_check(system, f_morse, rng, add):
     if f_morse is None:
         add("filtration_soundness", True, False, {}, None,
             "no morse-sum field available")
         return None
     try:
-        filtration, _ = extract_filtration(system, f_morse, pair, graph,
-                                           rng=rng, n_samples=30)
+        filtration, _ = extract_filtration(system, f_morse, rng=rng, n_samples=30)
     except FiltrationError as exc:
         add("filtration_soundness", False, True,
             {"failed_level": exc.level}, None, str(exc))
@@ -565,8 +547,7 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
     rng = np.random.default_rng(seed)
     grid = build_grid(system.domain, depth)
     graph = build_transition_graph(system, grid, map_time, padding)
-    region = grid.all_boxes()
-    mg = morse_graph(graph, region)
+    mg = morse_graph(graph, grid.all_boxes())
     params = LyapunovParams(dt=dt, t_max=t_max)
 
     checks = []
@@ -578,7 +559,7 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
 
     _flow_checks(system, rng, add)
     _graph_checks(system, grid, graph, mg.invariant, rng, add)
-    recurrent = _recurrence_checks(grid, graph, mg.invariant, mg, region, add)
+    recurrent = _recurrence_checks(mg, add)
     _oracle_check(system, grid, graph, padding, epsilon, add)
 
     pair = None
@@ -596,16 +577,15 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
     if pair is not None and mg.n >= 1:
         table = CenterTable(system, pair, params)
         if mg.n >= 2:
-            ar_first = ar_regions_in_pair(mg, graph, region, frozenset({1}))
+            ar_first = ar_regions_in_pair(mg, frozenset({1}))
             fields.append(pair_lyapunov(system, pair, ar_first, params, graph=graph,
                                         table=table))
         f_morse = morse_lyapunov(system, pair, mg, params, table=table)
-        f_complete = complete_lyapunov(system, pair, mg, graph, params, table=table)
+        f_complete = complete_lyapunov(system, pair, mg, params, table=table)
         fields.extend([f_morse, f_complete])
-    _lyapunov_checks(system, grid, graph, pair, mg, fields, ar_first, recurrent,
-                     params, rng, add)
+    _lyapunov_checks(system, grid, pair, mg, fields, ar_first, recurrent, params, rng, add)
     _constancy_check(grid, mg, f_complete, add)
-    filtration = _filtration_check(system, graph, pair, f_morse, rng, add)
+    filtration = _filtration_check(system, f_morse, rng, add)
     _roundtrip_check(graph, pair, f_morse, filtration, add)
 
     parameters = {

@@ -55,7 +55,7 @@ def doublewell():
     b = _bundle("doublewell1d", (256,))
     b.pair = bf.build_index_pair(b.mg)
     b.recurrent = bf.chain_recurrent_boxes(b.graph, b.region)
-    b.ar = bf.ar_regions_in_pair(b.mg, b.graph, b.region, frozenset({1}))
+    b.ar = bf.ar_regions_in_pair(b.mg, frozenset({1}))
     b.pair_field = bf.pair_lyapunov(b.system, b.pair, b.ar, graph=b.graph)
     b.morse_field = bf.morse_lyapunov(b.system, b.pair, b.mg)
     return b
@@ -71,7 +71,7 @@ def hopf():
     b = _bundle("hopf2d", (64, 64))
     b.pair = bf.build_index_pair(b.mg)
     b.recurrent = bf.chain_recurrent_boxes(b.graph, b.region)
-    b.complete_field = bf.complete_lyapunov(b.system, b.pair, b.mg, b.graph)
+    b.complete_field = bf.complete_lyapunov(b.system, b.pair, b.mg)
     return b
 
 

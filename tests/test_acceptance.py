@@ -129,8 +129,7 @@ def test_morse_sum_levels_and_monotonicity(doublewell, acceptance_log):
 
 def test_filtration_extraction(doublewell, acceptance_log, tmp_path, capsys):
     filtration, report = bf.extract_filtration(
-        doublewell.system, doublewell.morse_field, doublewell.pair,
-        doublewell.graph, rng=np.random.default_rng(0))
+        doublewell.system, doublewell.morse_field, rng=np.random.default_rng(0))
     levels = filtration.levels
     nested = all(levels[k - 1].issubset(levels[k]) for k in range(1, len(levels)))
     revalidated = all(
@@ -197,13 +196,11 @@ def test_recurrent_set_equals_intersection(doublewell, gradient, hopf,
     cgraph = bf.build_transition_graph(contract, cgrid, 1.0)
     cregion = cgrid.all_boxes()
     cmg = bf.morse_graph(cgraph, cregion)
-    cases = [("contract1d", cmg, cgraph, cregion),
-             ("doublewell1d", doublewell.mg, doublewell.graph, doublewell.region),
-             ("gradient2d", gradient.mg, gradient.graph, gradient.region),
-             ("hopf2d", hopf.mg, hopf.graph, hopf.region)]
+    cases = [("contract1d", cmg), ("doublewell1d", doublewell.mg),
+             ("gradient2d", gradient.mg), ("hopf2d", hopf.mg)]
     mismatches = {}
-    for name, mg, graph, region in cases:
-        rep = bf.check_R_equals_intersection(mg, graph, region)
+    for name, mg in cases:
+        rep = bf.check_R_equals_intersection(mg)
         mismatches[name] = len(rep.symmetric_difference)
     ok = all(v == 0 for v in mismatches.values())
     acceptance_log(

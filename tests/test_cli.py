@@ -13,7 +13,7 @@ import boxflow as bf
 from boxflow import cli
 from boxflow.errors import ConfigError
 from boxflow.grid import MAX_MARCH_VALUES, MAX_PAIRS
-from boxflow.lyapunov import LyapunovField
+from boxflow.lyapunov import Filtration, LyapunovField
 from boxflow.transition import TransitionGraph
 
 
@@ -146,6 +146,17 @@ def test_bad_pair_index_lists_the_valid_ones(tmp_path, capsys):
     assert "down-set" in err
 
 
+@pytest.mark.parametrize("construction", [None, "morse", "complete"])
+def test_pair_index_without_the_pair_construction_exits_2(tmp_path, capsys, construction):
+    args = ["lyapunov", "--system", "doublewell1d", "--depth", "16", "--pair-index", "9",
+            "--out", str(tmp_path / "x")]
+    if construction is not None:
+        args += ["--construction", construction]
+    assert cli.main(args) == 2
+    assert "--construction pair" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_filtration_succeeds_at_fine_depth(tmp_path):
     out = str(tmp_path / "filt")
     code = cli.main(["filtration", "--system", "saddle1d", "--depth", "64",
@@ -160,6 +171,24 @@ def test_filtration_failure_names_the_level(tmp_path, capsys):
                      "--out", str(tmp_path / "filt8")])
     assert code == 1
     assert "failed at level 2" in capsys.readouterr().err
+
+
+def test_trivial_filtration_file_loads_back(tmp_path, capsys):
+    # x' = 1 on [-1, 1] has an empty invariant part, so the filtration has
+    # no levels; its file must still load with the filtration loader
+    system = tmp_path / "drift.json"
+    system.write_text(json.dumps({
+        "field": [{"coeffs": [1.0], "exponents": [0]}], "dimension": 1,
+        "domain": [[-1.0, 1.0]], "name": "drift"}))
+    out = tmp_path / "filt"
+    code = cli.main(["filtration", "--system-file", str(system), "--depth", "16",
+                     "--out", str(out)])
+    assert code == 0
+    assert "trivial filtration with 0 levels" in capsys.readouterr().out
+    loaded = Filtration.from_json(str(out / "filtration.json"))
+    assert loaded.levels == [] and loaded.thresholds == []
+    assert loaded.pair.grid == bf.build_grid([[-1.0, 1.0]], (16,))
+    assert not loaded.pair.N
 
 
 def test_verify_pair_file_round_trip(tmp_path, doublewell):

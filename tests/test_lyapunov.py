@@ -11,9 +11,8 @@ from numpy.testing import assert_array_equal
 from boxflow.errors import CapacityError, FiltrationError, IngestionError, PreconditionError
 from boxflow.grid import BoxSet
 from boxflow.lyapunov import (CenterTable, Filtration, LyapunovField, LyapunovParams,
-                              _QuotientSamples, _renewal_from_rho, _renewal_steps)
+                              _QuotientSamples, _renewal_steps)
 from boxflow.pairs import BASEPOINT, _march_quotient
-from boxflow.verify import _g_along_orbits
 
 from conftest import (_bundle, _discounted_average_oracle, _sup_envelope_oracle,
                       sample_in_boxes)
@@ -204,7 +203,7 @@ def test_batch_field_matches_pointwise_composition():
     region = grid.all_boxes()
     mg = bf.morse_graph(graph, region)
     pair = bf.build_index_pair(mg)
-    ar = bf.ar_regions_in_pair(mg, graph, region, frozenset({1}))
+    ar = bf.ar_regions_in_pair(mg, frozenset({1}))
     params = LyapunovParams(dt=0.1, t_max=6.0)
     field = bf.pair_lyapunov(system, pair, ar, params=params, graph=graph)
     rho_fn = field.profiles[0][1]
@@ -252,13 +251,12 @@ def test_field_box_values_and_membership(doublewell):
 
 
 def test_complete_field_is_the_weighted_pair_sum(doublewell):
-    pairs = bf.enumerate_ar_pairs(doublewell.mg, doublewell.graph,
-                                  doublewell.region)
+    pairs = bf.enumerate_ar_pairs(doublewell.mg)
     parts = [bf.pair_lyapunov(doublewell.system, doublewell.pair, ar,
                               graph=doublewell.graph) for ar in pairs]
     expected = sum(0.5 ** i * f.values for i, f in enumerate(parts, start=1))
     complete = bf.complete_lyapunov(doublewell.system, doublewell.pair,
-                                    doublewell.mg, doublewell.graph)
+                                    doublewell.mg)
     assert complete.construction == "complete"
     assert np.allclose(complete.values, expected, atol=1e-9)
 
@@ -297,7 +295,7 @@ def test_evaluate_does_not_depend_on_the_batch(doublewell):
     # one point alone, two at a time and thirty together add their
     # quadrature and profile terms in the same order, so the bits agree
     complete = bf.complete_lyapunov(doublewell.system, doublewell.pair,
-                                    doublewell.mg, doublewell.graph)
+                                    doublewell.mg)
     rng = np.random.default_rng(11)
     pts = sample_in_boxes(rng, doublewell.grid, doublewell.pair.core, 30)
     for field in (doublewell.morse_field, complete):
@@ -340,8 +338,7 @@ def test_entry_time_region_preconditions(doublewell):
 
 def test_filtration_round_trip(tmp_path, doublewell):
     filtration, report = bf.extract_filtration(
-        doublewell.system, doublewell.morse_field, doublewell.pair,
-        doublewell.graph, rng=np.random.default_rng(0))
+        doublewell.system, doublewell.morse_field, rng=np.random.default_rng(0))
     path = tmp_path / "filtration.json"
     filtration.to_json(str(path), report=report)
     loaded = Filtration.from_json(str(path))
@@ -354,8 +351,7 @@ def test_filtration_round_trip(tmp_path, doublewell):
 
 def test_filtration_requires_a_morse_sum_field(doublewell):
     with pytest.raises(PreconditionError):
-        bf.extract_filtration(doublewell.system, doublewell.pair_field,
-                              doublewell.pair, doublewell.graph)
+        bf.extract_filtration(doublewell.system, doublewell.pair_field)
 
 
 def test_coarse_grid_fails_with_a_named_level():
@@ -367,8 +363,7 @@ def test_coarse_grid_fails_with_a_named_level():
     pair = bf.build_index_pair(mg)
     field = bf.morse_lyapunov(system, pair, mg)
     with pytest.raises(FiltrationError) as exc:
-        bf.extract_filtration(system, field, pair, graph,
-                              rng=np.random.default_rng(0))
+        bf.extract_filtration(system, field, rng=np.random.default_rng(0))
     assert exc.value.level == 2
 
 
@@ -455,16 +450,25 @@ def field_case(request):
     b.pair = bf.build_index_pair(b.mg)
     b.fields = []
     if b.mg.n >= 2:
-        ar = bf.ar_regions_in_pair(b.mg, b.graph, b.region, frozenset({1}))
+        ar = bf.ar_regions_in_pair(b.mg, frozenset({1}))
         b.fields.append(bf.pair_lyapunov(b.system, b.pair, ar, graph=b.graph))
     b.fields.append(bf.morse_lyapunov(b.system, b.pair, b.mg))
-    b.fields.append(bf.complete_lyapunov(b.system, b.pair, b.mg, b.graph))
+    b.fields.append(bf.complete_lyapunov(b.system, b.pair, b.mg))
     rng = np.random.default_rng(5)
     # core samples, then samples outside N−L, which start absorbed
     b.points = np.concatenate([
         sample_in_boxes(rng, b.grid, b.pair.core, 30),
         sample_in_boxes(rng, b.grid, b.grid.all_boxes().difference(b.pair.core), 6)])
     return b
+
+
+def test_fields_evaluate_to_their_own_values_at_the_core_centers(field_case):
+    # the builders read g off one march of the core box centers, evaluate
+    # off a march of the points it is given: at the centers the bits agree
+    b = field_case
+    for field in b.fields:
+        assert_array_equal(field.evaluate(b.system, b.grid.centers(field.boxes)),
+                           field.values)
 
 
 def test_probe_windows_equal_evaluate_at_the_marched_images(field_case):
@@ -479,9 +483,10 @@ def test_probe_windows_equal_evaluate_at_the_marched_images(field_case):
     if b.pair.L:
         assert (absorbed[max(ks)] & ~absorbed[0]).any()
     for field in b.fields:
-        g0, images = _g_along_orbits(field, [samples.rho(fn) for _, fn in field.profiles], ks)
+        g0 = samples.g(field.profiles, field.params)
         assert_array_equal(g0, field.evaluate(b.system, b.points))
-        for k, gk in zip(ks, images):
+        for k in ks:
+            gk = samples.g(field.profiles, field.params, k)
             live = ~absorbed[k]
             expected = np.zeros(b.points.shape[0])
             expected[live] = field.evaluate(b.system, positions[k][live])
@@ -494,11 +499,11 @@ def test_fields_from_one_center_table_equal_fields_built_alone(field_case):
     table = CenterTable(b.system, b.pair, params)
     shared = []
     if b.mg.n >= 2:
-        ar = bf.ar_regions_in_pair(b.mg, b.graph, b.region, frozenset({1}))
+        ar = bf.ar_regions_in_pair(b.mg, frozenset({1}))
         shared.append(bf.pair_lyapunov(b.system, b.pair, ar, params, graph=b.graph,
                                        table=table))
     shared.append(bf.morse_lyapunov(b.system, b.pair, b.mg, params, table=table))
-    shared.append(bf.complete_lyapunov(b.system, b.pair, b.mg, b.graph, params, table=table))
+    shared.append(bf.complete_lyapunov(b.system, b.pair, b.mg, params, table=table))
     for together, alone in zip(shared, b.fields):
         assert_array_equal(together.values, alone.values)
         assert together == alone
@@ -518,6 +523,5 @@ def test_renewal_from_a_shared_march_prefix_equals_renewal_residual(field_case):
                                           params.dt)
     samples = _QuotientSamples(b.pair, positions, absorbed)
     for field in b.fields:
-        rhos = [samples.rho(fn)[:n_total + k_t + 1] for _, fn in field.profiles]
-        assert_array_equal(_renewal_from_rho(field, rhos, k_t),
+        assert_array_equal(samples.renewal(field, k_t),
                            bf.renewal_residual(b.system, field, b.points, 1.0))

@@ -151,15 +151,13 @@ def test_doublewell_morse_sets(doublewell):
 
 
 def test_down_set_enumeration_is_canonical(doublewell):
-    pairs = bf.enumerate_ar_pairs(doublewell.mg, doublewell.graph,
-                                  doublewell.region)
+    pairs = bf.enumerate_ar_pairs(doublewell.mg)
     downs = [tuple(sorted(p.down_set)) for p in pairs]
     assert downs == [(), (1,), (2,), (1, 2), (1, 2, 3)]
 
 
 def test_attractor_repeller_regions(doublewell):
-    pairs = bf.enumerate_ar_pairs(doublewell.mg, doublewell.graph,
-                                  doublewell.region)
+    pairs = bf.enumerate_ar_pairs(doublewell.mg)
     by_down = {tuple(sorted(p.down_set)): p for p in pairs}
     assert by_down[(1,)].attractor.ids.tolist() == [63, 64]
     assert by_down[(1,)].repeller.ids.tolist() == list(range(127, 193))
@@ -177,11 +175,9 @@ def test_attractor_repeller_regions(doublewell):
 
 def test_non_down_closed_set_rejected(doublewell):
     with pytest.raises(PreconditionError):
-        bf.ar_regions(doublewell.mg, doublewell.graph, doublewell.region,
-                      frozenset({3}))
+        bf.ar_regions(doublewell.mg, frozenset({3}))
     with pytest.raises(PreconditionError):
-        bf.ar_regions(doublewell.mg, doublewell.graph, doublewell.region,
-                      frozenset({5}))
+        bf.ar_regions(doublewell.mg, frozenset({5}))
 
 
 def test_one_sided_regions_pin_the_pair(doublewell):
@@ -192,8 +188,7 @@ def test_one_sided_regions_pin_the_pair(doublewell):
 
 
 def test_recurrence_equals_attractor_intersection(doublewell):
-    rep = bf.check_R_equals_intersection(doublewell.mg, doublewell.graph,
-                                         doublewell.region)
+    rep = bf.check_R_equals_intersection(doublewell.mg)
     assert rep.equal
     assert len(rep.symmetric_difference) == 0
     assert rep.recurrent == doublewell.recurrent
@@ -208,7 +203,7 @@ def test_empty_invariant_part_yields_empty_decomposition():
     assert not bf.chain_recurrent_boxes(graph, region)
     mg = bf.morse_graph(graph, region)
     assert mg.n == 0
-    pairs = bf.enumerate_ar_pairs(mg, graph, region)
+    pairs = bf.enumerate_ar_pairs(mg)
     assert len(pairs) == 1
     assert not pairs[0].attractor and not pairs[0].repeller
 

@@ -139,13 +139,13 @@ def test_attractor_edge_violations_equal_the_per_box_loop(name, depth):
 
     def add(check, passed, applicable, values, tolerance, detail):
         measured[check] = values
-    verify._recurrence_checks(b.grid, b.graph, b.mg.invariant, b.mg, b.region, add)
+    verify._recurrence_checks(b.mg, add)
 
     src, dst = b.graph.edge_arrays()
     inv_mask = b.mg.invariant.mask(b.grid.n_boxes)
     expected = 0
     connecting_ok = set()
-    for ar in bf.enumerate_ar_pairs(b.mg, b.graph, b.region):
+    for ar in bf.enumerate_ar_pairs(b.mg):
         if not ar.attractor:
             continue
         reach_ok = _reach_ok_oracle(b.mg, ar.down_set)
