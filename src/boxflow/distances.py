@@ -76,13 +76,15 @@ def _spans(start, count):
 def _clamp_squared(x, lo, hi):
     """Squared distance from each row of x to the box [lo, hi] of that row.
 
-    lo is overwritten.
+    lo is overwritten.  On a huge domain a square or a sum that overflows
+    reads as inf, without a warning; finite values keep their bits.
     """
     np.maximum(x, lo, out=lo)
     np.minimum(lo, hi, out=lo)
-    np.subtract(x, lo, out=lo)
-    np.multiply(lo, lo, out=lo)
-    return _sum_axes(lo)
+    with np.errstate(over="ignore"):
+        np.subtract(x, lo, out=lo)
+        np.multiply(lo, lo, out=lo)
+        return _sum_axes(lo)
 
 
 def _sum_axes(sq):
@@ -184,9 +186,11 @@ class BoxSetDistance:
         With the query box's faces swapped, _gap(hi, lo, cand), it is the
         far distance: the largest distance from a point of the box to cand.
         """
-        gap = np.maximum(0.0, np.maximum(np.take(self._lo, cand, axis=0) - hi,
-                                         lo - np.take(self._hi, cand, axis=0)))
-        return np.sqrt(_sum_axes(gap * gap))
+        # a squared gap that overflows on a huge domain reads as inf
+        with np.errstate(over="ignore"):
+            gap = np.maximum(0.0, np.maximum(np.take(self._lo, cand, axis=0) - hi,
+                                             lo - np.take(self._hi, cand, axis=0)))
+            return np.sqrt(_sum_axes(gap * gap))
 
     def _window(self, multi, radius, nearest=False):
         """(owner, set index) of the set boxes near each query box.

@@ -5,6 +5,19 @@ the transition graph restricted to a region.  The Morse graph orders these
 classes by reachability and assigns admissible indices with attractors
 lowest.  Attractor-repeller pairs correspond to down-sets of that order. An
 independent point-level epsilon-chain oracle cross-checks the box picture.
+
+The graph work runs in numpy on the CSR Adjacency of transition.py;
+Kalies, Mischaikow and VanderVorst ("An algorithmic approach to chain
+recurrence", FoCM 2005) show why cycles of the box graph stand in for
+chain recurrence.  morse_graph trims the region to its invariant part,
+which holds every recurrent class, in O(n + m) for the region's n boxes
+and m edges, and keeps the graph on that part, with n' boxes and m'
+edges.  A forward-backward SCC pass labels the classes there, one round
+of O(n' + m' log m') per split.  Then one forward and one backward
+breadth-first search per class give the reach bits, O(k (n' + m')) for k
+classes.  Each class is named by its smallest box, and the Morse sets are
+listed by it, so no artifact depends on the order in which the SCC pass
+finds the classes.
 """
 
 from dataclasses import dataclass
@@ -12,14 +25,12 @@ from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import BoxSet
 from .jsonio import write_json
-from .transition import _peel, invariant_part, on_cycle, reachable
+from .transition import Adjacency, _peel, _peeled, cycle_classes, on_cycle, reachable
 
 
 def chain_recurrent_boxes(graph, region):
@@ -28,18 +39,17 @@ def chain_recurrent_boxes(graph, region):
 
 
 def _class_bits(adj, classes):
-    """Reach and coreach bits of every node of a local adjacency matrix.
+    """Reach and coreach bits of every node of a local Adjacency.
 
     classes holds one boolean node mask per class.  reach[k, v] says node v
     reaches class k; coreach[k, v] says class k reaches node v.  Class
     members count as both.  One forward and one reverse search per class.
     """
-    rev = adj.T.tocsr()
     reach = np.zeros((len(classes), adj.shape[0]), dtype=bool)
     coreach = np.zeros_like(reach)
     for k, members in enumerate(classes):
         coreach[k] = reachable(adj, members)
-        reach[k] = reachable(rev, members)
+        reach[k] = reachable(adj.T, members)
     return reach, coreach
 
 
@@ -147,14 +157,12 @@ def morse_graph(graph, region):
     admissible order is a reverse topological order of the condensation with
     ties broken by smallest contained box id.
     """
-    inv, _ = invariant_part(graph, region)
-    adj = graph.restricted(inv)
-    _, labels = connected_components(adj, directed=True, connection="strong")
-    cyclic = np.flatnonzero(on_cycle(adj))
-    # classes listed by smallest box id, the tie-break of the admissible order
-    _, first = np.unique(labels[cyclic], return_index=True)
-    heads = cyclic[np.sort(first)]
-    classes = [labels == labels[h] for h in heads]
+    inv, adj = _peeled(graph, region, require_in=True, require_out=True)
+    labels = cycle_classes(adj)
+    # each class is labelled by its smallest node, so the sorted labels list
+    # the classes by smallest box id, the tie-break of the admissible order
+    heads = np.unique(labels[labels >= 0])
+    classes = [labels == h for h in heads]
     reach, coreach = _class_bits(adj, classes)
     below = [set(np.flatnonzero(coreach[i, heads]).tolist()) - {i}
              for i in range(len(classes))]
@@ -319,7 +327,8 @@ def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=1
         dist = np.linalg.norm(diff, axis=2)
         edges[live] |= dist < epsilon
 
-    return pts[on_cycle(csr_matrix(edges))]
+    rows, cols = np.nonzero(edges)
+    return pts[on_cycle(Adjacency(np.searchsorted(rows, np.arange(n + 1)), cols))]
 
 
 class IntersectionReport(NamedTuple):

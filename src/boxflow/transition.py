@@ -7,9 +7,32 @@ norm.  Every grid box touching an inflated image becomes a target of the
 source box.  Sample points whose orbit leaves the closed domain produce an
 edge to the synthetic EXIT node instead.
 
-Every graph question (cycles, reachability, invariant parts) is answered by
-scipy's csgraph on the CSR matrix that TransitionGraph.restricted builds
-for a box set.
+Every graph question (cycles, reachability, invariant parts) is answered
+in numpy on the CSR arrays of an Adjacency, which TransitionGraph.restricted
+reads off the graph's own sorted edge arrays for a box set.  With n nodes
+and m edges in the set:
+
+- The reverse graph (Adjacency.T, and the cache behind sources_of) is one
+  plain sort of the m edges packed as target * n + source, O(m log m).
+- reachable is a breadth-first search, one level per loop: the successors
+  of the whole frontier are gathered from the CSR rows at once, so it costs
+  O(n + m) plus a fixed numpy overhead per level.
+- The invariant parts are a trim (Kahn's algorithm on the degree counts):
+  drop every node with no successor and/or no predecessor in the set, and
+  touch only the edges of the nodes just dropped, until no node is left to
+  drop, in O(n + m) in all.  What is left is the largest subset in which
+  every node has a successor and/or a predecessor.  In a finite set that
+  is exactly the nodes that reach a cycle and/or are reached from one: an
+  infinite path stays in the subset, and a path from a cycle to a cycle
+  keeps all its nodes.
+- Cycles are a strongly connected component (SCC) pass, forward-backward
+  with trimming (Fleischer, Hendrickson and Pinar 2000).  After a trim,
+  the SCC of a pivot is the intersection of what it reaches and what
+  reaches it; every other SCC lies wholly in the forward-only part, the
+  backward-only part or the rest, so those three are split apart and
+  handled in the next round, all parts at once.  A round costs
+  O(m log m) for the reverse of what is left, plus a numpy overhead per
+  search level; the number of rounds is at most the number of SCCs.
 """
 
 import itertools
@@ -17,8 +40,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
@@ -26,6 +47,65 @@ from .grid import MAX_PAIRS, BoxGrid, BoxSet
 from .jsonio import load_json, number, positive, write_json
 
 EXIT = -1
+
+
+def _row_entries(indptr, indices, rows):
+    """The entries of the given CSR rows, concatenated, and the indptr that
+    splits them back into those rows."""
+    lo, hi = indptr[rows], indptr[rows + 1]
+    bounds = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(hi - lo, out=bounds[1:])
+    pos = np.repeat(lo - bounds[:-1], hi - lo)
+    pos += np.arange(pos.size)
+    return indices[pos], bounds
+
+
+def _counted(keep, indptr):
+    """The CSR indptr left when only the entries marked in keep stay."""
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[indptr]
+
+
+class Adjacency:
+    """A directed graph on the nodes 0 .. n-1 as CSR arrays.
+
+    The successors of node u are indices[indptr[u]:indptr[u + 1]], in
+    increasing order.  T, the reverse graph, is built on first use by one
+    plain sort of the edges packed as target * n + source.
+    """
+
+    def __init__(self, indptr, indices):
+        self.indptr = indptr
+        self.indices = indices
+        self._T = None
+
+    @property
+    def shape(self):
+        n = self.indptr.size - 1
+        return n, n
+
+    def nonzero(self):
+        """The (row, column) arrays of every edge, by row then column."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)), self.indices
+
+    @property
+    def T(self):
+        if self._T is None:
+            n = self.shape[0]
+            rows, cols = self.nonzero()
+            key = cols * np.int64(n)
+            key += rows
+            key.sort()
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+            self._T = Adjacency(indptr, key % n)
+            self._T._T = self
+        return self._T
+
+    def successors(self, nodes):
+        """The successors of the given nodes, concatenated; repeats stay."""
+        return _row_entries(self.indptr, self.indices, nodes)[0]
 
 
 class TransitionGraph:
@@ -73,36 +153,27 @@ class TransitionGraph:
         """Sorted targets of one box; may start with EXIT."""
         return self._dst[self._starts[box]:self._starts[box + 1]]
 
-    def _reverse(self):
-        if self._rev is None:
-            order = np.argsort(self._dst, kind="stable")
-            rsrc = self._dst[order]
-            rdst = self._src[order]
-            starts = np.searchsorted(rsrc, np.arange(self.grid.n_boxes + 1))
-            self._rev = (rdst, starts)
-        return self._rev
-
     def sources_of(self, box):
         """Sorted boxes with an edge into the given box."""
-        rdst, starts = self._reverse()
-        return np.sort(rdst[starts[box]:starts[box + 1]])
+        if self._rev is None:
+            keep = self._dst != EXIT
+            self._rev = Adjacency(_counted(keep, self._starts), self._dst[keep]).T
+        return self._rev.successors(np.array([box]))
 
     def restricted(self, boxes):
-        """The graph on a box set as a local CSR adjacency matrix.
+        """The graph on a box set as a local Adjacency.
 
-        Row and column i stand for boxes.ids[i].  EXIT edges and edges
-        leaving the set are dropped.
+        Node i stands for boxes.ids[i].  EXIT edges and edges leaving the
+        set are dropped.  Only the rows of the set's boxes are read.
         """
-        n = len(boxes)
+        ids = boxes.ids
         # the extra last slot maps EXIT (-1) and boxes outside the set to -1
         local = np.full(self.grid.n_boxes + 1, -1, dtype=np.int64)
-        local[boxes.ids] = np.arange(n)
-        ls = local[self._src]
-        ld = local[self._dst]
-        keep = (ls >= 0) & (ld >= 0)
-        ls = ls[keep]
-        indptr = np.searchsorted(ls, np.arange(n + 1))
-        return csr_matrix((np.ones(ls.size), ld[keep], indptr), shape=(n, n))
+        local[ids] = np.arange(ids.size)
+        cols, bounds = _row_entries(self._starts, self._dst, ids)
+        cols = local[cols]
+        keep = cols >= 0
+        return Adjacency(_counted(keep, bounds), cols[keep])
 
     def __eq__(self, other):
         if not isinstance(other, TransitionGraph):
@@ -258,31 +329,138 @@ class InvariantPart(NamedTuple):
     isolated: bool
 
 
-def on_cycle(adj):
-    """Nodes of a local adjacency matrix that lie on a cycle.
+def _once(nodes, slot):
+    """The node array with one copy of each node kept; slot is scratch
+    space with one entry per node, left holding the last position written."""
+    at = np.arange(nodes.size)
+    slot[nodes] = at
+    return nodes[slot[nodes] == at]
 
-    A node is on a cycle when its strongly connected component has more
-    than one node or it has a self-loop.
+
+def _spread(adj, frontier, hit):
+    """Mark in hit every node that the frontier nodes reach through
+    unmarked nodes; the frontier must be marked already.
+
+    One loop per breadth-first level: the successors of the whole frontier
+    at once, the unmarked ones marked and, once each, the next frontier.
     """
-    _, labels = connected_components(adj, directed=True, connection="strong")
-    return (np.bincount(labels)[labels] > 1) | (adj.diagonal() != 0)
+    slot = np.empty(hit.size, dtype=np.int64)
+    while frontier.size:
+        nxt = adj.successors(frontier)
+        nxt = nxt[~hit[nxt]]
+        hit[nxt] = True
+        frontier = _once(nxt, slot)
 
 
 def reachable(adj, seeds):
-    """Mask of the nodes reachable from any seed node, seeds included.
+    """Mask of the nodes reachable from any seed node, seeds included."""
+    hit = np.array(seeds, dtype=bool)
+    _spread(adj, np.flatnonzero(hit), hit)
+    return hit
 
-    One breadth-first search runs from a super-source row appended to the
-    CSR matrix, with an edge to every seed of the boolean seed mask.
+
+def _trim(adj, alive, require_in, require_out):
+    """Drop from the node mask alive, in place, every node left with no
+    predecessor (require_in) or no successor (require_out) among the live
+    nodes, until none is.  Every edge of adj must join two live nodes.
+
+    Kahn's algorithm, one loop per round of drops: the degree counts are
+    lowered only along the edges of the nodes just dropped, and the next
+    round drops the nodes that this brought to zero.  The two sides do not
+    interact: a node dropped for want of predecessors is the successor of
+    no live node, and one dropped for want of successors the predecessor of
+    none.  So each side runs to its end in turn, and the reverse graph is
+    read only once a node is dropped for want of successors.
     """
-    adj = adj.tocsr()
+    n = alive.size
+    slot = np.empty(n, dtype=np.int64)
+    for required, forward in ((require_in, True), (require_out, False)):
+        if not required:
+            continue
+        deg = np.bincount(adj.indices, minlength=n) if forward else np.diff(adj.indptr)
+        frontier = np.flatnonzero(alive & (deg == 0))
+        while frontier.size:
+            alive[frontier] = False
+            hit = (adj if forward else adj.T).successors(frontier)
+            np.subtract.at(deg, hit, 1)
+            hit = hit[deg[hit] == 0]
+            frontier = _once(hit[alive[hit]], slot)
+
+
+def _within(adj, alive, color):
+    """adj with only the edges that join two live nodes of one color; only
+    the rows of live nodes are read."""
+    live = np.flatnonzero(alive)
+    cols, bounds = _row_entries(adj.indptr, adj.indices, live)
+    keep = alive[cols] & (color[cols] == np.repeat(color[live], np.diff(bounds)))
+    indptr = np.zeros(alive.size + 1, dtype=np.int64)
+    indptr[live + 1] = np.diff(_counted(keep, bounds))
+    return Adjacency(np.cumsum(indptr, out=indptr), cols[keep])
+
+
+def cycle_classes(adj):
+    """The cycle class of every node of an Adjacency: the smallest node of
+    its strongly connected component when that component has more than one
+    node or the node has a self-loop, else -1.
+
+    Forward-backward rounds with trimming.  Each round picks the smallest
+    live node of each color as its pivot and searches forward and backward
+    from all pivots at once, within their colors.  A pivot's component is
+    what it reaches and what reaches it; it is labelled and dropped, and
+    the rest of its color splits into the forward-only part, the
+    backward-only part and the others, which share no component.  Only
+    the edges between live nodes of one color are kept, and a trim drops
+    every node that is then on no cycle.
+    """
     n = adj.shape[0]
-    heads = np.flatnonzero(seeds)
-    indptr = np.append(adj.indptr, adj.indptr[-1] + heads.size)
-    indices = np.concatenate([adj.indices, heads])
-    fanned = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n + 1, n + 1))
-    hit = np.zeros(n + 1, dtype=bool)
-    hit[breadth_first_order(fanned, n, directed=True, return_predecessors=False)] = True
-    return hit[:n]
+    rows, cols = adj.nonzero()
+    loop = np.zeros(n, dtype=bool)
+    loop[rows[rows == cols]] = True
+    labels = np.full(n, -1, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    color = np.zeros(n, dtype=np.int64)
+    _trim(adj, alive, True, True)
+    while True:
+        live = np.flatnonzero(alive)
+        if not live.size:
+            return labels
+        # live is sorted, so the first live node of each color is its smallest
+        _, first, color[live] = np.unique(color[live], return_index=True, return_inverse=True)
+        pivot = live[first]
+        fwd = ~alive
+        fwd[pivot] = True
+        _spread(adj, pivot, fwd)
+        bwd = ~alive
+        bwd[pivot] = True
+        _spread(adj.T, pivot, bwd)
+        fwd &= alive
+        bwd &= alive
+        members = np.flatnonzero(fwd & bwd)
+        size = np.bincount(color[members], minlength=pivot.size)
+        cyclic = (size > 1) | loop[pivot]
+        won = members[cyclic[color[members]]]
+        labels[won] = pivot[color[won]]
+        alive[members] = False
+        color = 3 * color + fwd + 2 * bwd
+        adj = _within(adj, alive, color)
+        _trim(adj, alive, True, True)
+
+
+def on_cycle(adj):
+    """Mask of the nodes of an Adjacency that lie on a cycle: in a strongly
+    connected component of more than one node, or on a self-loop."""
+    return cycle_classes(adj) >= 0
+
+
+def _peeled(graph, boxes, require_in, require_out):
+    """The boxes of the set that _peel keeps, and the graph on them."""
+    adj = graph.restricted(boxes)
+    keep = np.ones(len(boxes), dtype=bool)
+    _trim(adj, keep, require_in, require_out)
+    if keep.all():
+        return boxes, adj
+    boxes = BoxSet(boxes.ids[keep])
+    return boxes, graph.restricted(boxes)
 
 
 def _peel(graph, boxes, require_in, require_out):
@@ -292,16 +470,10 @@ def _peel(graph, boxes, require_in, require_out):
     only one it is the boxes carrying a full backward (require_in) or
     forward (require_out) orbit.  In a finite set a box has a full backward
     orbit exactly when a cycle of the set reaches it, and a full forward
-    orbit exactly when it reaches a cycle.  EXIT edges never count.
+    orbit exactly when it reaches a cycle; the trim keeps exactly those.
+    EXIT edges never count.
     """
-    adj = graph.restricted(boxes)
-    cyclic = on_cycle(adj)
-    keep = np.ones(len(boxes), dtype=bool)
-    if require_in:
-        keep &= reachable(adj, cyclic)
-    if require_out:
-        keep &= reachable(adj.T, cyclic)
-    return BoxSet(boxes.ids[keep])
+    return _peeled(graph, boxes, require_in, require_out)[0]
 
 
 def invariant_part(graph, boxes):

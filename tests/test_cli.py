@@ -391,3 +391,45 @@ def test_a_domain_whose_width_overflows_exits_2(tmp_path):
         assert done.returncode == 2, done.stderr
         assert "domain axis 0 [-1e+308, 1e+308] has no finite width" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+def test_distances_on_a_huge_domain_overflow_to_inf_without_a_warning(tmp_path):
+    # x' = x on [-1e200, 1e200]: the squared gap between boxes 1e200 apart
+    # overflows; it reads as inf, and every construction exits 0 under -W error
+    system = tmp_path / "huge.json"
+    system.write_text(json.dumps({
+        "field": [{"coeffs": [1.0], "exponents": [1]}], "dimension": 1,
+        "domain": [[-1e200, 1e200]], "name": "huge"}))
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    for construction in ("pair", "morse", "complete"):
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "boxflow",
+                               "lyapunov", "--system-file", str(system), "--depth", "8",
+                               "--construction", construction, "--out", str(tmp_path / "x")],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
+
+def test_the_commands_run_with_scipy_blocked(tmp_path):
+    # boxflow needs numpy alone: importing it loads no scipy module, and with
+    # scipy made unimportable analyze, lyapunov and verify still exit 0
+    env = {**os.environ, "PYTHONPATH": str(Path(bf.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, boxflow; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    blocked = ("import sys; sys.modules['scipy'] = None; "
+               "from boxflow.cli import main; sys.exit(main(sys.argv[1:]))")
+    # verify at depth 32 reports a failed oracle_agreement check with or
+    # without scipy; 128 is the smallest power of two where it passes
+    for argv in (["analyze", "--depth", "32"],
+                 ["lyapunov", "--construction", "morse", "--depth", "32"],
+                 ["verify", "--depth", "128"]):
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", blocked,
+                               *argv, "--system", "doublewell1d",
+                               "--out", str(tmp_path / argv[0])],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, (argv, done.stderr)

@@ -73,27 +73,129 @@ def _oracle_classes(n, edges):
     return out
 
 
-def _random_graph(seed, n=36, p=0.06):
-    rng = np.random.default_rng(seed)
-    mat = rng.random((n, n)) < p
-    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(mat))]
+def _graph_of(n, edges):
     grid = bf.build_grid([(0.0, 1.0)], (n,))
     graph = TransitionGraph(grid, 1.0, 0.0, 3,
                             [e[0] for e in edges], [e[1] for e in edges])
     return grid, graph, edges, n
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_recurrent_boxes_match_scc_oracle(seed):
-    grid, graph, edges, n = _random_graph(seed)
+def _random_graph(seed, n=36, p=0.06):
+    rng = np.random.default_rng(seed)
+    mat = rng.random((n, n)) < p
+    edges = [(int(u), int(v)) for u, v in zip(*np.nonzero(mat))]
+    return _graph_of(n, edges)
+
+
+def _chains_graph(seed):
+    """Three cycles joined by long chains, with chains running into and out
+    of them, so a trim takes one round per chain node; ids are shuffled
+    unless seed is None."""
+    edges = []
+    count = [0]
+
+    def fresh():
+        count[0] += 1
+        return count[0] - 1
+
+    def chain(start, length):
+        last = start
+        for _ in range(length):
+            node = fresh()
+            if last is not None:
+                edges.append((last, node))
+            last = node
+        return last
+
+    def cycle(start, length):
+        nodes = [fresh() for _ in range(length)]
+        edges.extend(zip(nodes, nodes[1:] + nodes[:1]))
+        edges.append((start, nodes[0]))
+        return nodes[-1]
+
+    a = cycle(chain(None, 30), 3)
+    b = cycle(chain(a, 50), 2)
+    c = cycle(chain(b, 40), 1)
+    chain(c, 30)
+    chain(b, 20)
+    edges.append((chain(None, 20), b))
+    n = count[0]
+    if seed is not None:
+        perm = np.random.default_rng(seed).permutation(n).tolist()
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return _graph_of(n, edges)
+
+
+def _cycles_dag_graph(seed):
+    """Forty small cycles, one to four nodes, with random edges from each
+    cycle to later ones and a few nodes between them; ids shuffled.  The
+    forward-backward split meets many classes in one round."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    cycles = []
+    n = 0
+    for _ in range(40):
+        size = int(rng.integers(1, 5))
+        nodes = list(range(n, n + size))
+        n += size
+        edges.extend(zip(nodes, nodes[1:] + nodes[:1]))
+        cycles.append(nodes)
+    for i, nodes in enumerate(cycles[:-1]):
+        for j in rng.choice(np.arange(i + 1, len(cycles)), size=2):
+            if rng.random() < 0.5:
+                edges.append((nodes[-1], cycles[j][0]))
+            else:
+                edges.extend([(nodes[0], n), (n, cycles[j][-1])])
+                n += 1
+    perm = rng.permutation(n).tolist()
+    return _graph_of(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _case_graph(case):
+    """The graph of one oracle case: an int is a seeded 36-node graph."""
+    if isinstance(case, int):
+        return _random_graph(case)
+    kind, *args = case
+    if kind == "random":
+        seed, n, p = args
+        return _random_graph(seed, n, p)
+    if kind == "chains":
+        return _chains_graph(*args)
+    if kind == "cycles-dag":
+        return _cycles_dag_graph(*args)
+    n, edges = args
+    return _graph_of(n, edges)
+
+
+# the five seeded 36-node graphs, then other sizes and densities, and the
+# shapes a trim or a forward-backward split has to get right
+_ORACLE_CASES = [
+    0, 1, 2, 3, 4,
+    *(pytest.param(("random", seed, n, p), id=f"random-{seed}-n{n}-p{p}")
+      for seed, n, p in [(5, 8, 0.3), (6, 60, 0.03), (7, 120, 0.015), (8, 200, 0.01),
+                         (9, 200, 0.05), (10, 90, 0.1), (11, 150, 0.006), (12, 40, 0.5)]),
+    pytest.param(("edges", 1, []), id="n1"),
+    pytest.param(("edges", 1, [(0, 0)]), id="n1-self-loop"),
+    pytest.param(("edges", 10, []), id="no-edges"),
+    pytest.param(("edges", 12, [(i, i) for i in range(0, 12, 2)]), id="self-loops-only"),
+    pytest.param(("chains", None), id="chains"),
+    pytest.param(("chains", 0), id="chains-shuffled-0"),
+    pytest.param(("chains", 1), id="chains-shuffled-1"),
+    *(pytest.param(("cycles-dag", seed), id=f"cycles-dag-{seed}") for seed in (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_recurrent_boxes_match_scc_oracle(case):
+    grid, graph, edges, n = _case_graph(case)
     recurrent = bf.chain_recurrent_boxes(graph, grid.all_boxes())
     expected = sorted(b for comp in _oracle_classes(n, edges) for b in comp)
     assert recurrent.ids.tolist() == expected
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-def test_morse_sets_and_order_match_oracle(seed):
-    grid, graph, edges, n = _random_graph(seed)
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_morse_sets_and_order_match_oracle(case):
+    grid, graph, edges, n = _case_graph(case)
     mg = bf.morse_graph(graph, grid.all_boxes())
     oracle = _oracle_classes(n, edges)
     got = {frozenset(m.ids.tolist()) for m in mg.morse_sets}
