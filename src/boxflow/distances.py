@@ -54,6 +54,7 @@ import itertools
 import numpy as np
 
 from .errors import PreconditionError
+from .grid import sorted_unique
 
 # Relative floating-point slack on the candidate bounds.  It only admits
 # extra candidates, so it costs time, never exactness.
@@ -298,7 +299,7 @@ class BoxSetDistance:
         known = pos < key.size
         known[known] = key[pos[known]] == boxes[known]
         if not known.all():
-            new = np.unique(boxes[~known])
+            new = sorted_unique(boxes[~known])
             multi = self.grid.multi_index(new)
             owner, full = self._full_rows(multi)
             at = np.searchsorted(self.boxset.ids, new)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .errors import CatalogError, DomainError, IngestionError, NumericalError, PreconditionError
-from .grid import ingest_domain
+from .grid import ingest_domain, sorted_unique
 from .jsonio import load_json, number, positive, string
 
 # rows marched together by _advance; a chunk's RK4 stages fit in cache
@@ -106,6 +106,41 @@ def _rk4_step(field, pts, h):
     return pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _substeps(t, h):
+    """The RK4 step sizes of a march by t: whole steps of h, then the remainder."""
+    n_steps, rem = _schedule(t, h)
+    return [h] * n_steps + ([rem] if rem > 0 else [])
+
+
+def _tiled_bounds(system, m):
+    """The domain's low and high bounds repeated for m rows."""
+    lo_rows = np.empty((m, system.dimension))
+    hi_rows = np.empty_like(lo_rows)
+    lo_rows[:] = system.domain[:, 0]
+    hi_rows[:] = system.domain[:, 1]
+    return lo_rows, hi_rows
+
+
+def _step_inside(field, cur, sizes, lo_rows, hi_rows):
+    """RK4 steps of the given sizes while every row passes the bounds test.
+
+    Returns (cur, done, failed): the rows after the first done steps, and
+    the result of step done, which failed the test, or None when every
+    step passed.  The test compares the rows with bounds tiled to them:
+    two elementwise comparisons and one reduction over contiguous memory,
+    where a per-row mask runs numpy inner loops of length d.  It is sound
+    because FlowSystem requires finite bounds: NaN compares False with
+    both, and +-inf fails one, so a step that passes has no non-finite
+    value and no row outside the domain.
+    """
+    for done, h in enumerate(sizes):
+        nxt = _rk4_step(field, cur, h)
+        if not ((nxt >= lo_rows) & (nxt <= hi_rows)).all():
+            return cur, done, nxt
+        cur = nxt
+    return cur, len(sizes), None
+
+
 def _advance(system, points, t):
     """March a batch of in-domain points forward by time t.
 
@@ -122,14 +157,9 @@ def _advance(system, points, t):
     non-finite value raises NumericalError naming the earliest step at which
     any row still inside the domain produced one.
 
-    After each step the whole chunk is tested against the domain bounds
-    tiled to its rows: two elementwise comparisons and one reduction over
-    contiguous memory, where a per-row mask runs numpy inner loops of
-    length d.  The test is sound because FlowSystem requires finite
-    bounds: NaN compares False with both, and +-inf fails one, so a chunk
-    that passes has no non-finite value and no escaped row.  Only when it
-    fails do the isfinite scan and the per-row escape bookkeeping run, in
-    the order they always ran.
+    A chunk runs _step_inside's contiguous bounds test after each step.
+    Only when it fails do the isfinite scan and the per-row escape
+    bookkeeping run, in the order they always ran.
     """
     if t < 0:
         raise PreconditionError(f"advance time must be nonnegative, got {t}")
@@ -142,47 +172,77 @@ def _advance(system, points, t):
 
     lo = system.domain[:, 0]
     hi = system.domain[:, 1]
-    n_steps, rem = _schedule(t, system.step)
-    sizes = [system.step] * n_steps + ([rem] if rem > 0 else [])
+    sizes = _substeps(t, system.step)
     # elapsed time before each step, summed in step order
     starts = list(itertools.accumulate(sizes[:-1], initial=0.0))
     # the bounds repeated for every row of the largest chunk; shorter and
     # shrunken chunks compare with a leading slice
-    lo_rows = np.empty((min(n, ADVANCE_CHUNK), lo.size))
-    hi_rows = np.empty_like(lo_rows)
-    lo_rows[:] = lo
-    hi_rows[:] = hi
+    lo_rows, hi_rows = _tiled_bounds(system, min(n, ADVANCE_CHUNK))
     failed_at = len(sizes)
     for first in range(0, n, ADVANCE_CHUNK):
         rows = np.arange(first, min(first + ADVANCE_CHUNK, n))
         cur = pts[rows]
+        k = 0
         # a step at or after an earlier chunk's failure cannot move the error
-        for k in range(failed_at):
-            nxt = _rk4_step(system.field, cur, sizes[k])
+        while rows.size and k < failed_at:
             m = rows.size
-            if ((nxt >= lo_rows[:m]) & (nxt <= hi_rows[:m])).all():
-                cur = nxt
-                continue
+            cur, done, nxt = _step_inside(system.field, cur, sizes[k:failed_at],
+                                          lo_rows[:m], hi_rows[:m])
+            k += done
+            if nxt is None:
+                break
             if not np.isfinite(nxt).all():
                 failed_at = k
                 break
             inside = (nxt >= lo).all(axis=1) & (nxt <= hi).all(axis=1)
-            if not inside.all():
-                out = rows[~inside]
-                pts[out] = cur[~inside]
-                escaped[out] = True
-                esc_time[out] = starts[k]
-                rows = rows[inside]
-                nxt = nxt[inside]
-            cur = nxt
-            if not rows.size:
-                break
+            out = rows[~inside]
+            pts[out] = cur[~inside]
+            escaped[out] = True
+            esc_time[out] = starts[k]
+            rows = rows[inside]
+            cur = nxt[inside]
+            k += 1
         pts[rows] = cur
     if failed_at < len(sizes):
         raise NumericalError(
             f"integration of {system.name} produced non-finite values at "
             f"t={starts[failed_at] + sizes[failed_at]:g}")
     return pts, escaped, esc_time
+
+
+def _sample_block(system, points, dt, n_samples):
+    """The next samples of a march of in-domain points at spacing dt.
+
+    Returns an (j, m, d) array: row i of sample s is points[i] advanced
+    by (s + 1) dt, with the steps and arithmetic _advance gives it.  At
+    most n_samples samples are taken, and at most ADVANCE_CHUNK // m, so
+    that a block stays the size of one _advance chunk; more than
+    ADVANCE_CHUNK rows, or a dt that is negative or NaN, give none.  The
+    block stops before the first sample in which any row fails
+    _step_inside's bounds test (an escape or a non-finite value) or sets a
+    floating-point flag that numpy's error settings do not ignore.  Such a
+    sample is left to _advance, which freezes escapes, raises
+    NumericalError and warns as it always does; no flag raised here
+    reaches the caller.
+    """
+    m = len(points)
+    n_block = min(n_samples, ADVANCE_CHUNK // m) if dt >= 0 else 0
+    block = np.empty((n_block,) + points.shape)
+    if not n_block:
+        return block
+    sizes = _substeps(dt, system.step)
+    lo_rows, hi_rows = _tiled_bounds(system, m)
+    flagged = []
+    modes = {kind: "ignore" if mode == "ignore" else "call"
+             for kind, mode in np.geterr().items()}
+    cur = points
+    with np.errstate(call=lambda kind, code: flagged.append(kind), **modes):
+        for j in range(n_block):
+            cur, done, _ = _step_inside(system.field, cur, sizes, lo_rows, hi_rows)
+            if done < len(sizes) or flagged:
+                return block[:j]
+            block[j] = cur
+    return block
 
 
 def _advance_rows(system, points, t):
@@ -201,7 +261,7 @@ def _advance_rows(system, points, t):
     whole = whole.astype(np.int64)
     escaped = np.zeros(len(pts), dtype=bool)
     esc_time = np.full(len(pts), np.nan)
-    for n in np.unique(whole[whole > 0]).tolist():
+    for n in sorted_unique(whole[whole > 0]).tolist():
         rows = np.flatnonzero(whole == n)
         pts[rows], escaped[rows], esc_time[rows] = _advance(system, pts[rows], n * system.step)
     rows = np.flatnonzero((rem > 0) & ~escaped)

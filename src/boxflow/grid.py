@@ -38,6 +38,35 @@ def ingest_domain(values, what):
     return np.array(rows, dtype=float)
 
 
+def sorted_unique(values):
+    """np.unique of a 1-d integer array that the caller owns; sorts it in place.
+
+    A sort and an adjacent-difference mask give the same array as
+    np.unique, which numpy 2.4 runs through a hash table several times
+    slower, and which imports numpy.ma on its first call.
+    """
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def finite_norm(x, axis=None):
+    """np.linalg.norm of finite values, inf only where the norm overflows.
+
+    Where the plain sum of squares overflows, the norm is taken of the
+    values divided by the largest magnitude and scaled back.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.norm(x, axis=axis)
+        wide = np.isinf(out)
+        if wide.any():
+            side = np.abs(x).max(axis=axis, keepdims=True)
+            out = np.where(wide, np.squeeze(side, axis) * np.linalg.norm(x / side, axis=axis), out)
+    return out
+
+
 def sample_in_boxes(rng, grid, boxset, n):
     """n points drawn uniformly from boxes of the set picked with replacement.
 
@@ -59,8 +88,7 @@ class BoxSet:
     __slots__ = ("ids",)
 
     def __init__(self, ids=()):
-        arr = np.asarray(ids, dtype=np.int64).ravel()
-        self.ids = np.unique(arr)
+        self.ids = sorted_unique(np.array(ids, dtype=np.int64).ravel())
 
     @classmethod
     def from_mask(cls, mask):
@@ -213,6 +241,10 @@ class BoxGrid:
         if single:
             return int(ids[0])
         return ids
+
+    def box_diagonal(self):
+        """The length of a box's diagonal, inf only if it overflows."""
+        return float(finite_norm(self.widths))
 
     def centers(self, ids):
         ids = self._check_ids(ids)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .distances import BoxSetDistance
 from .errors import CapacityError, ConstructionError, IsolationError, PreconditionError
-from .flows import _advance, _advance_rows, _require_inside, _schedule
+from .flows import _advance, _advance_rows, _require_inside, _sample_block, _schedule
 from .grid import MAX_MARCH_VALUES, BoxGrid, BoxSet, sample_in_boxes
 from .jsonio import load_json, write_json
 from .transition import EXIT, invariant_part, reachable
@@ -261,20 +261,36 @@ def exit_time(system, pair, x, dt=1e-3, horizon=50.0):
     return float(_exit_times_batch(system, pair, x[None, :], dt, horizon)[0])
 
 
+def _absorbed(grid, mask, points):
+    """Rows of an (n, d) array outside the domain or in a box outside mask."""
+    boxes = grid.box_of(points)
+    return (boxes < 0) | ~mask[np.maximum(boxes, 0)]
+
+
 def _march_quotient(system, pair, points, n_steps, dt, mask=None):
     """Quotient-orbit samples of a point batch, n_steps steps of dt.
 
     Returns (positions, absorbed) with shapes (n_steps+1, m, d) and
     (n_steps+1, m); a row is absorbed from the first sample whose box falls
     outside the boxes of mask (by default those of N−L) or whose orbit
-    leaves the domain, and its position freezes.  Each step advances the
-    rows still live in one _advance call; once every row is absorbed the
-    remaining samples are filled in without stepping.  Exit times,
-    envelopes, probes and fields all step their orbits here.  A march that
-    would store more than MAX_MARCH_VALUES coordinates raises CapacityError
+    leaves the domain, and its position freezes.  Exit times, envelopes,
+    probes and fields all step their orbits here.  A march that would
+    store more than MAX_MARCH_VALUES coordinates raises CapacityError
     before it allocates.
+
+    Each pass steps the rows still live through a block of samples with
+    _sample_block, and then finds each row's first absorbed sample with
+    one box_of call over the whole block; rows absorbed inside the block
+    were stepped on, and those samples are dropped.  A pass whose block is
+    empty (more live rows than ADVANCE_CHUNK, or a live row that escapes,
+    turns non-finite or sets a floating-point flag in the next sample)
+    takes that sample as one _advance step instead.  Either way every row
+    gets the samples a march of one _advance call per step gives it.  Once
+    every row is absorbed the remaining samples are filled in without
+    stepping.
     """
     mask = pair._core_mask if mask is None else mask
+    grid = pair.grid
     current = np.array(np.atleast_2d(points), dtype=float)
     n_values = (n_steps + 1) * current.size
     if n_values > MAX_MARCH_VALUES:
@@ -283,21 +299,39 @@ def _march_quotient(system, pair, points, n_steps, dt, mask=None):
             f"store {float(n_values):.6g} coordinates, limit is {MAX_MARCH_VALUES}")
     positions = np.empty((n_steps + 1,) + current.shape)
     absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
-    boxes = np.atleast_1d(pair.grid.box_of(current))
-    dead = (boxes < 0) | ~mask[np.maximum(boxes, 0)]
-    for k in range(n_steps + 1):
-        if dead.all():
-            positions[k:] = current
-            absorbed[k:] = True
+    dead = _absorbed(grid, mask, current)
+    positions[0] = current
+    absorbed[0] = dead
+    k = 0
+    while k < n_steps:
+        live = np.flatnonzero(~dead)
+        if not live.size:
+            positions[k + 1:] = current
+            absorbed[k + 1:] = True
             break
-        if k:
-            live = ~dead
+        block = _sample_block(system, current[live], dt, n_steps - k)
+        j = block.shape[0]
+        if not j:
             nxt, escaped, _ = _advance(system, current[live], dt)
             current[live] = nxt
-            boxes = np.atleast_1d(pair.grid.box_of(nxt))
-            dead[live] = escaped | (boxes < 0) | ~mask[np.maximum(boxes, 0)]
-        positions[k] = current
-        absorbed[k] = dead
+            dead[live] = escaped | _absorbed(grid, mask, nxt)
+            k += 1
+            positions[k] = current
+            absorbed[k] = dead
+            continue
+        out = _absorbed(grid, mask, block.reshape(-1, block.shape[2])).reshape(j, live.size)
+        # each row's first absorbed sample in the block, j if none
+        first = np.where(out.any(axis=0), out.argmax(axis=0), j)
+        sample = np.arange(j)[:, None]
+        cols = np.arange(live.size)
+        span = slice(k + 1, k + 1 + j)
+        positions[span] = current
+        positions[span, live] = block[np.minimum(sample, first), cols]
+        absorbed[span] = dead
+        absorbed[span, live] = sample >= first
+        current[live] = block[np.minimum(first, j - 1), cols]
+        dead[live] = first < j
+        k += j
     return positions, absorbed
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
-from .grid import BoxSet
+from .grid import BoxSet, finite_norm, sorted_unique
 from .jsonio import write_json
 from .transition import Adjacency, _peel, _peeled, cycle_classes, on_cycle, reachable
 
@@ -161,7 +161,7 @@ def morse_graph(graph, region):
     labels = cycle_classes(adj)
     # each class is labelled by its smallest node, so the sorted labels list
     # the classes by smallest box id, the tie-break of the admissible order
-    heads = np.unique(labels[labels >= 0])
+    heads = sorted_unique(labels[labels >= 0])
     classes = [labels == h for h in heads]
     reach, coreach = _class_bits(adj, classes)
     below = [set(np.flatnonzero(coreach[i, heads]).tolist()) - {i}
@@ -324,7 +324,7 @@ def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=1
         if not live.any():
             break
         diff = current[live, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
+        dist = finite_norm(diff, axis=2)
         edges[live] |= dist < epsilon
 
     rows, cols = np.nonzero(edges)

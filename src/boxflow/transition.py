@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
-from .grid import MAX_PAIRS, BoxGrid, BoxSet
+from .grid import MAX_PAIRS, BoxGrid, BoxSet, sorted_unique
 from .jsonio import load_json, number, positive, write_json
 
 EXIT = -1
@@ -124,14 +124,9 @@ class TransitionGraph:
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise PreconditionError("edge arrays must have matching length")
-        # sort in place, then drop repeats: np.unique's hash-table path is
-        # about ten times slower on the millions of pairs a graph build makes
         key = src * np.int64(grid.n_boxes + 1)
         key += dst + 1
-        key.sort()
-        keep = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        key = key[keep]
+        key = sorted_unique(key)
         self._src = key // (grid.n_boxes + 1)
         self._dst = key % (grid.n_boxes + 1) - 1
         self._starts = np.searchsorted(self._src, np.arange(grid.n_boxes + 1))
@@ -263,7 +258,7 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
             f"limit is {MAX_PAIRS}")
 
     escaped = escaped[inverse]
-    exits = np.unique(src_of_pt[escaped])
+    exits = sorted_unique(src_of_pt[escaped])
     src = np.empty(exits.size + n_pairs, dtype=np.int64)
     dst = np.empty_like(src)
     src[:exits.size] = exits
@@ -285,18 +280,12 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
 
 
 def _checked_padding(system, grid, map_time, padding):
-    """The padding of a graph build, by default half the box diagonal,
-    rescaled by the widest side when its plain norm overflows."""
+    """The padding of a graph build, by default half the box diagonal."""
     if map_time < system.step:
         raise PreconditionError(
             f"map_time must be at least one integrator step ({system.step}), got {map_time}")
     if padding is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagonal = float(np.linalg.norm(grid.widths))
-            if not math.isfinite(diagonal):
-                side = float(grid.widths.max())
-                diagonal = side * float(np.linalg.norm(grid.widths / side))
-        padding = 0.5 * diagonal
+        padding = 0.5 * grid.box_diagonal()
     if padding < 0:
         raise PreconditionError(f"padding must be nonnegative, got {padding}")
     if not math.isfinite(padding):

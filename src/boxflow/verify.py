@@ -181,7 +181,7 @@ def _graph_checks(system, grid, graph, inv, rng, add):
     n_probe = 200
     bidx, pts = sample_in_boxes(rng, grid, grid.all_boxes(), n_probe)
     end, esc, _ = _advance(system, pts, graph.map_time)
-    diag = float(np.linalg.norm(grid.widths))
+    diag = grid.box_diagonal()
     violations = 0
     excused = 0
     for i in range(n_probe):

@@ -84,6 +84,31 @@ def sample_in_boxes(rng, grid, boxset, n):
     return rects[:, :, 0] + u * (rects[:, :, 1] - rects[:, :, 0])
 
 
+def _march_quotient_oracle(system, pair, points, n_steps, dt, mask=None):
+    """The quotient march one sample at a time: the rows still live take one
+    _advance step of dt, then one box_of call decides which are absorbed."""
+    mask = pair._core_mask if mask is None else mask
+    current = np.array(np.atleast_2d(points), dtype=float)
+    positions = np.empty((n_steps + 1,) + current.shape)
+    absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
+    boxes = np.atleast_1d(pair.grid.box_of(current))
+    dead = (boxes < 0) | ~mask[np.maximum(boxes, 0)]
+    for k in range(n_steps + 1):
+        if dead.all():
+            positions[k:] = current
+            absorbed[k:] = True
+            break
+        if k:
+            live = ~dead
+            nxt, escaped, _ = _advance(system, current[live], dt)
+            current[live] = nxt
+            boxes = np.atleast_1d(pair.grid.box_of(nxt))
+            dead[live] = escaped | (boxes < 0) | ~mask[np.maximum(boxes, 0)]
+        positions[k] = current
+        absorbed[k] = dead
+    return positions, absorbed
+
+
 def _sup_envelope_oracle(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
     """The single-point envelope: one _advance and one ρ call per step."""
     grid = pair.grid

@@ -411,6 +411,28 @@ def test_distances_on_a_huge_domain_overflow_to_inf_without_a_warning(tmp_path):
         assert done.stderr == ""
 
 
+def test_verify_on_a_huge_domain_runs_without_a_warning(tmp_path):
+    # x' = x on [-1e200, 1e200]: the box diagonal and the chain oracle's
+    # squared distances overflow unless rescaled.  At depth 8 the suite
+    # fails filtration_soundness alone, as it does for saddle1d on [-1, 1].
+    system = tmp_path / "huge.json"
+    system.write_text(json.dumps({
+        "field": [{"coeffs": [1.0], "exponents": [1]}], "dimension": 1,
+        "domain": [[-1e200, 1e200]], "name": "huge"}))
+    src = str(Path(bf.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "boxflow",
+                           "verify", "--system-file", str(system), "--depth", "8",
+                           "--out", str(tmp_path / "x")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    checks = {c["name"]: c for c in
+              json.loads((tmp_path / "x" / "verify.json").read_text())["checks"]}
+    assert [n for n, c in checks.items() if c["applicable"] and not c["passed"]] == [
+        "filtration_soundness"]
+    assert checks["graph_outer_soundness"]["measured"]["box_diagonal"] == 2.5e199
+
+
 def test_the_commands_run_with_scipy_blocked(tmp_path):
     # boxflow needs numpy alone: importing it loads no scipy module, and with
     # scipy made unimportable analyze, lyapunov and verify still exit 0

@@ -7,7 +7,7 @@ import pytest
 
 import boxflow as bf
 from boxflow.errors import PreconditionError
-from boxflow.grid import BoxGrid, BoxSet
+from boxflow.grid import BoxGrid, BoxSet, finite_norm, sorted_unique
 
 
 def test_centers_round_trip_through_box_of():
@@ -140,3 +140,21 @@ def test_a_domain_without_a_finite_width_is_refused(axis):
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="axis 1 .* has no finite width"):
             BoxGrid(np.array([[0.0, 1.0], axis]), (4, 4))
+
+
+def test_sorted_unique_equals_np_unique():
+    rng = np.random.default_rng(4)
+    for n, high in ((0, 5), (1, 5), (50, 10), (5000, 300), (5000, 2 ** 40)):
+        ids = rng.integers(-3, high, size=n)
+        want = np.unique(ids)
+        got = sorted_unique(ids.copy())
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert BoxSet([5, 1, 5, 3, 1]).ids.tolist() == [1, 3, 5]
+
+
+def test_finite_norm_rescales_only_where_the_plain_norm_overflows():
+    x = np.array([[3.0, 4.0], [3e200, 4e200], [0.0, 0.0], [1.5e308, 1.5e308]])
+    np.testing.assert_allclose(finite_norm(x, axis=1), [5.0, 5e200, 0.0, np.inf], rtol=1e-15)
+    assert finite_norm(x[0]) == 5.0
+    assert bf.build_grid([(-1e200, 1e200)], (8,)).box_diagonal() == 2.5e199

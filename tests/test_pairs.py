@@ -2,18 +2,22 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import boxflow as bf
+from boxflow import pairs
 from boxflow.errors import (ConstructionError, IngestionError, IsolationError,
-                            PreconditionError)
+                            NumericalError, PreconditionError)
+from boxflow.flows import ADVANCE_CHUNK
 from boxflow.grid import BoxSet
-from boxflow.pairs import BASEPOINT, _exit_times_batch
+from boxflow.pairs import BASEPOINT, _exit_times_batch, _march_quotient
 from boxflow.transition import TransitionGraph
 
-from conftest import _exit_time_oracle, _retraction_oracle, _stopped_flow_oracle
+from conftest import (_exit_time_oracle, _march_quotient_oracle, _retraction_oracle,
+                      _stopped_flow_oracle)
 
 
 def test_constructed_pair_shape(doublewell):
@@ -243,6 +247,149 @@ def test_retraction_check_equals_the_per_sample_oracle(saddle, window_pair, doub
     assert all(0 < r.n_tested < 20 and r.passed for r in reports[:2])
     assert reports[2].failures and len(reports[2].failures) == reports[2].n_tested
     assert reports[3].n_tested == 0
+
+
+def _counting_advance(monkeypatch):
+    """Count the _advance calls _march_quotient makes."""
+    calls = []
+
+    def advance(system, points, t):
+        calls.append(len(points))
+        return flows_advance(system, points, t)
+
+    flows_advance = pairs._advance
+    monkeypatch.setattr(pairs, "_advance", advance)
+    return calls
+
+
+def _march_case(name):
+    """(system, pair, points, n_steps, dt) of one quotient-march case."""
+    saddle = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(saddle.domain, (64,))
+    window = bf.IndexPair.from_boxes(grid, list(range(16, 48)), [16, 47])
+    whole = bf.IndexPair.from_boxes(grid, grid.all_boxes().ids, [])
+    # row 0 starts in L; the others leave N−L at many different samples
+    inner = np.linspace(-0.49, 0.49, 300)[:, None]
+    if name == "absorbed-mid-block":
+        return saddle, window, inner, 120, 0.05
+    if name == "escape-mid-block":
+        return saddle, whole, np.linspace(-0.99, 0.99, 300)[:, None], 120, 0.05
+    if name == "dt-below-step":
+        return saddle, window, inner, 800, 1e-3
+    if name == "dt-five-steps-2d":
+        # x' = x, y' = -y: rows leave the domain through x = +-1, or enter
+        # L, the band |y| < 0.125
+        system = bf.FlowSystem(dimension=2, field=lambda p: p * np.array([1.0, -1.0]),
+                               domain=[[-1.0, 1.0], [-1.0, 1.0]], name="saddle2d")
+        grid2 = bf.build_grid(system.domain, (16, 16))
+        band = [b for b in range(256) if b % 16 in (7, 8)]
+        pair = bf.IndexPair.from_boxes(grid2, list(range(256)), band)
+        pts = np.random.default_rng(2).uniform(-0.95, 0.95, size=(400, 2))
+        return system, pair, pts, 60, 0.05
+    if name == "more-rows-than-chunk":
+        # the rows near x = 1 leave within the first three steps
+        pts = np.concatenate([np.linspace(-0.2, 0.2, ADVANCE_CHUNK - 100),
+                              np.linspace(0.9, 0.999, 600)])[:, None]
+        return saddle, whole, pts, 30, 0.05
+    if name == "all-absorbed":
+        return saddle, window, inner, 400, 0.05
+    assert name == "no-steps"
+    return saddle, window, inner, 0, 0.05
+
+
+@pytest.mark.parametrize("name", ["absorbed-mid-block", "escape-mid-block", "dt-below-step",
+                                  "dt-five-steps-2d", "more-rows-than-chunk", "all-absorbed",
+                                  "no-steps"])
+def test_march_quotient_equals_the_per_step_oracle(monkeypatch, name):
+    system, pair, pts, n_steps, dt = _march_case(name)
+    calls = _counting_advance(monkeypatch)
+    positions, absorbed = _march_quotient(system, pair, pts, n_steps, dt)
+    ref_positions, ref_absorbed = _march_quotient_oracle(system, pair, pts, n_steps, dt)
+    np.testing.assert_array_equal(positions, ref_positions)
+    np.testing.assert_array_equal(absorbed, ref_absorbed)
+    first = np.where(absorbed.any(axis=0), absorbed.argmax(axis=0), n_steps + 1)
+    # an absorbed row frozen in a box of N−L left the domain
+    escaped = absorbed[-1] & pair._core_mask[pair.grid.box_of(positions[-1])]
+    if name in ("absorbed-mid-block", "dt-below-step"):
+        # no row leaves the domain, so no sample falls back to _advance
+        assert calls == []
+        assert first[0] == 0 and len(set(first.tolist())) > 50
+    elif name in ("escape-mid-block", "dt-five-steps-2d"):
+        assert 0 < len(calls) < n_steps
+        assert escaped.sum() > 20
+        assert name == "escape-mid-block" or (absorbed[-1] & ~escaped).sum() > 20
+    elif name == "more-rows-than-chunk":
+        # the first steps take _advance until enough rows have escaped
+        assert calls[0] == len(pts) > ADVANCE_CHUNK
+        assert escaped.sum() == 600 and len(calls) < 5
+    elif name == "all-absorbed":
+        assert absorbed[n_steps // 2].all() and calls == []
+    else:
+        assert positions.shape == (1, 300, 1) and calls == []
+
+
+def _overflow_system(kind):
+    """A system whose rows start at y = 0.5 and move right at speed 1."""
+    if kind == "nan":
+        # x' = 1, y' = 0 * x^400: x^400 overflows past x = 5.89, and the
+        # zero coefficient turns it into NaN
+        field = bf.polynomial_field([{"coeffs": [1.0, 0.0], "exponents": [0, 0]},
+                                     {"coeffs": [0.0, 0.0], "exponents": [400, 0]}], 2)
+    else:
+        # x' = 1 + 1 / exp(100 x), y' = 0: exp overflows past x = 7.1, and
+        # 1 / inf is 0, so every value stays finite
+        def field(p):
+            out = np.zeros_like(p)
+            out[:, 0] = 1.0 + 1.0 / np.exp(100.0 * p[:, 0])
+            return out
+    return bf.FlowSystem(dimension=2, field=field, domain=[[0.0, 10.0], [0.0, 1.0]],
+                         name=f"overflow-{kind}")
+
+
+def _outcome(march, system, pair, pts, mode):
+    """The march's arrays or exception, and the warnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(mode)
+        try:
+            result = tuple(a.tobytes() for a in march(system, pair, pts, 200, 0.05))
+        except (NumericalError, RuntimeWarning) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("kind", ["nan", "finite"])
+@pytest.mark.parametrize("mode", ["always", "error"])
+def test_rows_that_overflow_after_they_are_absorbed_raise_nothing(monkeypatch, kind, mode):
+    # N−L is x < 4 (boxes 0-7 of 20 along x): rows are absorbed there, and
+    # the block march steps them on until they overflow
+    system = _overflow_system(kind)
+    grid = bf.build_grid(system.domain, (20, 1))
+    pair = bf.IndexPair.from_boxes(grid, list(range(10)), [8, 9])
+    pts = np.column_stack([np.linspace(0.1, 3.9, 40), np.full(40, 0.5)])
+    calls = _counting_advance(monkeypatch)
+    got = _outcome(_march_quotient, system, pair, pts, mode)
+    assert got == _outcome(_march_quotient_oracle, system, pair, pts, mode)
+    assert len(got[0]) == 2 and got[1] == [] and calls == []
+
+
+@pytest.mark.parametrize("kind", ["nan", "finite"])
+@pytest.mark.parametrize("mode", ["always", "error"])
+def test_a_live_row_that_overflows_fails_or_warns_as_in_the_per_step_oracle(kind, mode):
+    # N−L is x < 8 (boxes 0-15): live rows overflow
+    system = _overflow_system(kind)
+    grid = bf.build_grid(system.domain, (20, 1))
+    pair = bf.IndexPair.from_boxes(grid, list(range(18)), [16, 17])
+    pts = np.column_stack([np.linspace(0.1, 3.9, 40), np.full(40, 0.5)])
+    got = _outcome(_march_quotient, system, pair, pts, mode)
+    assert got == _outcome(_march_quotient_oracle, system, pair, pts, mode)
+    if mode == "error":
+        assert got[0][0] is RuntimeWarning and "overflow" in got[0][1] and got[1] == []
+    elif kind == "nan":
+        assert got[0][0] is NumericalError and "non-finite values at t=0.05" in got[0][1]
+        assert {c for c, _ in got[1]} == {RuntimeWarning}
+    else:
+        # the march completes, warning on every step past x = 7.1
+        assert len(got[0]) == 2 and len(got[1]) > 40
 
 
 def test_pair_round_trip(tmp_path, doublewell):
