@@ -149,7 +149,7 @@ def cmd_analyze(config):
     graph = build_transition_graph(system, grid, config.map_time, config.padding)
     region = grid.all_boxes()
     mg = morse_graph(graph, region)
-    recurrent = sorted(b for m in mg.morse_sets for b in m.ids.tolist())
+    recurrent = mg.recurrent.ids.tolist()
 
     out = config.out
     _atomic(os.path.join(out, "graph.json"), graph.to_json)
@@ -232,8 +232,7 @@ def cmd_filtration(config):
     if mg.n == 0:
         trivial = Filtration(levels=[], thresholds=[], pair=IndexPair(grid, BoxSet(), BoxSet()))
         _atomic(os.path.join(out, "filtration.json"), trivial.to_json)
-        reason = "no recurrent classes" if mg.invariant else "empty invariant part"
-        print(f"{reason}: trivial filtration with 0 levels")
+        print("empty invariant part: trivial filtration with 0 levels")
         return 0
 
     pair = build_index_pair(mg)

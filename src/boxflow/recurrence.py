@@ -9,13 +9,16 @@ independent point-level epsilon-chain oracle cross-checks the box picture.
 The graph work runs in numpy on the CSR Adjacency of transition.py;
 Kalies, Mischaikow and VanderVorst ("An algorithmic approach to chain
 recurrence", FoCM 2005) show why cycles of the box graph stand in for
-chain recurrence.  morse_graph trims the region to its invariant part,
-which holds every recurrent class, in O(n + m) for the region's n boxes
-and m edges, and keeps the graph on that part, with n' boxes and m'
-edges.  A forward-backward SCC pass labels the classes there, one round
-of O(n' + m' log m') per split.  Then one forward and one backward
-breadth-first search per class give the reach bits, O(k (n' + m')) for k
-classes.  Each class is named by its smallest box, and the Morse sets are
+chain recurrence.  morse_graph restricts the graph to the region once, with
+n boxes and m edges.  A forward-backward SCC pass labels the classes there;
+its trim first drops, in O(n + m), every box that is not in the invariant
+part, and then each round costs O(n' + m' log m') on the n' boxes and m'
+edges left.  Then one forward and one backward breadth-first search per
+class over the whole region give the reach bits, O(k (n + m)) for k
+classes.  Every other answer is read off those bits: the invariant part is
+the boxes that reach a class and are reached from one, and the
+attractor-repeller, alpha and omega regions of a down-set need no further
+search.  Each class is named by its smallest box, and the Morse sets are
 listed by it, so no artifact depends on the order in which the SCC pass
 finds the classes.
 """
@@ -30,7 +33,7 @@ from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import BoxSet, finite_norm, sorted_unique
 from .jsonio import write_json
-from .transition import Adjacency, _peel, _peeled, cycle_classes, on_cycle, reachable
+from .transition import Adjacency, cycle_classes, on_cycle, reachable
 
 
 def chain_recurrent_boxes(graph, region):
@@ -57,65 +60,86 @@ class MorseGraph:
     """Recurrent classes of a region with an admissible order.
 
     morse_sets is listed in admissible order, so morse_sets[i-1] carries
-    index i and attractor classes come first.  partial_order holds the
-    reachability pairs (higher index, lower index).  Connecting boxes of the
-    invariant part keep the sets of classes they reach and are reached from.
+    index i and attractor classes come first; recurrent is their union.
+    partial_order holds the reachability pairs (higher index, lower index).
+    Every box of the region keeps the sets of classes it reaches and is
+    reached from; the invariant part is the boxes that have both.
     """
 
-    def __init__(self, graph, region, invariant, morse_sets, partial_order,
-                 inv_ids, class_of_local, reach_bits, coreach_bits):
+    def __init__(self, graph, region, morse_sets, partial_order, cls, reach, coreach):
         self.graph = graph
         self.region = region
-        self.invariant = invariant
         self.morse_sets = morse_sets
         self.n = len(morse_sets)
         self.admissible_order = tuple(range(1, self.n + 1))
         self.partial_order = frozenset(partial_order)
-        self._inv_ids = inv_ids
-        self._class_of_local = class_of_local
-        self._reach_bits = reach_bits
-        self._coreach_bits = coreach_bits
+        # per region box: its Morse set index (0 for none), and one row of
+        # reach and of coreach bits per Morse set
+        self._cls = cls
+        self._reach = reach
+        self._coreach = coreach
+        self._inside = reach.any(axis=0) & coreach.any(axis=0)
+        self.invariant = BoxSet(region.ids[self._inside])
+        self.recurrent = BoxSet(region.ids[cls > 0])
         self._connecting = None
 
     def _local(self, box):
-        i = np.searchsorted(self._inv_ids, box)
-        if i < self._inv_ids.size and self._inv_ids[i] == box:
-            return int(i)
+        """The region position of an invariant-part box, else None."""
+        ids = self.region.ids
+        i = int(np.searchsorted(ids, box))
+        if i < ids.size and ids[i] == box and self._inside[i]:
+            return i
         return None
 
     def class_of(self, box):
         """Admissible index of the box's Morse set, or None."""
         i = self._local(box)
-        if i is None or self._class_of_local[i] == 0:
+        if i is None or self._cls[i] == 0:
             return None
-        return int(self._class_of_local[i])
+        return int(self._cls[i])
+
+    def _classes(self, bits, box):
+        i = self._local(box)
+        if i is None:
+            raise PreconditionError(f"box {box} is not in the invariant part")
+        return frozenset(int(k) for k in np.flatnonzero(bits[:, i]) + 1)
 
     def reach_classes(self, box):
         """Indices of Morse sets reachable from an invariant-part box."""
-        i = self._local(box)
-        if i is None:
-            raise PreconditionError(f"box {box} is not in the invariant part")
-        return frozenset(int(k) for k in np.flatnonzero(self._reach_bits[:, i]) + 1)
+        return self._classes(self._reach, box)
 
     def coreach_classes(self, box):
         """Indices of Morse sets from which an invariant-part box is reachable."""
-        i = self._local(box)
-        if i is None:
-            raise PreconditionError(f"box {box} is not in the invariant part")
-        return frozenset(int(k) for k in np.flatnonzero(self._coreach_bits[:, i]) + 1)
+        return self._classes(self._coreach, box)
+
+    def _only(self, allowed, backward):
+        """reaching_only as a mask over the region's boxes."""
+        bits = self._coreach if backward else self._reach
+        allowed_bits = np.isin(np.arange(1, self.n + 1), list(allowed))
+        ok = bits.any(axis=0) & ~bits[~allowed_bits].any(axis=0)
+        recurrent = self._cls > 0
+        ok[recurrent] = allowed_bits[self._cls[recurrent] - 1]
+        return ok
+
+    def reaching_only(self, allowed, backward=False):
+        """Boxes of the region that reach some Morse set and none whose
+        index is outside allowed; with backward, boxes that some Morse set
+        reaches and none outside allowed does.  A box of a Morse set counts
+        by its own index alone."""
+        return BoxSet(self.region.ids[self._only(allowed, backward)])
 
     @property
     def connecting(self):
         """Non-recurrent invariant boxes with their (reach, coreach) class sets."""
         if self._connecting is None:
-            local = np.flatnonzero(self._class_of_local == 0)
+            local = np.flatnonzero(self._inside & (self._cls == 0))
             indices = range(1, self.n + 1)
             # one row of class bits per connecting box
-            reach = self._reach_bits[:, local].T.tolist()
-            coreach = self._coreach_bits[:, local].T.tolist()
+            reach = self._reach[:, local].T.tolist()
+            coreach = self._coreach[:, local].T.tolist()
             self._connecting = {
                 box: (frozenset(compress(indices, r)), frozenset(compress(indices, c)))
-                for box, r, c in zip(self._inv_ids[local].tolist(), reach, coreach)}
+                for box, r, c in zip(self.region.ids[local].tolist(), reach, coreach)}
         return self._connecting
 
     def __repr__(self):
@@ -157,7 +181,7 @@ def morse_graph(graph, region):
     admissible order is a reverse topological order of the condensation with
     ties broken by smallest contained box id.
     """
-    inv, adj = _peeled(graph, region, require_in=True, require_out=True)
+    adj = graph.restricted(region)
     labels = cycle_classes(adj)
     # each class is labelled by its smallest node, so the sorted labels list
     # the classes by smallest box id, the tie-break of the admissible order
@@ -178,13 +202,12 @@ def morse_graph(graph, region):
     index_of = {i: k + 1 for k, i in enumerate(order)}
     partial_order = {(index_of[i], index_of[j])
                      for i, lower in enumerate(below) for j in lower}
-    inv_ids = inv.ids
-    morse_sets = [BoxSet(inv_ids[classes[i]]) for i in order]
-    class_of_local = np.zeros(inv_ids.size, dtype=np.int64)
+    morse_sets = [BoxSet(region.ids[classes[i]]) for i in order]
+    cls = np.zeros(len(region), dtype=np.int64)
     for k, i in enumerate(order, start=1):
-        class_of_local[classes[i]] = k
-    return MorseGraph(graph, region, inv, morse_sets, partial_order,
-                      inv_ids, class_of_local, reach[order], coreach[order])
+        cls[classes[i]] = k
+    return MorseGraph(graph, region, morse_sets, partial_order,
+                      cls, reach[order], coreach[order])
 
 
 @dataclass(frozen=True)
@@ -213,31 +236,18 @@ def _check_down_set(mg, down_set):
     return D
 
 
-def _within_classes(cls, bits, allowed):
-    """Mask of the boxes whose classes all lie in the allowed indices.
-
-    cls holds each box's Morse set index, 0 for a box in none; such a box
-    has the classes that its column of bits, one row per class, marks.
-    """
-    allowed_bits = np.zeros(bits.shape[0], dtype=bool)
-    for k in allowed:
-        allowed_bits[k - 1] = True
-    recurrent = cls > 0
-    ok = np.empty(cls.size, dtype=bool)
-    ok[recurrent] = allowed_bits[cls[recurrent] - 1]
-    ok[~recurrent] = ~(bits[:, ~recurrent] & ~allowed_bits[:, None]).any(axis=0)
-    return ok
-
-
 def ar_regions(mg, down_set):
-    """The attractor-repeller pair of boxes of mg generated by a down-set."""
+    """The attractor-repeller pair of boxes of mg generated by a down-set.
+
+    A box of the invariant part belongs to a side when every class it
+    reaches or is reached from does; a box of a Morse set goes with its own
+    class.
+    """
     D = _check_down_set(mg, down_set)
     E = frozenset(range(1, mg.n + 1)) - D
-    # a connecting box belongs to a side when every class it reaches or is
-    # reached from does
-    both = mg._reach_bits | mg._coreach_bits
-    return ARPair(attractor=BoxSet(mg._inv_ids[_within_classes(mg._class_of_local, both, D)]),
-                  repeller=BoxSet(mg._inv_ids[_within_classes(mg._class_of_local, both, E)]),
+    ids = mg.region.ids
+    return ARPair(attractor=BoxSet(ids[mg._only(D, False) & mg._only(D, True)]),
+                  repeller=BoxSet(ids[mg._only(E, False) & mg._only(E, True)]),
                   down_set=D)
 
 
@@ -247,28 +257,17 @@ def ar_regions_in_pair(mg, down_set):
     alpha holds boxes carrying a full backward orbit of mg.graph in
     mg.region whose sources among the Morse classes all lie in the down-set
     (recurrent boxes qualify through their own class).  omega is the
-    forward counterpart for the complementary up-set.  These
+    forward counterpart for the complementary up-set.  In a finite region
+    a box has a full backward orbit exactly when a Morse set reaches it,
+    and a full forward orbit exactly when it reaches one.  These
     over-approximate the sets where the pair's Lyapunov function is pinned
     at 0 and 1.
     """
-    graph, region = mg.graph, mg.region
     pair = ar_regions(mg, down_set)
     D = pair.down_set
     E = frozenset(range(1, mg.n + 1)) - D
-
-    w_back = _peel(graph, region, require_in=True, require_out=False)
-    w_fwd = _peel(graph, region, require_in=False, require_out=True)
-    ids = region.ids
-    reach, coreach = _class_bits(graph.restricted(region),
-                                 [np.isin(ids, m.ids) for m in mg.morse_sets])
-
-    cls = np.zeros(ids.size, dtype=np.int64)
-    for k, m in enumerate(mg.morse_sets, start=1):
-        cls[np.searchsorted(ids, m.ids)] = k
-    alpha = BoxSet(ids[_within_classes(cls, coreach, D)]).intersection(w_back)
-    omega = BoxSet(ids[_within_classes(cls, reach, E)]).intersection(w_fwd)
-
-    return ARRegions(pair.attractor, pair.repeller, alpha, omega, pair.down_set)
+    return ARRegions(pair.attractor, pair.repeller, mg.reaching_only(D, backward=True),
+                     mg.reaching_only(E), D)
 
 
 def enumerate_ar_pairs(mg):
@@ -344,9 +343,7 @@ def check_R_equals_intersection(mg):
     intersection = mg.invariant
     for pair in pairs:
         intersection = intersection.intersection(pair.attractor.union(pair.repeller))
-    recurrent = BoxSet([])
-    for m in mg.morse_sets:
-        recurrent = recurrent.union(m)
+    recurrent = mg.recurrent
     diff = intersection.difference(recurrent).union(recurrent.difference(intersection))
     return IntersectionReport(equal=len(diff) == 0,
                               symmetric_difference=diff,

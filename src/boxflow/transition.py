@@ -17,14 +17,14 @@ and m edges in the set:
 - reachable is a breadth-first search, one level per loop: the successors
   of the whole frontier are gathered from the CSR rows at once, so it costs
   O(n + m) plus a fixed numpy overhead per level.
-- The invariant parts are a trim (Kahn's algorithm on the degree counts):
-  drop every node with no successor and/or no predecessor in the set, and
+- The invariant part is a trim (Kahn's algorithm on the degree counts):
+  drop every node with no successor or no predecessor in the set, and
   touch only the edges of the nodes just dropped, until no node is left to
   drop, in O(n + m) in all.  What is left is the largest subset in which
-  every node has a successor and/or a predecessor.  In a finite set that
-  is exactly the nodes that reach a cycle and/or are reached from one: an
-  infinite path stays in the subset, and a path from a cycle to a cycle
-  keeps all its nodes.
+  every node has both a successor and a predecessor.  In a finite set that
+  is exactly the nodes that reach a cycle and are reached from one: a
+  path infinite both ways stays in the subset, and a path from a cycle to
+  a cycle keeps all its nodes.
 - Cycles are a strongly connected component (SCC) pass, forward-backward
   with trimming (Fleischer, Hendrickson and Pinar 2000).  After a trim,
   the SCC of a pivot is the intersection of what it reaches and what
@@ -348,10 +348,10 @@ def reachable(adj, seeds):
     return hit
 
 
-def _trim(adj, alive, require_in, require_out):
+def _trim(adj, alive):
     """Drop from the node mask alive, in place, every node left with no
-    predecessor (require_in) or no successor (require_out) among the live
-    nodes, until none is.  Every edge of adj must join two live nodes.
+    predecessor or no successor among the live nodes, until none is.
+    Every edge of adj must join two live nodes.
 
     Kahn's algorithm, one loop per round of drops: the degree counts are
     lowered only along the edges of the nodes just dropped, and the next
@@ -363,9 +363,7 @@ def _trim(adj, alive, require_in, require_out):
     """
     n = alive.size
     slot = np.empty(n, dtype=np.int64)
-    for required, forward in ((require_in, True), (require_out, False)):
-        if not required:
-            continue
+    for forward in (True, False):
         deg = np.bincount(adj.indices, minlength=n) if forward else np.diff(adj.indptr)
         frontier = np.flatnonzero(alive & (deg == 0))
         while frontier.size:
@@ -408,7 +406,7 @@ def cycle_classes(adj):
     labels = np.full(n, -1, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     color = np.zeros(n, dtype=np.int64)
-    _trim(adj, alive, True, True)
+    _trim(adj, alive)
     while True:
         live = np.flatnonzero(alive)
         if not live.size:
@@ -432,37 +430,13 @@ def cycle_classes(adj):
         alive[members] = False
         color = 3 * color + fwd + 2 * bwd
         adj = _within(adj, alive, color)
-        _trim(adj, alive, True, True)
+        _trim(adj, alive)
 
 
 def on_cycle(adj):
     """Mask of the nodes of an Adjacency that lie on a cycle: in a strongly
     connected component of more than one node, or on a self-loop."""
     return cycle_classes(adj) >= 0
-
-
-def _peeled(graph, boxes, require_in, require_out):
-    """The boxes of the set that _peel keeps, and the graph on them."""
-    adj = graph.restricted(boxes)
-    keep = np.ones(len(boxes), dtype=bool)
-    _trim(adj, keep, require_in, require_out)
-    if keep.all():
-        return boxes, adj
-    boxes = BoxSet(boxes.ids[keep])
-    return boxes, graph.restricted(boxes)
-
-
-def _peel(graph, boxes, require_in, require_out):
-    """Boxes of the set carrying a full orbit inside the set.
-
-    With both requirements this is the combinatorial invariant part; with
-    only one it is the boxes carrying a full backward (require_in) or
-    forward (require_out) orbit.  In a finite set a box has a full backward
-    orbit exactly when a cycle of the set reaches it, and a full forward
-    orbit exactly when it reaches a cycle; the trim keeps exactly those.
-    EXIT edges never count.
-    """
-    return _peeled(graph, boxes, require_in, require_out)[0]
 
 
 def invariant_part(graph, boxes):
@@ -474,6 +448,8 @@ def invariant_part(graph, boxes):
     The isolated flag records whether the survivors stay clear of the box
     set's boundary layer, grid edge included.
     """
-    inv = _peel(graph, boxes, require_in=True, require_out=True)
+    keep = np.ones(len(boxes), dtype=bool)
+    _trim(graph.restricted(boxes), keep)
+    inv = BoxSet(boxes.ids[keep])
     isolated = inv.isdisjoint(graph.grid.boundary_layer(boxes))
     return InvariantPart(inv, isolated)

@@ -26,9 +26,9 @@ from .lyapunov import (CenterTable, Filtration, LyapunovParams, _QuotientSamples
 from .pairs import (IndexPair, build_index_pair, regularity_check,
                     retraction_check, validate_index_pair, _exit_times_batch,
                     _march_quotient)
-from .recurrence import (_within_classes, chain_recurrent_boxes,
-                         check_R_equals_intersection, enumerate_ar_pairs,
-                         ar_regions_in_pair, epsilon_chain_oracle, morse_graph)
+from .recurrence import (chain_recurrent_boxes, check_R_equals_intersection,
+                         enumerate_ar_pairs, ar_regions_in_pair, epsilon_chain_oracle,
+                         morse_graph)
 from .transition import EXIT, TransitionGraph, build_transition_graph, invariant_part
 
 
@@ -229,9 +229,7 @@ def _recurrence_checks(mg, add):
             None, "no recurrent classes in the region")
 
     pairs = enumerate_ar_pairs(mg)
-    recurrent = BoxSet([])
-    for m in mg.morse_sets:
-        recurrent = recurrent.union(m)
+    recurrent = mg.recurrent
     dual_viol = 0
     for ar in pairs:
         if not ar.attractor.isdisjoint(ar.repeller):
@@ -251,9 +249,7 @@ def _recurrence_checks(mg, add):
         # graph images of attractor boxes may pass through connecting boxes
         # that other classes also feed into, so test the forward-reach classes
         # of the targets rather than membership in the attractor itself
-        reach_ok = np.zeros(grid.n_boxes, dtype=bool)
-        reach_ok[mg._inv_ids] = _within_classes(mg._class_of_local, mg._reach_bits,
-                                                ar.down_set)
+        reach_ok = mg.reaching_only(ar.down_set).mask(grid.n_boxes)
         a_mask = ar.attractor.mask(grid.n_boxes)
         sel = a_mask[src] & (dst >= 0) & inv_mask[np.maximum(dst, 0)]
         fwd_viol += int((sel & ~reach_ok[np.maximum(dst, 0)]).sum())
@@ -296,7 +292,7 @@ def _oracle_check(system, grid, graph, padding, epsilon, add):
         else:
             runs.append([b])
     empty = sum(1 for run in runs if not any(b in run for b in flagged_boxes))
-    passed = not outside and empty == 0 and len(runs) > 0
+    passed = not outside and empty == 0
     add("oracle_agreement", passed, True,
         {"flagged_points": int(flagged.shape[0]), "flagged_outside_recurrent": len(outside),
          "clusters": len(runs), "clusters_without_flag": empty,
@@ -304,8 +300,13 @@ def _oracle_check(system, grid, graph, padding, epsilon, add):
         "independent chain oracle against the recurrent boxes at map time 0.6")
 
 
-def _pair_checks(system, grid, graph, pair, fail_reason, rng, add):
-    if pair is None:
+def _pair_checks(system, mg, pair, fail_reason, rng, add):
+    graph = mg.graph
+    grid = graph.grid
+    if pair is None and not mg.invariant:
+        # a region with no invariant part has no index pair to build
+        add("index_pair_valid", True, False, {}, None, fail_reason)
+    elif pair is None:
         add("index_pair_valid", False, True, {}, None,
             f"construction failed: {fail_reason}")
     else:
@@ -568,7 +569,7 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
         pair = build_index_pair(mg)
     except (IsolationError, ConstructionError) as exc:
         fail_reason = str(exc)
-    _pair_checks(system, grid, graph, pair, fail_reason, rng, add)
+    _pair_checks(system, mg, pair, fail_reason, rng, add)
 
     fields = []
     ar_first = None

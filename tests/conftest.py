@@ -1,6 +1,7 @@
 """Session fixtures: pipeline bundles built once per system and reused."""
 
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from boxflow import grid as bfgrid
 from boxflow.grid import BoxSet
 from boxflow.lyapunov import _discounted_from_h
 from boxflow.pairs import _march_quotient
+from boxflow.transition import EXIT, TransitionGraph
 
 ACCEPTANCE_LINES = []
 
@@ -365,14 +367,10 @@ def _graph_dot_oracle(graph):
 
 
 def _connecting_oracle(mg):
-    """MorseGraph.connecting with two flatnonzero calls per connecting box."""
-    out = {}
-    for i in np.flatnonzero(mg._class_of_local == 0):
-        box = int(mg._inv_ids[i])
-        out[box] = (
-            frozenset(int(k) for k in np.flatnonzero(mg._reach_bits[:, i]) + 1),
-            frozenset(int(k) for k in np.flatnonzero(mg._coreach_bits[:, i]) + 1))
-    return out
+    """MorseGraph.connecting with one class_of, reach_classes and
+    coreach_classes call per invariant box."""
+    return {b: (mg.reach_classes(b), mg.coreach_classes(b))
+            for b in mg.invariant.ids.tolist() if mg.class_of(b) is None}
 
 
 def _reach_ok_oracle(mg, down_set):
@@ -386,3 +384,57 @@ def _reach_ok_oracle(mg, down_set):
         else:
             reach_ok[b] = mg.reach_classes(b) <= down_set
     return reach_ok
+
+
+def _peel_oracle(graph, boxes, require_in, require_out):
+    """Iteratively drop boxes missing a required neighbor inside the set."""
+    ids = boxes.ids
+    n = ids.size
+    if n == 0:
+        return BoxSet([])
+
+    src, dst = graph.edge_arrays()
+    keep = np.isin(src, ids) & np.isin(dst, ids)
+    ls = np.searchsorted(ids, src[keep])
+    ld = np.searchsorted(ids, dst[keep])
+
+    out_deg = np.bincount(ls, minlength=n)
+    in_deg = np.bincount(ld, minlength=n)
+    out_adj_starts = np.searchsorted(ls, np.arange(n + 1))
+    out_adj = ld
+    order = np.argsort(ld, kind="stable")
+    in_adj_starts = np.searchsorted(ld[order], np.arange(n + 1))
+    in_adj = ls[order]
+
+    def bad(u):
+        return (require_out and out_deg[u] == 0) or (require_in and in_deg[u] == 0)
+
+    removed = np.zeros(n, dtype=bool)
+    queue = deque(u for u in range(n) if bad(u))
+    while queue:
+        u = queue.popleft()
+        if removed[u]:
+            continue
+        removed[u] = True
+        for v in out_adj[out_adj_starts[u]:out_adj_starts[u + 1]].tolist():
+            in_deg[v] -= 1
+            if not removed[v] and bad(v):
+                queue.append(v)
+        for v in in_adj[in_adj_starts[u]:in_adj_starts[u + 1]].tolist():
+            out_deg[v] -= 1
+            if not removed[v] and bad(v):
+                queue.append(v)
+
+    return BoxSet(ids[~removed])
+
+
+def _random_exit_graph(seed):
+    """A random graph with EXIT edges and a random sub-region."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 60))
+    src, dst = np.nonzero(rng.random((n, n)) < rng.uniform(0.01, 0.12))
+    escapes = np.flatnonzero(rng.random(n) < 0.15)
+    grid = bf.build_grid([(0.0, 1.0)], (n,))
+    graph = TransitionGraph(grid, 1.0, 0.0, 3, np.concatenate([src, escapes]),
+                            np.concatenate([dst, np.full(escapes.size, EXIT)]))
+    return grid, graph, BoxSet(np.flatnonzero(rng.random(n) < 0.8))

@@ -191,6 +191,19 @@ def test_trivial_filtration_file_loads_back(tmp_path, capsys):
     assert not loaded.pair.N
 
 
+def test_verify_passes_without_recurrence(tmp_path, capsys):
+    # x' = 1 on [-1, 1] has no recurrence and no index pair, and nothing in
+    # it is wrong
+    system = tmp_path / "drift.json"
+    system.write_text(json.dumps({
+        "field": [{"coeffs": [1.0], "exponents": [0]}], "dimension": 1,
+        "domain": [[-1.0, 1.0]], "name": "drift"}))
+    code = cli.main(["verify", "--system-file", str(system), "--depth", "16",
+                     "--out", str(tmp_path / "verify")])
+    assert code == 0
+    assert "result: PASS" in capsys.readouterr().out
+
+
 def test_verify_pair_file_round_trip(tmp_path, doublewell):
     pair_path = str(tmp_path / "pair.json")
     doublewell.pair.to_json(pair_path)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import boxflow as bf
 from boxflow.errors import PreconditionError
 from boxflow.grid import BoxSet
 from boxflow.transition import TransitionGraph
-from conftest import _bundle, _connecting_oracle
+from conftest import _bundle, _connecting_oracle, _peel_oracle, _random_exit_graph
 
 
 def _kosaraju(n, edges):
@@ -287,6 +288,98 @@ def test_one_sided_regions_pin_the_pair(doublewell):
     assert ar.alpha.ids.tolist() == [63, 64]
     assert BoxSet(list(range(127, 193))).issubset(ar.omega)
     assert ar.alpha.isdisjoint(ar.omega)
+
+
+def _class_reach_oracle(graph, region, morse_sets):
+    """Per region box, the indices of the Morse sets it reaches and of
+    those that reach it: one Python breadth-first search per Morse set each
+    way over the edges inside the region."""
+    inside = set(region.ids.tolist())
+    succ = {b: [] for b in inside}
+    pred = {b: [] for b in inside}
+    for u, v in zip(*(a.tolist() for a in graph.edge_arrays())):
+        if u in inside and v in inside:
+            succ[u].append(v)
+            pred[v].append(u)
+    reach = {b: set() for b in inside}
+    coreach = {b: set() for b in inside}
+    for k, m in enumerate(morse_sets, start=1):
+        for step, marks in ((succ, coreach), (pred, reach)):
+            seen = set(m.ids.tolist())
+            queue = deque(seen)
+            while queue:
+                for v in step[queue.popleft()]:
+                    if v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+            for b in seen:
+                marks[b].add(k)
+    return reach, coreach
+
+
+def _down_sets(mg):
+    """Every down-set of mg when there are few Morse sets; else the empty
+    and full sets, the down-closure of each class and the complement of
+    the up-closure of each class."""
+    if mg.n <= 8:
+        return [ar.down_set for ar in bf.enumerate_ar_pairs(mg)]
+    every = frozenset(range(1, mg.n + 1))
+    out = [frozenset(), every]
+    for k in every:
+        out.append(frozenset({k} | {lo for hi, lo in mg.partial_order if hi == k}))
+        out.append(every - {k} - {hi for hi, lo in mg.partial_order if lo == k})
+    return out
+
+
+def _check_ar_regions(graph, region):
+    """ar_regions_in_pair of every down-set against the per-box oracles:
+    class reach by breadth-first search, full orbits by the deque peel."""
+    mg = bf.morse_graph(graph, region)
+    reach, coreach = _class_reach_oracle(graph, region, mg.morse_sets)
+    own = {b: k for k, m in enumerate(mg.morse_sets, start=1) for b in m.ids.tolist()}
+    inv = _peel_oracle(graph, region, True, True).ids.tolist()
+    back = _peel_oracle(graph, region, True, False).ids.tolist()
+    fwd = _peel_oracle(graph, region, False, True).ids.tolist()
+
+    def only(boxes, classes, allowed):
+        return BoxSet([b for b in boxes
+                       if (own[b] in allowed if b in own else classes(b) <= allowed)])
+
+    def both(b):
+        return reach[b] | coreach[b]
+
+    for D in _down_sets(mg):
+        E = frozenset(range(1, mg.n + 1)) - D
+        ar = bf.ar_regions_in_pair(mg, D)
+        assert ar.down_set == D
+        assert ar.attractor == only(inv, both, D), sorted(D)
+        assert ar.repeller == only(inv, both, E), sorted(D)
+        assert ar.alpha == only(back, coreach.get, D), sorted(D)
+        assert ar.omega == only(fwd, reach.get, E), sorted(D)
+        assert bf.ar_regions(mg, D) == bf.ARPair(ar.attractor, ar.repeller, D)
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_ar_regions_match_the_per_box_oracle(case):
+    grid, graph, _, _ = _case_graph(case)
+    _check_ar_regions(graph, grid.all_boxes())
+
+
+@pytest.mark.parametrize("name,depth", [("saddle1d", (64,)), ("contract1d", (64,)),
+                                        ("doublewell1d", (256,)), ("gradient2d", (16, 16)),
+                                        ("hopf2d", (32, 32))])
+def test_ar_regions_of_the_builtins_match_the_per_box_oracle(name, depth):
+    b = _bundle(name, depth)
+    _check_ar_regions(b.graph, b.region)
+
+
+def test_ar_regions_of_exit_graphs_match_the_per_box_oracle():
+    # with D the full set alpha is every box with a full backward orbit in
+    # the region, and with D empty omega every box with a full forward one
+    for seed in range(200):
+        grid, graph, region = _random_exit_graph(seed)
+        for boxes in (grid.all_boxes(), region, BoxSet([])):
+            _check_ar_regions(graph, boxes)
 
 
 def test_recurrence_equals_attractor_intersection(doublewell):

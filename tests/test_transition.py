@@ -13,8 +13,8 @@ from boxflow.errors import CapacityError, IngestionError
 from boxflow.flows import _advance, polynomial_field
 from boxflow.grid import BoxSet
 from boxflow.jsonio import write_json
-from boxflow.transition import EXIT, TransitionGraph, _peel, box_image, reachable
-from conftest import _graph_dot_oracle, _graph_edges_oracle
+from boxflow.transition import EXIT, TransitionGraph, box_image, reachable
+from conftest import _graph_dot_oracle, _graph_edges_oracle, _peel_oracle, _random_exit_graph
 
 
 def test_contract_edges_match_interval_arithmetic():
@@ -214,60 +214,6 @@ def test_graph_file_rejects_non_integer_ids(tmp_path):
             TransitionGraph.from_json(str(path))
 
 
-def _peel_oracle(graph, boxes, require_in, require_out):
-    """Iteratively drop boxes missing a required neighbor inside the set."""
-    ids = boxes.ids
-    n = ids.size
-    if n == 0:
-        return BoxSet([])
-
-    src, dst = graph.edge_arrays()
-    keep = np.isin(src, ids) & np.isin(dst, ids)
-    ls = np.searchsorted(ids, src[keep])
-    ld = np.searchsorted(ids, dst[keep])
-
-    out_deg = np.bincount(ls, minlength=n)
-    in_deg = np.bincount(ld, minlength=n)
-    out_adj_starts = np.searchsorted(ls, np.arange(n + 1))
-    out_adj = ld
-    order = np.argsort(ld, kind="stable")
-    in_adj_starts = np.searchsorted(ld[order], np.arange(n + 1))
-    in_adj = ls[order]
-
-    def bad(u):
-        return (require_out and out_deg[u] == 0) or (require_in and in_deg[u] == 0)
-
-    removed = np.zeros(n, dtype=bool)
-    queue = deque(u for u in range(n) if bad(u))
-    while queue:
-        u = queue.popleft()
-        if removed[u]:
-            continue
-        removed[u] = True
-        for v in out_adj[out_adj_starts[u]:out_adj_starts[u + 1]].tolist():
-            in_deg[v] -= 1
-            if not removed[v] and bad(v):
-                queue.append(v)
-        for v in in_adj[in_adj_starts[u]:in_adj_starts[u + 1]].tolist():
-            out_deg[v] -= 1
-            if not removed[v] and bad(v):
-                queue.append(v)
-
-    return BoxSet(ids[~removed])
-
-
-def _random_exit_graph(seed):
-    """A random graph with EXIT edges and a random sub-region."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(5, 60))
-    src, dst = np.nonzero(rng.random((n, n)) < rng.uniform(0.01, 0.12))
-    escapes = np.flatnonzero(rng.random(n) < 0.15)
-    grid = bf.build_grid([(0.0, 1.0)], (n,))
-    graph = TransitionGraph(grid, 1.0, 0.0, 3, np.concatenate([src, escapes]),
-                            np.concatenate([dst, np.full(escapes.size, EXIT)]))
-    return grid, graph, BoxSet(np.flatnonzero(rng.random(n) < 0.8))
-
-
 def test_restriction_keeps_exactly_the_edges_inside_the_set():
     for seed in range(50):
         grid, graph, region = _random_exit_graph(seed)
@@ -286,9 +232,14 @@ def test_peels_match_the_deque_oracle():
         for boxes in (grid.all_boxes(), region, BoxSet([])):
             inv, _ = bf.invariant_part(graph, boxes)
             assert inv == _peel_oracle(graph, boxes, True, True), seed
-            for require_in, require_out in ((True, False), (False, True)):
-                assert _peel(graph, boxes, require_in, require_out) \
-                    == _peel_oracle(graph, boxes, require_in, require_out), seed
+
+
+def test_invariant_part_from_the_class_bits_equals_the_trim():
+    for seed in range(200):
+        grid, graph, region = _random_exit_graph(seed)
+        for boxes in (grid.all_boxes(), region, BoxSet([])):
+            assert bf.morse_graph(graph, boxes).invariant \
+                == bf.invariant_part(graph, boxes).boxes, seed
 
 
 def test_reachable_matches_a_python_bfs():

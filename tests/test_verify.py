@@ -8,7 +8,6 @@ import pytest
 import boxflow as bf
 from boxflow import verify
 from boxflow.errors import IngestionError
-from boxflow.recurrence import _within_classes
 from boxflow.verify import CheckResult, _clean
 
 from conftest import _bundle, _orbit_checks_oracle, _reach_ok_oracle
@@ -52,6 +51,42 @@ def test_inapplicable_checks_are_skipped(saddle_report):
     assert not c.applicable
     assert c.verdict == "skip"
     assert saddle_report.check("oracle_agreement").applicable
+
+
+def _drift():
+    """x' = 1 on [-1, 1]: no recurrence and an empty invariant part."""
+    return bf.FlowSystem(dimension=1, field=lambda p: np.ones_like(p),
+                         domain=[[-1.0, 1.0]], name="drift")
+
+
+def test_suite_passes_on_a_system_without_recurrence():
+    report = bf.run_suite(_drift(), (16,), seed=0)
+    assert report.passed
+    oracle = report.check("oracle_agreement")
+    assert oracle.applicable and oracle.passed
+    assert oracle.measured["clusters"] == 0 and oracle.measured["flagged_points"] == 0
+    pair = report.check("index_pair_valid")
+    assert not pair.applicable
+    assert pair.detail == "the region has an empty invariant part"
+
+
+def test_oracle_flag_outside_the_recurrent_boxes_fails(monkeypatch):
+    monkeypatch.setattr(verify, "epsilon_chain_oracle",
+                        lambda system, pts, *args, **kwargs: pts[:1])
+    oracle = bf.run_suite(_drift(), (16,), seed=0).check("oracle_agreement")
+    assert oracle.applicable and not oracle.passed
+    assert oracle.measured["flagged_outside_recurrent"] == 1
+
+
+def test_pair_touching_the_boundary_layer_fails():
+    # x' = -x on [0, 1] has its fixed point on the domain's edge
+    system = bf.FlowSystem(dimension=1, field=lambda p: -p, domain=[[0.0, 1.0]],
+                           name="edge")
+    report = bf.run_suite(system, (16,), seed=0)
+    pair = report.check("index_pair_valid")
+    assert pair.applicable and not pair.passed
+    assert "boundary layer" in pair.detail
+    assert not report.passed
 
 
 def test_report_round_trip(tmp_path, saddle_report):
@@ -143,6 +178,7 @@ def test_attractor_edge_violations_equal_the_per_box_loop(name, depth):
 
     src, dst = b.graph.edge_arrays()
     inv_mask = b.mg.invariant.mask(b.grid.n_boxes)
+    inv_ids = b.mg.invariant.ids
     expected = 0
     connecting_ok = set()
     for ar in bf.enumerate_ar_pairs(b.mg):
@@ -150,8 +186,8 @@ def test_attractor_edge_violations_equal_the_per_box_loop(name, depth):
             continue
         reach_ok = _reach_ok_oracle(b.mg, ar.down_set)
         np.testing.assert_array_equal(
-            reach_ok[b.mg._inv_ids],
-            _within_classes(b.mg._class_of_local, b.mg._reach_bits, ar.down_set))
+            reach_ok[inv_ids],
+            b.mg.reaching_only(ar.down_set).mask(b.grid.n_boxes)[inv_ids])
         connecting_ok.update(reach_ok[list(b.mg.connecting)].tolist())
         sel = ar.attractor.mask(b.grid.n_boxes)[src] & (dst >= 0) & inv_mask[np.maximum(dst, 0)]
         expected += int((sel & ~reach_ok[np.maximum(dst, 0)]).sum())
