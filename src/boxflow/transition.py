@@ -227,6 +227,27 @@ class TransitionGraph:
         return head + body.replace(f" -> b{EXIT};", " -> exit;") + "}"
 
 
+def _distinct_rows(pts):
+    """(first, inverse) for the bitwise-distinct rows of a C-contiguous
+    float64 array: pts[first] holds each distinct row once, at its first
+    occurrence, and pts[first][inverse] is pts.
+
+    One stable sort of the rows' uint64 bit patterns and a mask of where
+    the runs of equal rows start.  The distinct rows come in the order of
+    their bit patterns, last column first.
+    """
+    bits = pts.view(np.uint64)
+    order = np.lexsort(bits.T)
+    bits = bits[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    run = np.cumsum(starts)
+    run -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = run
+    return order[starts], inverse
+
+
 def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
     """Edges (src, dst) from sampling the flow on the given boxes.
 
@@ -238,8 +259,7 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
     """
     pts = grid.lattice(ids, samples_per_axis)
     src_of_pt = np.repeat(ids, samples_per_axis ** grid.dimension)
-    rows = pts.view(np.dtype((np.void, pts.itemsize * grid.dimension))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    first, inverse = _distinct_rows(pts)
     img, escaped, _ = _advance(system, pts[first], map_time)
 
     # each image covers the boxes corner + off for 0 <= off <= ext per axis

@@ -14,7 +14,9 @@ def _brute_distance(grid, boxset, pts):
     out = np.full(pts.shape[0], np.inf)
     for lohi in rects:
         gap = np.maximum(lohi[:, 0] - pts, 0.0) + np.maximum(pts - lohi[:, 1], 0.0)
-        out = np.minimum(out, np.linalg.norm(gap, axis=1))
+        # the norm of a huge gap overflows to inf, the distance expected
+        with np.errstate(over="ignore"):
+            out = np.minimum(out, np.linalg.norm(gap, axis=1))
     return out
 
 

@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -179,16 +182,17 @@ def test_chunked_advance_equals_row_at_a_time(monkeypatch):
 
 
 def test_advance_at_the_chunk_size_equals_row_at_a_time():
-    # more than two real chunks; every escaping row and the rows around each
-    # chunk border are compared with a march of that row alone
+    # three real chunks of equal size; every escaping row and the rows
+    # around each chunk border are compared with a march of that row alone
     system = bf.builtin_system("saddle1d")
     n = 2 * ADVANCE_CHUNK + 300
     pts = np.linspace(-0.3, 0.3, n)[:, None]
     far = np.arange(0, n, 997)
     pts[far, 0] = np.where(far % 2, 0.97, -0.98)
     pos, escaped, when = _advance(system, pts, 0.053)
-    assert set(np.flatnonzero(escaped) // ADVANCE_CHUNK) == {0, 1, 2}
-    borders = [i for c in (ADVANCE_CHUNK, 2 * ADVANCE_CHUNK) for i in range(c - 3, c + 3)]
+    starts = [c[0] for c in np.array_split(np.arange(n), 3)][1:]
+    assert set(np.searchsorted(starts, np.flatnonzero(escaped), side="right")) == {0, 1, 2}
+    borders = [i for c in starts for i in range(c - 3, c + 3)]
     check = np.union1d(np.flatnonzero(escaped), borders)
     ref = _row_at_a_time(system, pts[check], 0.053)
     for a, b in zip((pos[check], escaped[check], when[check]), ref):
@@ -302,8 +306,9 @@ def test_nan_in_one_coordinate_names_the_earliest_failure_across_a_chunk_border(
     monkeypatch.setattr(flows, "ADVANCE_CHUNK", 16)
     system = bf.FlowSystem(dimension=2, field=_nan_wall,
                            domain=[[0.0, 10.0], [-1.0, 1.0]], name="nanwall")
-    pts = np.zeros((40, 2))
-    pts[:, 1] = np.linspace(-0.9, 0.9, 40)
+    # two chunks of 16 rows
+    pts = np.zeros((32, 2))
+    pts[:, 1] = np.linspace(-0.9, 0.9, 32)
     pts[15, 0] = 0.4125
     pts[16, 0] = 0.4525
     msg = _same_failure(system, pts, 1.0, 16)
@@ -355,15 +360,98 @@ def test_images_exactly_on_the_domain_bounds_stay_inside():
 
 
 def test_short_last_chunks_and_shrinking_chunks_equal_row_at_a_time(monkeypatch):
-    # 37 rows in chunks of 16: the last chunk has 5 rows, and rows near
-    # x = +-1 leave every chunk in the first steps, so each chunk shrinks
+    # 37 rows in chunks of at most 16: three chunks of 13, 12 and 12 rows,
+    # and rows near x = +-1 leave every chunk in the first steps, so each
+    # chunk shrinks
     monkeypatch.setattr(flows, "ADVANCE_CHUNK", 16)
     system = _saddle2d()
     pts = np.random.default_rng(5).uniform(-0.5, 0.5, size=(37, 2))
     near = [0, 7, 15, 16, 20, 31, 33, 36]
     pts[near, 0] = np.where(np.arange(len(near)) % 2, 0.995, -0.99)
     got = _rows_match_row_at_a_time(system, pts, 0.7)
-    assert set(np.flatnonzero(got[1]) // 16) == {0, 1, 2}
+    assert set(np.searchsorted([13, 25], np.flatnonzero(got[1]), side="right")) == {0, 1, 2}
     assert set(near) <= set(np.flatnonzero(got[1]))
     # a batch shorter than one chunk
     _rows_match_row_at_a_time(system, pts[30:], 0.7)
+
+
+def _threaded(monkeypatch, chunk=16):
+    # three workers whatever the CPU count, so that one-CPU runners march
+    # chunks on the pool too
+    monkeypatch.setattr(flows, "ADVANCE_CHUNK", chunk)
+    monkeypatch.setattr(flows, "_cpus", lambda: 3)
+
+
+def _workers_called(field):
+    # the field, and the set of thread names it was called from
+    names = set()
+
+    def traced(p):
+        names.add(threading.current_thread().name)
+        return field(p)
+
+    return traced, names
+
+
+def test_threaded_chunks_equal_row_at_a_time(monkeypatch):
+    # the chunks write their rows of shared arrays; a short switch interval
+    # hands the interpreter lock over often, so a lost write would show
+    _threaded(monkeypatch)
+    field, names = _workers_called(_saddle2d().field)
+    system = bf.FlowSystem(dimension=2, field=field, domain=[[-1.0, 1.0], [-1.0, 1.0]],
+                           name="saddle2d")
+    pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(300, 2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _advance(system, pts, 1.237)
+    finally:
+        sys.setswitchinterval(interval)
+    assert any(name.startswith("boxflow-advance") for name in names)
+    assert len({i // 16 for i in np.flatnonzero(got[1])}) > 10
+    for a, b in zip(got, _row_at_a_time(system, pts, 1.237)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_threaded_chunks_name_the_earliest_failure(monkeypatch):
+    # speed 1 to the right with a wall at x = 5: a row from x0 fails near
+    # t = 5 - x0.  Rows fail in four of the 20 chunks marched at once; the
+    # earliest failure is in the last of them, whatever chunk ends first.
+    _threaded(monkeypatch)
+    system = bf.FlowSystem(dimension=1, field=lambda p: np.where(p > 5.0, np.inf, 1.0),
+                           domain=[[0.0, 10.0]], name="wall")
+    pts = np.zeros((320, 1))
+    pts[[3, 100, 200, 310], 0] = [4.2, 4.4, 4.5, 4.6]
+    assert "t=0.41" in _same_failure(system, pts, 1.0, 310)
+    assert "t=0.51" in _same_failure(system, pts[:300], 1.0, 200)
+
+
+def test_threaded_graph_equals_a_single_worker_graph(monkeypatch):
+    # hopf2d 128^2 has 66,049 lattice points, five chunks of the real size
+    system = bf.builtin_system("hopf2d")
+    grid = bf.build_grid(system.domain.tolist(), (128, 128))
+    _threaded(monkeypatch, ADVANCE_CHUNK)
+    threaded = bf.build_transition_graph(system, grid, 1.0)
+    monkeypatch.setattr(flows, "_cpus", lambda: 1)
+    assert threaded == bf.build_transition_graph(system, grid, 1.0)
+
+
+def test_threaded_chunks_keep_the_callers_floating_point_settings(monkeypatch):
+    # exp overflows past x = 709.78, so the row at 800 overflows in its
+    # first stage; the others march on
+    system = bf.FlowSystem(dimension=1, field=np.exp, domain=[[-1000.0, 1000.0]], name="exp")
+    pts = np.full((64, 1), -50.0)
+    pts[37] = 800.0
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _advance(system, pts[37:38], 0.05)
+        _threaded(monkeypatch)
+        with pytest.raises(FloatingPointError):
+            _advance(system, pts, 0.05)
+    # ignored overflow: the march names the non-finite value, and no
+    # RuntimeWarning is raised from a worker
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="t=0.01"):
+            _advance(system, pts, 0.05)
+
