@@ -3,10 +3,10 @@
 A system is a vector field on a closed rectangular domain together with an
 internal step size.  All integration is done with the classic fourth order
 Runge-Kutta scheme on batches of points at once; a batch larger than one
-chunk is marched chunk by chunk on a thread pool, with the same bits as a
-march of each row alone.  A trajectory that leaves the closed domain is
-frozen at its last in-domain position and reported as an escape rather
-than integrated further.
+chunk is marched chunk by chunk, by the calling thread and one more thread
+per further CPU, with the same bits as a march of each row alone.  A
+trajectory that leaves the closed domain is frozen at its last in-domain
+position and reported as an escape rather than integrated further.
 """
 
 import contextvars
@@ -23,10 +23,11 @@ from .grid import ingest_domain, sorted_unique
 from .jsonio import load_json, number, positive, string
 
 # the most rows _advance marches as one chunk: a chunk's RK4 stages fit in
-# cache, and each chunk is one task for the thread pool.  Smaller chunks
-# would give the workers more, shorter ufunc calls, and the interpreter lock
-# changes hands between calls: 4,096-row chunks on two threads marched the
-# hopf2d 256^2 lattice in 2.29 s against 0.99 s with this size.
+# cache, and each chunk is the unit of work a marching thread claims.
+# Smaller chunks would give the threads more, shorter ufunc calls, and the
+# interpreter lock changes hands between calls: 4,096-row chunks on two
+# threads marched the hopf2d 256^2 lattice in 2.29 s against 0.99 s with
+# this size.
 ADVANCE_CHUNK = 16384
 
 
@@ -102,6 +103,8 @@ def _schedule(t, h):
     Durations that are an integer number of steps up to roundoff snap to
     a zero remainder so that repeated composition stays exact.
     """
+    if not (math.isfinite(t) and 0 < h < math.inf):
+        raise PreconditionError(f"need a finite time and a finite step > 0, got t={t}, step={h}")
     n = int(math.floor(t / h + 1e-9))
     rem = t - n * h
     if rem <= 1e-12 * max(1.0, abs(t)):
@@ -159,27 +162,6 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-_pool = None  # (workers, ThreadPoolExecutor), made by _executor on first use
-_pool_lock = threading.Lock()
-
-
-def _executor(workers):
-    """The module's thread pool with the given number of workers.
-
-    It is made on first use, so that importing boxflow starts no thread
-    and does not load concurrent.futures, and made again only if the
-    worker count changes.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != workers:
-            from concurrent.futures import ThreadPoolExecutor
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = (workers, ThreadPoolExecutor(workers, thread_name_prefix="boxflow-advance"))
-        return _pool[1]
-
-
 def _advance(system, points, t):
     """March a batch of in-domain points forward by time t.
 
@@ -193,19 +175,20 @@ def _advance(system, points, t):
     stepped: an escaped row is written back once and dropped.  Every row is
     stepped by the same arithmetic as it would be alone, so the result does
     not depend on the batch it arrives in, and the chunks are independent
-    work.  A batch of more than one chunk is marched on a thread pool of
-    one worker per CPU, each chunk one task (numpy releases the interpreter
-    lock inside the ufuncs of the field and of the RK4 stages); a batch of
-    one chunk, or any batch on one CPU, is marched inline by the same loop.
-    Each chunk writes only its own rows and runs in a copy of the caller's
-    context, so numpy's error settings hold in the workers as they do
-    inline.
+    work.  The calling thread and min(CPUs, chunks) - 1 threads started for
+    the batch claim chunks from one counter until none is left (numpy
+    releases the interpreter lock inside the ufuncs of the field and of the
+    RK4 stages); a batch of one chunk, or any batch on one CPU, starts no
+    thread.  Each chunk writes only its own rows, and each started thread
+    runs in a copy of the caller's context, so numpy's error settings hold
+    in every thread.
 
-    _advance returns or raises only once every chunk has finished.  An
-    exception raised in a chunk, such as a FloatingPointError under
-    np.errstate, is raised for the first chunk that raised one.  Otherwise
-    a non-finite value raises NumericalError naming the earliest step at
-    which any row still inside the domain produced one.
+    _advance returns or raises only once every chunk has finished and every
+    started thread has ended.  An exception raised in a chunk, such as a
+    FloatingPointError under np.errstate, is raised for the first chunk, in
+    chunk order, that raised one.  Otherwise a non-finite value raises
+    NumericalError naming the earliest step at which any row still inside
+    the domain produced one.
 
     A chunk runs _step_inside's contiguous bounds test after each step.
     Only when it fails do the isfinite scan and the per-row escape
@@ -255,17 +238,35 @@ def _advance(system, points, t):
         pts[rows] = cur
         return len(sizes)
 
-    workers = _cpus() if len(chunks) > 1 else 1
-    if workers == 1:
-        failed = [march(rows) for rows in chunks]
-    else:
-        pool = _executor(workers)
-        futures = [pool.submit(contextvars.copy_context().run, march, rows)
-                   for rows in chunks]
-        for future in futures:
-            future.exception()  # waits for the chunk without raising
-        failed = [future.result() for future in futures]
-    failed_at = min(failed)
+    # each chunk's march result, or the exception its march raised
+    outcome = [None] * len(chunks)
+    claim = itertools.count().__next__  # atomic under the interpreter lock
+
+    def work():
+        while (i := claim()) < len(chunks):
+            try:
+                outcome[i] = march(chunks[i])
+            except Exception as exc:
+                outcome[i] = exc
+
+    threads = []
+    try:
+        for j in range(1, min(_cpus(), len(chunks))):
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(work,), name=f"boxflow-advance-{j}")
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    errors = [result for result in outcome if isinstance(result, Exception)]
+    if errors:
+        # a saved traceback reaches outcome through work's frame, and this
+        # frame through the raise: neither may still hold the exception
+        outcome.clear()
+        raise errors.pop(0)
+    failed_at = min(outcome)
     if failed_at < len(sizes):
         raise NumericalError(
             f"integration of {system.name} produced non-finite values at "
@@ -373,6 +374,8 @@ def flow_map(system, x, t):
 
 def sample_trajectory(system, x, horizon, sample_step):
     """Sample one orbit at multiples of sample_step up to the horizon."""
+    if not math.isfinite(horizon):
+        raise PreconditionError(f"horizon must be finite, got {horizon}")
     if sample_step <= 0:
         raise PreconditionError(f"sample_step must be positive, got {sample_step}")
     if not sample_step <= horizon:

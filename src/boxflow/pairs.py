@@ -213,6 +213,9 @@ def _exit_times_batch(system, pair, points, dt, horizon):
     its own bracket width, so every row gets the exit time it would get
     alone.
     """
+    if not (0 < dt < math.inf and 0 <= horizon < math.inf):
+        raise PreconditionError(f"exit times need a finite dt > 0 and a finite horizon >= 0, "
+                                f"got dt={dt}, horizon={horizon}")
     grid = pair.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(pts.shape[0], math.inf)

@@ -12,8 +12,8 @@ in numpy on the CSR arrays of an Adjacency, which TransitionGraph.restricted
 reads off the graph's own sorted edge arrays for a box set.  With n nodes
 and m edges in the set:
 
-- The reverse graph (Adjacency.T, and the cache behind sources_of) is one
-  plain sort of the m edges packed as target * n + source, O(m log m).
+- The reverse graph (Adjacency.T) is one plain sort of the m edges packed
+  as target * n + source, O(m log m).
 - reachable is a breadth-first search, one level per loop: the successors
   of the whole frontier are gathered from the CSR rows at once, so it costs
   O(n + m) plus a fixed numpy overhead per level.
@@ -130,7 +130,6 @@ class TransitionGraph:
         self._src = key // (grid.n_boxes + 1)
         self._dst = key % (grid.n_boxes + 1) - 1
         self._starts = np.searchsorted(self._src, np.arange(grid.n_boxes + 1))
-        self._rev = None
 
     @property
     def n_edges(self):
@@ -147,13 +146,6 @@ class TransitionGraph:
     def targets_of(self, box):
         """Sorted targets of one box; may start with EXIT."""
         return self._dst[self._starts[box]:self._starts[box + 1]]
-
-    def sources_of(self, box):
-        """Sorted boxes with an edge into the given box."""
-        if self._rev is None:
-            keep = self._dst != EXIT
-            self._rev = Adjacency(_counted(keep, self._starts), self._dst[keep]).T
-        return self._rev.successors(np.array([box]))
 
     def restricted(self, boxes):
         """The graph on a box set as a local Adjacency.

@@ -1,10 +1,12 @@
 """Integrator accuracy against closed-form orbits and escape events."""
 
+import gc
 import json
 import math
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +87,32 @@ def test_trajectory_sampling_reports_escape():
     assert traj.escaped
     assert traj.escape_index == len(traj.times)
     assert np.abs(traj.points[:, 0]).max() < 1.0
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s, pair, x: bf.flow_map(s, x, math.nan), id="flow_map-t-nan"),
+    pytest.param(lambda s, pair, x: bf.flow_map(s, x, math.inf), id="flow_map-t-inf"),
+    pytest.param(lambda s, pair, x: bf.stopped_flow(s, pair, x, math.nan), id="stopped_flow-t-nan"),
+    pytest.param(lambda s, pair, x: bf.stopped_flow(s, pair, x, math.inf), id="stopped_flow-t-inf"),
+    pytest.param(lambda s, pair, x: bf.quotient_flow(s, pair, x, math.nan),
+                 id="quotient_flow-t-nan"),
+    pytest.param(lambda s, pair, x: bf.quotient_flow(s, pair, x, math.inf),
+                 id="quotient_flow-t-inf"),
+    pytest.param(lambda s, pair, x: bf.sample_trajectory(s, x, math.inf, 0.25),
+                 id="sample_trajectory-horizon-inf"),
+    pytest.param(lambda s, pair, x: bf.exit_time(s, pair, x, dt=math.nan), id="exit_time-dt-nan"),
+    pytest.param(lambda s, pair, x: bf.exit_time(s, pair, x, horizon=-1.0),
+                 id="exit_time-horizon-negative"),
+    pytest.param(lambda s, pair, x: bf.quotient_flow(s, pair, x, 1.0, dt=0.0),
+                 id="quotient_flow-dt-zero"),
+])
+def test_a_non_finite_time_or_a_step_not_above_zero_is_a_precondition_error(call):
+    # contract1d from x = 0.5, with the pair of every box and L at both ends
+    system = bf.builtin_system("contract1d")
+    grid = bf.build_grid(system.domain, (64,))
+    pair = bf.IndexPair.from_boxes(grid, grid.all_boxes().ids, [0, 63])
+    with pytest.raises(PreconditionError, match="finite"):
+        call(system, pair, np.array([0.5]))
 
 
 def test_polynomial_field_matches_builtin_cubic():
@@ -376,8 +404,8 @@ def test_short_last_chunks_and_shrinking_chunks_equal_row_at_a_time(monkeypatch)
 
 
 def _threaded(monkeypatch, chunk=16):
-    # three workers whatever the CPU count, so that one-CPU runners march
-    # chunks on the pool too
+    # three marching threads whatever the CPU count, so that one-CPU
+    # runners start threads too
     monkeypatch.setattr(flows, "ADVANCE_CHUNK", chunk)
     monkeypatch.setattr(flows, "_cpus", lambda: 3)
 
@@ -407,10 +435,29 @@ def test_threaded_chunks_equal_row_at_a_time(monkeypatch):
         got = _advance(system, pts, 1.237)
     finally:
         sys.setswitchinterval(interval)
-    assert any(name.startswith("boxflow-advance") for name in names)
+    assert any(name.startswith("boxflow-advance-") for name in names)
+    assert names <= {threading.current_thread().name, "boxflow-advance-1", "boxflow-advance-2"}
     assert len({i // 16 for i in np.flatnonzero(got[1])}) > 10
     for a, b in zip(got, _row_at_a_time(system, pts, 1.237)):
         np.testing.assert_array_equal(a, b)
+
+
+def _march_case(kind):
+    # a system, batch and time whose march returns, raises NumericalError
+    # at a wall of infinite speed, or overflows in the row at x = 800
+    if kind == "returns":
+        pts = np.random.default_rng(9).uniform(-1.0, 1.0, size=(300, 2))
+        return _saddle2d(), pts, 1.237
+    if kind == "wall":
+        system = bf.FlowSystem(dimension=1, field=lambda p: np.where(p > 5.0, np.inf, 1.0),
+                               domain=[[0.0, 10.0]], name="wall")
+        pts = np.zeros((320, 1))
+        pts[[3, 100, 200, 310], 0] = [4.2, 4.4, 4.5, 4.6]
+        return system, pts, 1.0
+    system = bf.FlowSystem(dimension=1, field=np.exp, domain=[[-1000.0, 1000.0]], name="exp")
+    pts = np.full((64, 1), -50.0)
+    pts[37] = 800.0
+    return system, pts, 0.05
 
 
 def test_threaded_chunks_name_the_earliest_failure(monkeypatch):
@@ -418,12 +465,27 @@ def test_threaded_chunks_name_the_earliest_failure(monkeypatch):
     # t = 5 - x0.  Rows fail in four of the 20 chunks marched at once; the
     # earliest failure is in the last of them, whatever chunk ends first.
     _threaded(monkeypatch)
-    system = bf.FlowSystem(dimension=1, field=lambda p: np.where(p > 5.0, np.inf, 1.0),
-                           domain=[[0.0, 10.0]], name="wall")
-    pts = np.zeros((320, 1))
-    pts[[3, 100, 200, 310], 0] = [4.2, 4.4, 4.5, 4.6]
+    system, pts, _ = _march_case("wall")
     assert "t=0.41" in _same_failure(system, pts, 1.0, 310)
     assert "t=0.51" in _same_failure(system, pts[:300], 1.0, 200)
+
+
+def test_threaded_chunks_raise_the_exception_of_the_first_chunk_that_raised(monkeypatch):
+    # a still field that raises naming its largest row: rows 20 and 40
+    # make the second and third of three chunks raise, and the second's
+    # exception is raised whatever chunk ends first
+    _threaded(monkeypatch)
+
+    def field(p):
+        if p.max() > 0:
+            raise LookupError(f"x={p.max():g}")
+        return np.zeros_like(p)
+
+    system = bf.FlowSystem(dimension=1, field=field, domain=[[-5.0, 5.0]], name="still")
+    pts = np.zeros((48, 1))
+    pts[[20, 40], 0] = [1.0, 2.0]
+    with pytest.raises(LookupError, match="^x=1$"):
+        _advance(system, pts, 0.05)
 
 
 def test_threaded_graph_equals_a_single_worker_graph(monkeypatch):
@@ -439,9 +501,7 @@ def test_threaded_graph_equals_a_single_worker_graph(monkeypatch):
 def test_threaded_chunks_keep_the_callers_floating_point_settings(monkeypatch):
     # exp overflows past x = 709.78, so the row at 800 overflows in its
     # first stage; the others march on
-    system = bf.FlowSystem(dimension=1, field=np.exp, domain=[[-1000.0, 1000.0]], name="exp")
-    pts = np.full((64, 1), -50.0)
-    pts[37] = 800.0
+    system, pts, _ = _march_case("overflow")
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             _advance(system, pts[37:38], 0.05)
@@ -455,3 +515,92 @@ def test_threaded_chunks_keep_the_callers_floating_point_settings(monkeypatch):
         with pytest.raises(NumericalError, match="t=0.01"):
             _advance(system, pts, 0.05)
 
+
+def test_the_calling_thread_marches_beside_the_started_threads(monkeypatch):
+    # three chunks on three CPUs: the first field call in each thread waits
+    # until three threads have made one, so the march ends only if three
+    # chunks march at once, and the calling thread is one of the three
+    _threaded(monkeypatch)
+    barrier = threading.Barrier(3, timeout=10)
+    names = set()
+
+    def field(p):
+        name = threading.current_thread().name
+        if name not in names:
+            names.add(name)
+            barrier.wait()
+        return -p
+
+    system = bf.FlowSystem(dimension=1, field=field, domain=[[-1.0, 1.0]], name="contract")
+    _advance(system, np.linspace(-0.9, 0.9, 48)[:, None], 0.05)
+    assert len(names) == 3 and threading.current_thread().name in names
+
+
+@pytest.mark.parametrize("kind,error", [("returns", None), ("wall", NumericalError),
+                                        ("overflow", FloatingPointError)])
+def test_no_started_thread_outlives_the_march(monkeypatch, kind, error):
+    _threaded(monkeypatch)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    system, pts, t = _march_case(kind)
+    before = threading.enumerate()
+    with np.errstate(over="raise"):
+        if error is None:
+            _advance(system, pts, t)
+        else:
+            with pytest.raises(error):
+                _advance(system, pts, t)
+    assert len(started) == 2
+    assert threading.enumerate() == before
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("cpus,rows", [(3, 16), (1, 300)])
+def test_a_one_chunk_or_one_cpu_batch_starts_no_thread(monkeypatch, cpus, rows):
+    _threaded(monkeypatch)
+    monkeypatch.setattr(flows, "_cpus", lambda: cpus)
+    before = threading.enumerate()
+    seen = []
+
+    def field(p):
+        seen.append(threading.enumerate())
+        return p * np.array([1.0, -1.0])
+
+    system = bf.FlowSystem(dimension=2, field=field, domain=[[-1.0, 1.0], [-1.0, 1.0]])
+    pts = np.random.default_rng(10).uniform(-1.0, 1.0, size=(rows, 2))
+    _advance(system, pts, 0.5)
+    assert seen and all(threads == before for threads in seen)
+
+
+@pytest.mark.parametrize("rows", [16, 64])
+def test_a_chunk_error_leaves_no_reference_cycle(monkeypatch, rows):
+    # the arrays of a march that raised are freed with the exception,
+    # without waiting for the cyclic garbage collector; 16 rows are one
+    # chunk and 64 rows four
+    _threaded(monkeypatch)
+    system, pts, t = _march_case("overflow")
+    inputs = []
+
+    def field(p):
+        inputs.append(weakref.ref(p))
+        return np.exp(p)
+
+    system.field = field
+    gc.disable()
+    try:
+        try:
+            with np.errstate(over="raise"):
+                _advance(system, pts[32:32 + rows], t)
+        except FloatingPointError:
+            pass
+        else:
+            pytest.fail("the overflow did not raise")
+        assert inputs and all(ref() is None for ref in inputs)
+    finally:
+        gc.enable()

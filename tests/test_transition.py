@@ -51,15 +51,6 @@ def test_escaping_boxes_get_exit_edges():
     assert 4 in graph.targets_of(4).tolist()
 
 
-def test_sources_invert_targets():
-    system = bf.builtin_system("doublewell1d")
-    grid = bf.build_grid(system.domain, (32,))
-    graph = bf.build_transition_graph(system, grid, 1.0)
-    src, dst = graph.edge_arrays()
-    for b in (0, 7, 16, 31):
-        assert set(graph.sources_of(b).tolist()) == set(src[dst == b].tolist())
-
-
 def test_box_image_matches_graph_row():
     system = bf.builtin_system("doublewell1d")
     grid = bf.build_grid(system.domain, (32,))
