@@ -12,10 +12,10 @@ from .grid import BoxGrid, BoxSet, build_grid
 from .distances import BoxSetDistance, boxset_min_distance
 from .transition import (EXIT, TransitionGraph, box_image,
                          build_transition_graph, invariant_part)
-from .recurrence import (ARPair, ARRegions, IntersectionReport, MorseGraph,
-                         ar_regions, ar_regions_in_pair,
-                         chain_recurrent_boxes, check_R_equals_intersection,
-                         enumerate_ar_pairs, epsilon_chain_oracle, morse_graph)
+from .recurrence import (ARPair, IntersectionReport, MorseGraph,
+                         ar_regions_in_pair, chain_recurrent_boxes,
+                         check_R_equals_intersection, enumerate_ar_pairs,
+                         epsilon_chain_oracle, morse_graph)
 from .pairs import (BASEPOINT, IndexPair, PairValidation, RegularityReport,
                     RetractionReport, build_index_pair, exit_time,
                     quotient_flow, regularity_check, retraction_check,
@@ -29,7 +29,7 @@ from .verify import CheckResult, VerifyReport, run_suite
 from .cli import RunConfig, main
 
 __all__ = [
-    "ARPair", "ARRegions", "BASEPOINT", "BoxGrid", "BoxSet", "BoxSetDistance",
+    "ARPair", "BASEPOINT", "BoxGrid", "BoxSet", "BoxSetDistance",
     "BoxflowError", "CapacityError", "CatalogError", "CheckResult",
     "ConfigError", "ConstructionError", "DomainError", "EXIT", "Escape",
     "Filtration", "FiltrationError", "FlowSystem", "IndexPair",
@@ -37,7 +37,7 @@ __all__ = [
     "LyapunovParams", "MorseGraph", "NumericalError", "PairValidation",
     "PreconditionError", "RegionOverlapError", "RegularityReport",
     "RetractionReport", "RunConfig", "SelectionError", "Trajectory",
-    "TransitionGraph", "VerifyReport", "ar_regions", "ar_regions_in_pair",
+    "TransitionGraph", "VerifyReport", "ar_regions_in_pair",
     "box_image", "boxset_min_distance", "build_grid", "build_index_pair",
     "build_transition_graph", "builtin_names", "builtin_system",
     "chain_recurrent_boxes", "check_R_equals_intersection",

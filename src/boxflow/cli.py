@@ -21,7 +21,7 @@ from .jsonio import csv_text, load_json, number, positive, string, write_json
 from .lyapunov import (Filtration, LyapunovParams, complete_lyapunov, extract_filtration,
                        morse_lyapunov, pair_lyapunov)
 from .pairs import IndexPair, build_index_pair, validate_index_pair
-from .recurrence import ar_regions_in_pair, enumerate_ar_pairs, morse_graph
+from .recurrence import enumerate_ar_pairs, morse_graph
 from .transition import build_transition_graph
 from .verify import run_suite
 
@@ -199,8 +199,7 @@ def cmd_lyapunov(config, construction="morse", pair_index=None):
             raise SelectionError(
                 f"pair index {pair_index} is out of range; valid pairs are "
                 + ", ".join(f"{i} (down-set {lab})" for i, lab in enumerate(labels)))
-        ar = ar_regions_in_pair(mg, pairs[pair_index].down_set)
-        field = pair_lyapunov(system, pair, ar, params, graph=graph)
+        field = pair_lyapunov(system, pair, pairs[pair_index], params)
     elif construction == "morse":
         field = morse_lyapunov(system, pair, mg, params)
     elif construction == "complete":

@@ -196,6 +196,7 @@ def _advance(system, points, t):
     """
     if t < 0:
         raise PreconditionError(f"advance time must be nonnegative, got {t}")
+    sizes = _substeps(t, system.step)
     pts = np.array(points, dtype=float, copy=True)
     n = pts.shape[0]
     escaped = np.zeros(n, dtype=bool)
@@ -205,7 +206,6 @@ def _advance(system, points, t):
 
     lo = system.domain[:, 0]
     hi = system.domain[:, 1]
-    sizes = _substeps(t, system.step)
     # elapsed time before each step, summed in step order
     starts = list(itertools.accumulate(sizes[:-1], initial=0.0))
     chunks = np.array_split(np.arange(n), -(-n // ADVANCE_CHUNK))

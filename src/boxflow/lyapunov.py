@@ -22,7 +22,7 @@ from .grid import BoxSet, sample_in_boxes
 from .jsonio import csv_text, load_json, number, string, write_json
 from .pairs import (BASEPOINT, IndexPair, _march_quotient, regularity_check,
                     validate_index_pair)
-from .recurrence import ar_regions, enumerate_ar_pairs
+from .recurrence import ar_regions_in_pair, enumerate_ar_pairs
 from .transition import EXIT
 
 
@@ -464,20 +464,17 @@ def _field_from_profiles(system, pair, profiles, construction, range_hint, param
                          down_set=down_set)
 
 
-def pair_lyapunov(system, pair, ar, params=None, graph=None, table=None):
+def pair_lyapunov(system, pair, ar, params=None, table=None):
     """Lyapunov function of one attractor-repeller pair (values in [0,1]).
 
-    When ar carries the one-sided orbit regions alpha/omega those are used
-    as the pinned zero/one sets; otherwise the attractor and repeller boxes
-    themselves are.  table is an optional CenterTable shared with other
-    fields of the pair.
+    The field is pinned at 0 on ar.alpha and at 1 on ar.omega; to pin the
+    attractor and repeller themselves, pass
+    ar._replace(alpha=ar.attractor, omega=ar.repeller).  The profile
+    knows its zero set forward closed or not from ar.morse_graph.graph.
+    table is an optional CenterTable shared with other fields of the pair.
     """
     params = params or LyapunovParams()
-    zero_region = getattr(ar, "alpha", None)
-    one_region = getattr(ar, "omega", None)
-    if zero_region is None or one_region is None:
-        zero_region, one_region = ar.attractor, ar.repeller
-    profiles = [(1.0, RhoFunction(pair, zero_region, one_region, graph=graph))]
+    profiles = [(1.0, RhoFunction(pair, ar.alpha, ar.omega, graph=ar.morse_graph.graph))]
     return _field_from_profiles(system, pair, profiles, "single-pair", (0.0, 1.0),
                                 params, down_set=ar.down_set, table=table)
 
@@ -494,7 +491,7 @@ def morse_lyapunov(system, pair, mg, params=None, table=None):
     params = params or LyapunovParams()
     profiles = []
     for j in range(mg.n + 1):
-        ar = ar_regions(mg, frozenset(range(1, j + 1)))
+        ar = ar_regions_in_pair(mg, frozenset(range(1, j + 1)))
         profiles.append((1.0, RhoFunction(pair, ar.attractor, ar.repeller,
                                           graph=mg.graph)))
     return _field_from_profiles(system, pair, profiles, "morse-sum",

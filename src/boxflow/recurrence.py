@@ -23,7 +23,6 @@ listed by it, so no artifact depends on the order in which the SCC pass
 finds the classes.
 """
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
@@ -210,19 +209,16 @@ def morse_graph(graph, region):
                       cls, reach[order], coreach[order])
 
 
-@dataclass(frozen=True)
-class ARPair:
-    attractor: BoxSet
-    repeller: BoxSet
-    down_set: frozenset
+class ARPair(NamedTuple):
+    """The attractor-repeller pair of a down-set of morse_graph, with the
+    one-sided orbit regions alpha and omega (see ar_regions_in_pair)."""
 
-
-class ARRegions(NamedTuple):
     attractor: BoxSet
     repeller: BoxSet
     alpha: BoxSet
     omega: BoxSet
     down_set: frozenset
+    morse_graph: MorseGraph
 
 
 def _check_down_set(mg, down_set):
@@ -236,25 +232,12 @@ def _check_down_set(mg, down_set):
     return D
 
 
-def ar_regions(mg, down_set):
-    """The attractor-repeller pair of boxes of mg generated by a down-set.
+def ar_regions_in_pair(mg, down_set):
+    """The attractor-repeller pair of mg generated by a down-set.
 
     A box of the invariant part belongs to a side when every class it
     reaches or is reached from does; a box of a Morse set goes with its own
-    class.
-    """
-    D = _check_down_set(mg, down_set)
-    E = frozenset(range(1, mg.n + 1)) - D
-    ids = mg.region.ids
-    return ARPair(attractor=BoxSet(ids[mg._only(D, False) & mg._only(D, True)]),
-                  repeller=BoxSet(ids[mg._only(E, False) & mg._only(E, True)]),
-                  down_set=D)
-
-
-def ar_regions_in_pair(mg, down_set):
-    """Attractor-repeller pair plus the one-sided orbit regions.
-
-    alpha holds boxes carrying a full backward orbit of mg.graph in
+    class.  alpha holds boxes carrying a full backward orbit of mg.graph in
     mg.region whose sources among the Morse classes all lie in the down-set
     (recurrent boxes qualify through their own class).  omega is the
     forward counterpart for the complementary up-set.  In a finite region
@@ -263,11 +246,14 @@ def ar_regions_in_pair(mg, down_set):
     over-approximate the sets where the pair's Lyapunov function is pinned
     at 0 and 1.
     """
-    pair = ar_regions(mg, down_set)
-    D = pair.down_set
+    D = _check_down_set(mg, down_set)
     E = frozenset(range(1, mg.n + 1)) - D
-    return ARRegions(pair.attractor, pair.repeller, mg.reaching_only(D, backward=True),
-                     mg.reaching_only(E), D)
+    ids = mg.region.ids
+    alpha, omega = mg._only(D, True), mg._only(E, False)
+    return ARPair(attractor=BoxSet(ids[mg._only(D, False) & alpha]),
+                  repeller=BoxSet(ids[omega & mg._only(E, True)]),
+                  alpha=BoxSet(ids[alpha]), omega=BoxSet(ids[omega]),
+                  down_set=D, morse_graph=mg)
 
 
 def enumerate_ar_pairs(mg):
@@ -286,7 +272,7 @@ def enumerate_ar_pairs(mg):
         if all(lo in D for hi, lo in mg.partial_order if hi in D):
             down_sets.append(D)
     down_sets.sort(key=lambda D: (len(D), tuple(sorted(D))))
-    return [ar_regions(mg, D) for D in down_sets]
+    return [ar_regions_in_pair(mg, D) for D in down_sets]
 
 
 def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=19):

@@ -20,9 +20,10 @@ from .errors import ConstructionError, FiltrationError, IsolationError
 from .flows import _advance
 from .grid import BoxSet, build_grid, sample_in_boxes
 from .jsonio import boolean, load_json, mapping, number, string, write_json
-from .lyapunov import (CenterTable, Filtration, LyapunovParams, _QuotientSamples,
-                       _envelope_steps, _renewal_steps, complete_lyapunov,
-                       extract_filtration, morse_lyapunov, pair_lyapunov)
+from .lyapunov import (CenterTable, Filtration, LyapunovField, LyapunovParams,
+                       _QuotientSamples, _envelope_steps, _renewal_steps,
+                       complete_lyapunov, extract_filtration, morse_lyapunov,
+                       pair_lyapunov)
 from .pairs import (IndexPair, build_index_pair, regularity_check,
                     retraction_check, validate_index_pair, _exit_times_batch,
                     _march_quotient)
@@ -512,27 +513,16 @@ def _filtration_check(system, f_morse, rng, add):
 def _roundtrip_check(graph, pair, f_morse, filtration, add):
     names = []
     ok = True
+    artifacts = [("graph", graph, TransitionGraph), ("pair", pair, IndexPair),
+                 ("field", f_morse, LyapunovField), ("filtration", filtration, Filtration)]
     with tempfile.TemporaryDirectory() as td:
-        path = os.path.join(td, "graph.json")
-        graph.to_json(path)
-        ok &= TransitionGraph.from_json(path) == graph
-        names.append("graph")
-        if pair is not None:
-            path = os.path.join(td, "pair.json")
-            pair.to_json(path)
-            ok &= IndexPair.from_json(path) == pair
-            names.append("pair")
-        if f_morse is not None:
-            path = os.path.join(td, "field.json")
-            f_morse.to_json(path)
-            from .lyapunov import LyapunovField
-            ok &= LyapunovField.from_json(path) == f_morse
-            names.append("field")
-        if filtration is not None:
-            path = os.path.join(td, "filtration.json")
-            filtration.to_json(path)
-            ok &= Filtration.from_json(path) == filtration
-            names.append("filtration")
+        for name, obj, cls in artifacts:
+            if obj is None:
+                continue
+            path = os.path.join(td, f"{name}.json")
+            obj.to_json(path)
+            ok &= cls.from_json(path) == obj
+            names.append(name)
     add("artifact_roundtrip", bool(ok), True,
         {"artifacts": len(names)}, None,
         "serialized and reloaded: " + ", ".join(names))
@@ -579,8 +569,7 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
         table = CenterTable(system, pair, params)
         if mg.n >= 2:
             ar_first = ar_regions_in_pair(mg, frozenset({1}))
-            fields.append(pair_lyapunov(system, pair, ar_first, params, graph=graph,
-                                        table=table))
+            fields.append(pair_lyapunov(system, pair, ar_first, params, table=table))
         f_morse = morse_lyapunov(system, pair, mg, params, table=table)
         f_complete = complete_lyapunov(system, pair, mg, params, table=table)
         fields.extend([f_morse, f_complete])

@@ -58,7 +58,7 @@ def doublewell():
     b.pair = bf.build_index_pair(b.mg)
     b.recurrent = bf.chain_recurrent_boxes(b.graph, b.region)
     b.ar = bf.ar_regions_in_pair(b.mg, frozenset({1}))
-    b.pair_field = bf.pair_lyapunov(b.system, b.pair, b.ar, graph=b.graph)
+    b.pair_field = bf.pair_lyapunov(b.system, b.pair, b.ar)
     b.morse_field = bf.morse_lyapunov(b.system, b.pair, b.mg)
     return b
 

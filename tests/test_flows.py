@@ -92,6 +92,10 @@ def test_trajectory_sampling_reports_escape():
 @pytest.mark.parametrize("call", [
     pytest.param(lambda s, pair, x: bf.flow_map(s, x, math.nan), id="flow_map-t-nan"),
     pytest.param(lambda s, pair, x: bf.flow_map(s, x, math.inf), id="flow_map-t-inf"),
+    pytest.param(lambda s, pair, x: _advance(s, np.empty((0, 1)), math.nan),
+                 id="advance-zero-rows-t-nan"),
+    pytest.param(lambda s, pair, x: _advance(s, np.empty((0, 1)), math.inf),
+                 id="advance-zero-rows-t-inf"),
     pytest.param(lambda s, pair, x: bf.stopped_flow(s, pair, x, math.nan), id="stopped_flow-t-nan"),
     pytest.param(lambda s, pair, x: bf.stopped_flow(s, pair, x, math.inf), id="stopped_flow-t-inf"),
     pytest.param(lambda s, pair, x: bf.quotient_flow(s, pair, x, math.nan),

@@ -205,7 +205,7 @@ def test_batch_field_matches_pointwise_composition():
     pair = bf.build_index_pair(mg)
     ar = bf.ar_regions_in_pair(mg, frozenset({1}))
     params = LyapunovParams(dt=0.1, t_max=6.0)
-    field = bf.pair_lyapunov(system, pair, ar, params=params, graph=graph)
+    field = bf.pair_lyapunov(system, pair, ar, params=params)
     rho_fn = field.profiles[0][1]
 
     def h_fn(p):
@@ -252,8 +252,9 @@ def test_field_box_values_and_membership(doublewell):
 
 def test_complete_field_is_the_weighted_pair_sum(doublewell):
     pairs = bf.enumerate_ar_pairs(doublewell.mg)
-    parts = [bf.pair_lyapunov(doublewell.system, doublewell.pair, ar,
-                              graph=doublewell.graph) for ar in pairs]
+    parts = [bf.pair_lyapunov(doublewell.system, doublewell.pair,
+                              ar._replace(alpha=ar.attractor, omega=ar.repeller))
+             for ar in pairs]
     expected = sum(0.5 ** i * f.values for i, f in enumerate(parts, start=1))
     complete = bf.complete_lyapunov(doublewell.system, doublewell.pair,
                                     doublewell.mg)
@@ -451,7 +452,7 @@ def field_case(request):
     b.fields = []
     if b.mg.n >= 2:
         ar = bf.ar_regions_in_pair(b.mg, frozenset({1}))
-        b.fields.append(bf.pair_lyapunov(b.system, b.pair, ar, graph=b.graph))
+        b.fields.append(bf.pair_lyapunov(b.system, b.pair, ar))
     b.fields.append(bf.morse_lyapunov(b.system, b.pair, b.mg))
     b.fields.append(bf.complete_lyapunov(b.system, b.pair, b.mg))
     rng = np.random.default_rng(5)
@@ -500,8 +501,7 @@ def test_fields_from_one_center_table_equal_fields_built_alone(field_case):
     shared = []
     if b.mg.n >= 2:
         ar = bf.ar_regions_in_pair(b.mg, frozenset({1}))
-        shared.append(bf.pair_lyapunov(b.system, b.pair, ar, params, graph=b.graph,
-                                       table=table))
+        shared.append(bf.pair_lyapunov(b.system, b.pair, ar, params, table=table))
     shared.append(bf.morse_lyapunov(b.system, b.pair, b.mg, params, table=table))
     shared.append(bf.complete_lyapunov(b.system, b.pair, b.mg, params, table=table))
     for together, alone in zip(shared, b.fields):

@@ -278,9 +278,9 @@ def test_attractor_repeller_regions(doublewell):
 
 def test_non_down_closed_set_rejected(doublewell):
     with pytest.raises(PreconditionError):
-        bf.ar_regions(doublewell.mg, frozenset({3}))
+        bf.ar_regions_in_pair(doublewell.mg, frozenset({3}))
     with pytest.raises(PreconditionError):
-        bf.ar_regions(doublewell.mg, frozenset({5}))
+        bf.ar_regions_in_pair(doublewell.mg, frozenset({5}))
 
 
 def test_one_sided_regions_pin_the_pair(doublewell):
@@ -332,8 +332,9 @@ def _down_sets(mg):
 
 
 def _check_ar_regions(graph, region):
-    """ar_regions_in_pair of every down-set against the per-box oracles:
-    class reach by breadth-first search, full orbits by the deque peel."""
+    """ar_regions_in_pair of every down-set, and every record that
+    enumerate_ar_pairs returns, against the per-box oracles: class reach by
+    breadth-first search, full orbits by the deque peel."""
     mg = bf.morse_graph(graph, region)
     reach, coreach = _class_reach_oracle(graph, region, mg.morse_sets)
     own = {b: k for k, m in enumerate(mg.morse_sets, start=1) for b in m.ids.tolist()}
@@ -348,15 +349,22 @@ def _check_ar_regions(graph, region):
     def both(b):
         return reach[b] | coreach[b]
 
-    for D in _down_sets(mg):
+    def check(ar):
+        D = ar.down_set
         E = frozenset(range(1, mg.n + 1)) - D
-        ar = bf.ar_regions_in_pair(mg, D)
-        assert ar.down_set == D
+        assert ar.morse_graph is mg
         assert ar.attractor == only(inv, both, D), sorted(D)
         assert ar.repeller == only(inv, both, E), sorted(D)
         assert ar.alpha == only(back, coreach.get, D), sorted(D)
         assert ar.omega == only(fwd, reach.get, E), sorted(D)
-        assert bf.ar_regions(mg, D) == bf.ARPair(ar.attractor, ar.repeller, D)
+
+    for D in _down_sets(mg):
+        ar = bf.ar_regions_in_pair(mg, D)
+        assert ar.down_set == D
+        check(ar)
+    if mg.n <= 8:
+        for ar in bf.enumerate_ar_pairs(mg):
+            check(ar)
 
 
 @pytest.mark.parametrize("case", _ORACLE_CASES)
