@@ -125,10 +125,12 @@ def _write_json(path, data):
     _atomic(path, lambda p: write_json(p, data))
 
 
-def _write_text(path, text):
+def _write_text(path, *texts):
+    """Write the texts one after another, with no joined copy of them."""
     def writer(p):
         with open(p, "w") as fh:
-            fh.write(text)
+            for text in texts:
+                fh.write(text)
     _atomic(path, writer)
 
 
@@ -153,9 +155,9 @@ def cmd_analyze(config):
 
     out = config.out
     _atomic(os.path.join(out, "graph.json"), graph.to_json)
-    _write_text(os.path.join(out, "graph.dot"), graph.to_dot() + "\n")
+    _write_text(os.path.join(out, "graph.dot"), graph.to_dot(), "\n")
     _atomic(os.path.join(out, "morse.json"), mg.to_json)
-    _write_text(os.path.join(out, "morse.dot"), mg.to_dot() + "\n")
+    _write_text(os.path.join(out, "morse.dot"), mg.to_dot(), "\n")
     _write_json(os.path.join(out, "recurrent.json"), {"boxes": recurrent})
 
     sizes = [len(m) for m in mg.morse_sets]

@@ -14,8 +14,9 @@ from .errors import CapacityError, IngestionError, PreconditionError
 from .jsonio import number, positive
 
 MAX_BOXES = 2 ** 31
-# (sample point, target box) pairs one graph build may produce; the two
-# int64 edge arrays then stay near 1 GB
+# (sample point, target box) pairs one graph build may produce, counted
+# per sample; the two int64 edge arrays are sized by the distinct (box,
+# target range) pairs, at most this many, so they stay under 1 GB
 MAX_PAIRS = 2 ** 26
 # coordinates one quotient march may store, (steps + 1) x points x d: 256 MiB
 # of float64 positions; the largest default march, hopf2d's field at 256²,

@@ -7,24 +7,89 @@ top level is not an object, or whose fields are missing or of the wrong
 type raises IngestionError, which the command line reports with exit
 code 2.  number, positive, string, boolean and mapping are the typed
 checks loaders apply to the values they read.
+
+Long lists of integer ids (graph edges, box sets) are written by one numpy
+byte kernel instead of json.dumps: id_labels is a table of the ASCII
+labels of the ids 0 .. n-1, one fixed-width row each, and records fills
+one row of bytes per record from it by slice assignment, then drops the
+zero bytes that pad every label.  ids_json gives a JSON array this way,
+and write_json splices such ready bytes in at their key.  Floats never go
+through the kernel: json.dumps writes them in JSON, and repr in CSV.
 """
 
 import json
 import math
 
+import numpy as np
+
 from .errors import IngestionError, PreconditionError
 
 
 def write_json(path, data):
-    """Write data to path as compact, key-sorted JSON plus a newline.
+    """Write the dict data to path as compact, key-sorted JSON plus a newline.
 
-    The text is encoded in one json.dumps call, which uses the C encoder;
-    json.dump streams the same bytes through the pure-Python encoder,
-    several times slower on large artifacts.
+    A bytes value is JSON text already (from ids_json, say) and is written
+    as it is.  Every other value is encoded by one json.dumps call, which
+    uses the C encoder; json.dump streams the same bytes through the
+    pure-Python encoder, several times slower on large artifacts.
     """
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    items = []
+    for key in sorted(data):
+        value = data[key]
+        if not isinstance(value, bytes):
+            value = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+        items.append(json.dumps(key).encode() + b":" + value)
+    with open(path, "wb") as fh:
+        fh.write(b"{" + b",".join(items) + b"}\n")
+
+
+def id_labels(n, prefix=b"", last=b"-1"):
+    """The ASCII labels of the ids 0 .. n-1, as an (n + 1, width) uint8 table.
+
+    Row i holds prefix and the decimal digits of i; the extra last row
+    holds last, so that index -1 (EXIT) reads it.  Every row is padded
+    with zero bytes, which records drops.
+    """
+    digits = len(str(n - 1))
+    table = np.zeros((n + 1, max(len(prefix) + digits, len(last))), dtype=np.uint8)
+    table[:n, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    table[n, :len(last)] = np.frombuffer(last, dtype=np.uint8)
+    ids = np.arange(n, dtype=np.int64)
+    for k in range(digits):
+        col = table[:n, len(prefix) + digits - 1 - k]
+        col[:] = ids % 10 + ord("0")
+        if k:
+            # ids below 10**k have no digit k
+            col[:10 ** k] = 0
+        ids //= 10
+    return table
+
+
+def records(n, parts):
+    """The bytes of n text records, each the concatenation of parts, with
+    every zero byte dropped.
+
+    A part is bytes, the same in every record; a uint8 array with one row
+    per record, such as labels.take(ids, axis=0) of an id_labels table
+    (take gathers rows several times faster than labels[ids]); or a pair
+    (part, rows) that only the records that rows, an index array or a
+    slice, selects hold.
+    """
+    parts = [part if isinstance(part, tuple) else (part, slice(None)) for part in parts]
+    parts = [(np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part, rows)
+             for part, rows in parts]
+    out = np.zeros((n, sum(part.shape[-1] for part, _ in parts)), dtype=np.uint8)
+    col = 0
+    for part, rows in parts:
+        width = part.shape[-1]
+        out[rows, col:col + width] = part
+        col += width
+    return out[out != 0].tobytes()
+
+
+def ids_json(ids, labels):
+    """The JSON array of an int64 id array, written from an id_labels table."""
+    return b"[" + records(ids.size, [(b",", slice(1, None)), labels.take(ids, axis=0)]) + b"]"
 
 
 def csv_text(header, rows):

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import BoxSet, finite_norm, sorted_unique
-from .jsonio import write_json
+from .jsonio import id_labels, ids_json, write_json
 from .transition import Adjacency, cycle_classes, on_cycle, reachable
 
 
@@ -146,13 +146,15 @@ class MorseGraph:
         return f"MorseGraph(n={self.n}, sizes={sizes})"
 
     def to_json(self, path):
+        labels = id_labels(self.graph.grid.n_boxes)
+        morse_sets = b",".join(ids_json(m.ids, labels) for m in self.morse_sets)
         data = {
             "n": self.n,
             "admissible_order": list(self.admissible_order),
             "partial_order": sorted([list(p) for p in self.partial_order]),
-            "morse_sets": [m.ids.tolist() for m in self.morse_sets],
-            "region": self.region.ids.tolist(),
-            "invariant": self.invariant.ids.tolist(),
+            "morse_sets": b"[" + morse_sets + b"]",
+            "region": ids_json(self.region.ids, labels),
+            "invariant": ids_json(self.invariant.ids, labels),
             "connecting": sorted(
                 [[b, sorted(r), sorted(c)] for b, (r, c) in self.connecting.items()]),
         }

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import MAX_PAIRS, BoxGrid, BoxSet, sorted_unique
-from .jsonio import load_json, number, positive, write_json
+from .jsonio import id_labels, load_json, number, positive, records, write_json
 
 EXIT = -1
 
@@ -177,17 +177,22 @@ class TransitionGraph:
                 f"map_time={self.map_time})")
 
     def to_json(self, path):
-        # one tolist of all targets, sliced per box with an edge
-        dst = self._dst.tolist()
-        starts = self._starts.tolist()
-        edges = [[b, dst[starts[b]:starts[b + 1]]]
-                 for b in np.flatnonzero(np.diff(self._starts)).tolist()]
+        # the edges array "[[b,[t,...]],...]" with one record per edge: a
+        # comma (but for the first edge) and the target, the first edge of
+        # a box also opening it with "[b,[" and the last closing it with "]]"
+        labels = id_labels(self.grid.n_boxes)
+        boxes = np.flatnonzero(np.diff(self._starts))
+        head = self._starts[boxes]
+        tail = self._starts[boxes + 1] - 1
+        edges = records(self.n_edges, [
+            (b",", slice(1, None)), (b"[", head), (labels.take(boxes, axis=0), head),
+            (b",[", head), labels.take(self._dst, axis=0), (b"]]", tail)])
         data = {
             "map_time": self.map_time,
             "padding": self.padding,
             "samples_per_axis": self.samples_per_axis,
             "grid": self.grid.to_dict(),
-            "edges": edges,
+            "edges": b"[" + edges + b"]",
             "exit_node": self.has_exit,
         }
         write_json(path, data)
@@ -209,14 +214,14 @@ class TransitionGraph:
         return load_json(path, "graph file", parse)
 
     def to_dot(self):
-        head = "digraph transition {\n"
+        head = b"digraph transition {\n"
         if self.has_exit:
-            head += '  exit [label="EXIT", shape=doublecircle];\n'
-        # one % format over every (src, dst) pair; box ids are nonnegative,
-        # so "b-1" can only be an EXIT target
-        pairs = np.column_stack([self._src, self._dst]).ravel().tolist()
-        body = ("  b%d -> b%d;\n" * self.n_edges) % tuple(pairs)
-        return head + body.replace(f" -> b{EXIT};", " -> exit;") + "}"
+            head += b'  exit [label="EXIT", shape=doublecircle];\n'
+        # box ids label as b<id>; EXIT, index -1, as exit
+        labels = id_labels(self.grid.n_boxes, b"b", b"exit")
+        body = records(self.n_edges, [b"  ", labels.take(self._src, axis=0), b" -> ",
+                                      labels.take(self._dst, axis=0), b";\n"])
+        return (head + body + b"}").decode("ascii")
 
 
 def _distinct_rows(pts):
@@ -244,13 +249,14 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
     """Edges (src, dst) from sampling the flow on the given boxes.
 
     Boxes that share a face share lattice points.  Each bitwise-distinct
-    point is marched once, its padded target range is found once, and both
-    are gathered back to every box it samples.  Points are merged only when
-    their bits are equal, never within a tolerance, so the graph is the one
-    a march of every lattice point gives.
+    point is marched once and its padded target range is found once.
+    Points are merged only when their bits are equal, never within a
+    tolerance, so the graph is the one a march of every lattice point
+    gives.  Samples of one box whose images cover the same range give the
+    same targets, so each (box, target range) is expanded once.
     """
+    per_box = samples_per_axis ** grid.dimension
     pts = grid.lattice(ids, samples_per_axis)
-    src_of_pt = np.repeat(ids, samples_per_axis ** grid.dimension)
     first, inverse = _distinct_rows(pts)
     img, escaped, _ = _advance(system, pts[first], map_time)
 
@@ -260,7 +266,6 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
     # clipped while still floats: a huge padding would not survive the cast
     low = np.clip(np.floor((img - padding - lo) / grid.widths), 0, top).astype(np.int64)
     high = np.clip(np.floor((img + padding - lo) / grid.widths), 0, top).astype(np.int64)
-    corner = grid.ravel(low)
     ext = high - low
     targets = np.where(escaped, 0, np.prod(ext + 1, axis=1))
     n_pairs = int(np.bincount(inverse, minlength=first.size) @ targets)
@@ -269,26 +274,46 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
             f"padding {padding:g} gives {n_pairs} (sample, target box) pairs, "
             f"limit is {MAX_PAIRS}")
 
-    escaped = escaped[inverse]
-    exits = sorted_unique(src_of_pt[escaped])
-    src = np.empty(exits.size + n_pairs, dtype=np.int64)
+    # one key per range, corner * n + ravel(ext), EXIT for an escaped image.
+    # corner and ravel(ext) are box ids, each at most n - 1, so a key is at
+    # most n**2 - 1 < MAX_BOXES**2 = 2**62 and fits int64
+    n = np.int64(grid.n_boxes)
+    key = grid.ravel(low)
+    key *= n
+    key += grid.ravel(ext)
+    key[escaped] = EXIT
+    # the lattice is box-major: one row of keys per box, sorted, so that
+    # EXIT comes first and equal ranges are adjacent
+    keys = key[inverse].reshape(ids.size, per_box)
+    keys.sort(axis=1)
+    keep = np.empty(keys.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=keep[:, 1:])
+    exits = ids[keys[:, 0] == EXIT]
+    keep &= keys != EXIT
+    src_live = np.repeat(ids, np.count_nonzero(keep, axis=1))
+    corner, ext = np.divmod(keys[keep], n)
+    ext = np.unravel_index(ext, grid.shape)
+    size = np.ones_like(corner)
+    for e in ext:
+        size *= e + 1
+
+    # sized by the distinct ranges; n_pairs counted every sample
+    src = np.empty(exits.size + int(size.sum()), dtype=np.int64)
     dst = np.empty_like(src)
     src[:exits.size] = exits
     dst[:exits.size] = EXIT
     filled = exits.size
-
-    live = inverse[~escaped]
-    if live.size:
-        src_live = src_of_pt[~escaped]
-        corner = corner[live]
-        ext = ext[live]
-        for off in itertools.product(*(range(int(e) + 1) for e in ext.max(axis=0))):
-            valid = (ext >= off).all(axis=1)
-            k = np.count_nonzero(valid)
-            src[filled:filled + k] = src_live[valid]
-            dst[filled:filled + k] = corner[valid] + grid.ravel(off)
-            filled += k
-    return src[:filled], dst[:filled]
+    valid = np.empty(corner.size, dtype=bool)
+    for off in itertools.product(*(range(int(e.max(initial=-1)) + 1) for e in ext)):
+        np.greater_equal(ext[0], off[0], out=valid)
+        for e, o in zip(ext[1:], off[1:]):
+            valid &= e >= o
+        k = np.count_nonzero(valid)
+        src[filled:filled + k] = src_live[valid]
+        np.add(corner[valid], grid.ravel(off), out=dst[filled:filled + k])
+        filled += k
+    return src, dst
 
 
 def _checked_padding(system, grid, map_time, padding):

@@ -1,5 +1,6 @@
 """Session fixtures: pipeline bundles built once per system and reused."""
 
+import json
 import math
 from collections import deque
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import boxflow as bf
 from boxflow.flows import _advance
 from boxflow import grid as bfgrid
 from boxflow.grid import BoxSet
+from boxflow.jsonio import write_json
 from boxflow.lyapunov import _discounted_from_h
 from boxflow.pairs import _march_quotient
 from boxflow.transition import EXIT, TransitionGraph
@@ -364,6 +366,22 @@ def _graph_dot_oracle(graph):
         lines.append(f"  b{s} -> exit;" if t == bf.EXIT else f"  b{s} -> b{t};")
     lines.append("}")
     return "\n".join(lines)
+
+
+def _assert_graph_writers(graph, path):
+    """to_dot equals the per-edge loop, and to_json writes, at path, the
+    bytes of write_json and of one json.dumps call on the per-box loop's
+    edges; the file loads back to the graph."""
+    assert graph.to_dot() == _graph_dot_oracle(graph)
+    graph.to_json(str(path))
+    got = path.read_bytes()
+    data = json.loads(got)
+    data["edges"] = _graph_edges_oracle(graph)
+    write_json(str(path), data)
+    assert got == path.read_bytes()
+    assert got == (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    path.write_bytes(got)
+    assert TransitionGraph.from_json(str(path)) == graph
 
 
 def _connecting_oracle(mg):

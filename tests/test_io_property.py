@@ -6,12 +6,14 @@ from the loaded object to the same bytes.
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boxflow as bf
 from boxflow.grid import BoxSet
+from conftest import _assert_graph_writers
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
@@ -48,6 +50,17 @@ def graphs(draw):
     return bf.TransitionGraph(grid, draw(st.floats(1e-3, 1e3)), draw(st.floats(0.0, 1e3)),
                               draw(st.integers(1, 4)), [s for s, _ in edges],
                               [t for _, t in edges])
+
+
+@st.composite
+def edge_sets(draw):
+    # up to 1,100 boxes, so that ids of one to four digits occur
+    n = draw(st.integers(1, 1100) | st.sampled_from([1001, 1100]))
+    ids = st.integers(0, n - 1) | st.sampled_from([0, 9, 10, 99, 100, 999, 1000, n - 1])
+    edges = draw(st.lists(st.tuples(ids.filter(lambda b: b < n),
+                                    (ids | st.just(bf.EXIT)).filter(lambda t: t < n))))
+    grid = bf.build_grid([(0.0, 1.0)], (n,))
+    return bf.TransitionGraph(grid, 1.0, 0.5, 3, [s for s, _ in edges], [t for _, t in edges])
 
 
 @st.composite
@@ -89,6 +102,13 @@ def _round_trip(obj, loader):
 @given(graph=graphs())
 def test_graph_file_round_trips(graph):
     _round_trip(graph, bf.TransitionGraph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=edge_sets())
+def test_graph_writers_give_the_bytes_of_the_loops(graph):
+    with tempfile.TemporaryDirectory() as td:
+        _assert_graph_writers(graph, Path(td) / "graph.json")
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Recurrence and Morse decomposition against a hand-rolled SCC oracle."""
 
+import json
 import os
 import subprocess
 import sys
@@ -428,6 +429,27 @@ def test_chain_oracle_validates_inputs():
         bf.epsilon_chain_oracle(system, pts, 0.1, t_min=0.5)
     with pytest.raises(PreconditionError):
         bf.epsilon_chain_oracle(system, pts, 0.1, t_max=0.5)
+
+
+def test_morse_file_gives_the_bytes_of_json_dumps(tmp_path, doublewell, hopf, saddle):
+    system = bf.FlowSystem(dimension=1, field=lambda p: np.ones_like(p),
+                           domain=[[0.0, 1.0]], name="drift")
+    grid = bf.build_grid(system.domain, (16,))
+    empty = bf.morse_graph(bf.build_transition_graph(system, grid, 1.0), grid.all_boxes())
+    for mg in (doublewell.mg, hopf.mg, saddle.mg, empty):
+        mg.to_json(str(tmp_path / "morse.json"))
+        data = {
+            "n": mg.n,
+            "admissible_order": list(mg.admissible_order),
+            "partial_order": sorted([list(p) for p in mg.partial_order]),
+            "morse_sets": [m.ids.tolist() for m in mg.morse_sets],
+            "region": mg.region.ids.tolist(),
+            "invariant": mg.invariant.ids.tolist(),
+            "connecting": sorted(
+                [[b, sorted(r), sorted(c)] for b, (r, c) in mg.connecting.items()]),
+        }
+        want = json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        assert (tmp_path / "morse.json").read_text() == want
 
 
 def test_morse_graph_dot_output(doublewell):

@@ -11,10 +11,9 @@ import pytest
 import boxflow as bf
 from boxflow.errors import CapacityError, IngestionError
 from boxflow.flows import _advance, polynomial_field
-from boxflow.grid import BoxSet
-from boxflow.jsonio import write_json
+from boxflow.grid import MAX_BOXES, BoxSet
 from boxflow.transition import EXIT, TransitionGraph, box_image, reachable
-from conftest import _graph_dot_oracle, _graph_edges_oracle, _peel_oracle, _random_exit_graph
+from conftest import _assert_graph_writers, _peel_oracle, _random_exit_graph
 
 
 def test_contract_edges_match_interval_arithmetic():
@@ -250,13 +249,10 @@ def test_reachable_matches_a_python_bfs():
         assert set(np.flatnonzero(reachable(adj, seeds)).tolist()) == seen, seed
 
 
-def _full_lattice_graph(system, grid, map_time, samples_per_axis=3):
-    """The graph from marching every lattice row, shared faces included.
-
-    Each live image covers the boxes of its padded range, listed per row.
-    """
-    padding = 0.5 * float(np.linalg.norm(grid.widths))
-    ids = np.arange(grid.n_boxes)
+def _lattice_pairs(system, grid, ids, map_time, padding, samples_per_axis):
+    """(src, dst) lists from marching every lattice row of the given boxes,
+    shared faces included: each live image covers the boxes of its padded
+    range, listed per row."""
     pts = grid.lattice(ids, samples_per_axis)
     src_of_pt = np.repeat(ids, samples_per_axis ** grid.dimension)
     img, escaped, _ = _advance(system, pts, map_time)
@@ -272,6 +268,16 @@ def _full_lattice_graph(system, grid, map_time, samples_per_axis=3):
         targets = np.ravel_multi_index(np.array(list(cells)).T, grid.shape)
         src.extend([b] * targets.size)
         dst.extend(targets.tolist())
+    return src, dst
+
+
+def _full_lattice_graph(system, grid, map_time, samples_per_axis=3, padding=None):
+    """The graph from marching every lattice row; padding defaults to half
+    the box diagonal."""
+    if padding is None:
+        padding = 0.5 * float(np.linalg.norm(grid.widths))
+    src, dst = _lattice_pairs(system, grid, np.arange(grid.n_boxes), map_time, padding,
+                              samples_per_axis)
     return TransitionGraph(grid, map_time, padding, samples_per_axis, src, dst)
 
 
@@ -290,6 +296,17 @@ def _poly3():
                          domain=[[-1.5, 1.5], [-1.0, 1.0], [-0.7, 0.9]], name="poly3")
 
 
+def _assert_full_lattice_graph(name, depth, samples, map_time, padding=None):
+    system = _poly3() if name == "poly3" else bf.builtin_system(name)
+    grid = bf.build_grid(system.domain, depth)
+    graph = bf.build_transition_graph(system, grid, map_time, padding, samples)
+    assert graph == _full_lattice_graph(system, grid, map_time, samples, padding)
+    assert graph.has_exit == (name in ("saddle1d", "poly3"))
+    for b in (0, grid.n_boxes // 3, grid.n_boxes - 1):
+        image = box_image(system, grid, b, map_time, padding, samples)
+        np.testing.assert_array_equal(image.ids, graph.targets_of(b))
+
+
 @pytest.mark.parametrize("name, depth, samples, map_time", [
     ("hopf2d", (64, 64), 3, 1.0),
     ("hopf2d", (100, 37), 3, 1.0),
@@ -300,14 +317,31 @@ def _poly3():
     ("gradient2d", (20, 33), 4, 1.0),
 ])
 def test_graph_equals_the_full_lattice_march(name, depth, samples, map_time):
-    system = _poly3() if name == "poly3" else bf.builtin_system(name)
-    grid = bf.build_grid(system.domain, depth)
-    graph = bf.build_transition_graph(system, grid, map_time, samples_per_axis=samples)
-    assert graph == _full_lattice_graph(system, grid, map_time, samples)
-    assert graph.has_exit == (name in ("saddle1d", "poly3"))
-    for b in (0, grid.n_boxes // 3, grid.n_boxes - 1):
-        image = box_image(system, grid, b, map_time, samples_per_axis=samples)
-        np.testing.assert_array_equal(image.ids, graph.targets_of(b))
+    _assert_full_lattice_graph(name, depth, samples, map_time)
+
+
+@pytest.mark.parametrize("name, depth, map_time, padding", [
+    ("hopf2d", (40, 23), 1.0, 0.3),
+    ("poly3", (11, 6, 5), 0.5, 0.45),
+])
+def test_padded_graph_equals_the_full_lattice_march(name, depth, map_time, padding):
+    # target ranges of several boxes, of a different length on each axis,
+    # so that many samples of one box share a range
+    _assert_full_lattice_graph(name, depth, 3, map_time, padding)
+
+
+def test_box_image_of_the_last_box_of_the_largest_grid():
+    # 2**15 * 2**16 = MAX_BOXES boxes: the range keys of the last box come
+    # near the bound n**2 - 1 = 2**62 - 1 and must not wrap
+    system = bf.builtin_system("hopf2d")
+    grid = bf.build_grid(system.domain, (2 ** 15, 2 ** 16))
+    assert grid.n_boxes == MAX_BOXES
+    box = grid.n_boxes - 1
+    padding = 3 * float(grid.widths.max())
+    image = box_image(system, grid, box, 0.05, padding)
+    _, dst = _lattice_pairs(system, grid, np.array([box]), 0.05, padding, 3)
+    assert len(image) > 9
+    np.testing.assert_array_equal(image.ids, np.unique(dst))
 
 
 def test_shared_faces_are_merged_only_when_bitwise_equal():
@@ -328,20 +362,29 @@ def _hand_graphs():
             TransitionGraph(grid, 1.0, 0.5, 3, [], [])]
 
 
+def _wide_graph():
+    # ids of 1 to 4 digits: boxes 7 and 99 have EXIT alone, box 999 starts
+    # with EXIT, and the last box, 1202, has edges
+    grid = bf.build_grid(np.array([[0.0, 1203.0]]), (1203,))
+    edges = {0: [EXIT, 9, 10], 7: [EXIT], 9: [99, 100], 99: [EXIT],
+             100: [999, 1000, 1202], 999: [EXIT, 0, 1000], 1000: [1001], 1202: [EXIT, 5, 1202]}
+    src = [b for b, targets in edges.items() for _ in targets]
+    dst = [t for targets in edges.values() for t in targets]
+    return TransitionGraph(grid, 1.0, 0.5, 3, src, dst)
+
+
 def test_graph_writers_give_the_bytes_of_the_per_box_and_per_edge_loops(tmp_path, saddle, hopf):
     some, empty = _hand_graphs()
-    graphs = [saddle.graph, hopf.graph, some, empty]
+    wide = _wide_graph()
+    graphs = [saddle.graph, hopf.graph, some, empty, wide]
     assert saddle.graph.has_exit and some.has_exit and empty.n_edges == 0
     for i, graph in enumerate(graphs):
-        assert graph.to_dot() == _graph_dot_oracle(graph)
-        got = tmp_path / f"got{i}.json"
-        graph.to_json(str(got))
-        data = json.loads(got.read_text())
-        data["edges"] = _graph_edges_oracle(graph)
-        want = tmp_path / f"want{i}.json"
-        write_json(str(want), data)
-        assert got.read_bytes() == want.read_bytes()
-        assert TransitionGraph.from_json(str(got)) == graph
+        _assert_graph_writers(graph, tmp_path / f"graph{i}.json")
     assert some.to_dot().splitlines()[2:] == [
         "  b0 -> exit;", "  b0 -> b1;", "  b2 -> b2;", "  b5 -> exit;", "  b5 -> b0;", "}"]
     assert empty.to_dot() == "digraph transition {\n}"
+    assert wide.to_dot().splitlines()[-4:] == [
+        "  b1202 -> exit;", "  b1202 -> b5;", "  b1202 -> b1202;", "}"]
+    wide.to_json(str(tmp_path / "wide.json"))
+    assert json.loads((tmp_path / "wide.json").read_text())["edges"][-3:] == [
+        [999, [EXIT, 0, 1000]], [1000, [1001]], [1202, [EXIT, 5, 1202]]]
