@@ -126,11 +126,15 @@ def _write_json(path, data):
 
 
 def _write_text(path, *texts):
-    """Write the texts one after another, with no joined copy of them."""
+    """Write the texts one after another, with no joined copy of them; a
+    text is a str or an iterable of str blocks, such as graph.to_dot()."""
     def writer(p):
         with open(p, "w") as fh:
             for text in texts:
-                fh.write(text)
+                if isinstance(text, str):
+                    fh.write(text)
+                else:
+                    fh.writelines(text)
     _atomic(path, writer)
 
 

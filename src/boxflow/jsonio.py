@@ -15,32 +15,57 @@ one row of bytes per record from it by slice assignment, then drops the
 zero bytes that pad every label.  ids_json gives a JSON array this way,
 and write_json splices such ready bytes in at their key.  Floats never go
 through the kernel: json.dumps writes them in JSON, and repr in CSV.
+
+The largest lists, the edges of graph.json and graph.dot, are written in
+blocks: blocks(n) cuts n records into runs of the module constant BLOCK,
+the writer yields the bytes of one block at a time, and write_json writes
+a generator value piece by piece.  A writer then holds the byte tables of
+one block, not of the whole file.
 """
 
 import json
 import math
+from types import GeneratorType
 
 import numpy as np
 
 from .errors import IngestionError, PreconditionError
 
 
+# records per block of a streamed writer, so that a writer's byte tables
+# hold one block of records however many the file has
+BLOCK = 2 ** 15
+
+
+def blocks(n):
+    """The (lo, hi) bounds of the blocks of BLOCK records that n records
+    make, in order; the last block may be shorter."""
+    return [(lo, min(lo + BLOCK, n)) for lo in range(0, n, BLOCK)]
+
+
 def write_json(path, data):
     """Write the dict data to path as compact, key-sorted JSON plus a newline.
 
     A bytes value is JSON text already (from ids_json, say) and is written
-    as it is.  Every other value is encoded by one json.dumps call, which
-    uses the C encoder; json.dump streams the same bytes through the
-    pure-Python encoder, several times slower on large artifacts.
+    as it is; a generator value is streamed, its bytes pieces, which make
+    one JSON value together, written one after another.  Every other value
+    is encoded by one json.dumps call, which uses the C encoder; json.dump
+    streams the same bytes through the pure-Python encoder, several times
+    slower on large artifacts.
     """
-    items = []
-    for key in sorted(data):
-        value = data[key]
-        if not isinstance(value, bytes):
-            value = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
-        items.append(json.dumps(key).encode() + b":" + value)
     with open(path, "wb") as fh:
-        fh.write(b"{" + b",".join(items) + b"}\n")
+        fh.write(b"{")
+        for i, key in enumerate(sorted(data)):
+            value = data[key]
+            fh.write((b"," if i else b"") + json.dumps(key).encode() + b":")
+            if isinstance(value, GeneratorType):
+                for piece in value:
+                    fh.write(piece)
+            else:
+                if not isinstance(value, bytes):
+                    value = json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+                fh.write(value)
+        fh.write(b"}\n")
 
 
 def id_labels(n, prefix=b"", last=b"-1"):

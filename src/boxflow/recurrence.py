@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import BoxSet, finite_norm, sorted_unique
-from .jsonio import id_labels, ids_json, write_json
+from .jsonio import id_labels, ids_json, records, write_json
 from .transition import Adjacency, cycle_classes, on_cycle, reachable
 
 
@@ -155,10 +155,38 @@ class MorseGraph:
             "morse_sets": b"[" + morse_sets + b"]",
             "region": ids_json(self.region.ids, labels),
             "invariant": ids_json(self.invariant.ids, labels),
-            "connecting": sorted(
-                [[b, sorted(r), sorted(c)] for b, (r, c) in self.connecting.items()]),
+            "connecting": self._connecting_json(labels),
         }
         write_json(path, data)
+
+    def _connecting_json(self, labels):
+        """The connecting array "[[b,[r,...],[c,...]],...]" of morse.json,
+        box by box, written from the reach and coreach bits.
+
+        One record per (box, class) bit, a box's reach classes and then its
+        coreach classes: a comma (but for the first of a list) and the
+        class, the first bit of a box also opening it with "[b,[", its
+        first coreach bit opening that list with "],[", and its last bit
+        closing it with "]]".  A connecting box is in the invariant part,
+        so it has at least one bit on each side.
+        """
+        local = np.flatnonzero(self._inside & (self._cls == 0))
+        rows, cols = np.nonzero(np.concatenate(
+            [self._reach[:, local].T, self._coreach[:, local].T], axis=1))
+        coreach = cols >= self.n
+        head = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=head[1:])
+        opens = coreach.copy()
+        opens[1:] &= ~coreach[:-1]
+        tail = np.ones_like(head)
+        tail[:-1] = head[1:]
+        first = np.flatnonzero(head)
+        classes = id_labels(self.n + 1)
+        return b"[" + records(rows.size, [
+            (b",", first[1:]), (b"[", first),
+            (labels.take(self.region.ids[local], axis=0), first), (b",[", first),
+            (b",", np.flatnonzero(~head & ~opens)), (b"],[", np.flatnonzero(opens)),
+            classes.take(cols % self.n + 1, axis=0), (b"]]", np.flatnonzero(tail))]) + b"]"
 
     def to_dot(self):
         cover = set(self.partial_order)

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
 from .grid import MAX_PAIRS, BoxGrid, BoxSet, sorted_unique
-from .jsonio import id_labels, load_json, number, positive, records, write_json
+from .jsonio import blocks, id_labels, load_json, number, positive, records, write_json
 
 EXIT = -1
 
@@ -116,19 +116,32 @@ class TransitionGraph:
     """
 
     def __init__(self, grid, map_time, padding, samples_per_axis, src, dst):
-        self.grid = grid
-        self.map_time = float(map_time)
-        self.padding = float(padding)
-        self.samples_per_axis = int(samples_per_axis)
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise PreconditionError("edge arrays must have matching length")
-        key = src * np.int64(grid.n_boxes + 1)
-        key += dst + 1
-        key = sorted_unique(key)
-        self._src = key // (grid.n_boxes + 1)
-        self._dst = key % (grid.n_boxes + 1) - 1
+        keys = src * np.int64(grid.n_boxes + 1)
+        keys += dst + 1
+        self._adopt(grid, map_time, padding, samples_per_axis, keys)
+
+    @classmethod
+    def _from_keys(cls, grid, map_time, padding, samples_per_axis, keys):
+        """The graph of the edges packed as box * (n + 1) + target + 1, for
+        n grid boxes; keys, which may repeat an edge, is sorted in place."""
+        graph = cls.__new__(cls)
+        graph._adopt(grid, map_time, padding, samples_per_axis, keys)
+        return graph
+
+    def _adopt(self, grid, map_time, padding, samples_per_axis, keys):
+        self.grid = grid
+        self.map_time = float(map_time)
+        self.padding = float(padding)
+        self.samples_per_axis = int(samples_per_axis)
+        keys = sorted_unique(keys)
+        self._src = keys // (grid.n_boxes + 1)
+        np.remainder(keys, grid.n_boxes + 1, out=keys)
+        keys -= 1
+        self._dst = keys
         self._starts = np.searchsorted(self._src, np.arange(grid.n_boxes + 1))
 
     @property
@@ -177,25 +190,37 @@ class TransitionGraph:
                 f"map_time={self.map_time})")
 
     def to_json(self, path):
-        # the edges array "[[b,[t,...]],...]" with one record per edge: a
-        # comma (but for the first edge) and the target, the first edge of
-        # a box also opening it with "[b,[" and the last closing it with "]]"
-        labels = id_labels(self.grid.n_boxes)
-        boxes = np.flatnonzero(np.diff(self._starts))
-        head = self._starts[boxes]
-        tail = self._starts[boxes + 1] - 1
-        edges = records(self.n_edges, [
-            (b",", slice(1, None)), (b"[", head), (labels.take(boxes, axis=0), head),
-            (b",[", head), labels.take(self._dst, axis=0), (b"]]", tail)])
         data = {
             "map_time": self.map_time,
             "padding": self.padding,
             "samples_per_axis": self.samples_per_axis,
             "grid": self.grid.to_dict(),
-            "edges": b"[" + edges + b"]",
+            "edges": self._edges_json(),
             "exit_node": self.has_exit,
         }
         write_json(path, data)
+
+    def _edges_json(self):
+        """The edges array "[[b,[t,...]],...]" of graph.json, block by block.
+
+        One record per edge: a comma (but for the first edge) and the
+        target, the first edge of a box also opening it with "[b,[" and the
+        last closing it with "]]".
+        """
+        labels = id_labels(self.grid.n_boxes)
+        boxes = np.flatnonzero(np.diff(self._starts))
+        head = self._starts[boxes]
+        tail = self._starts[boxes + 1] - 1
+        yield b"["
+        for lo, hi in blocks(self.n_edges):
+            h = slice(*np.searchsorted(head, (lo, hi)))
+            t = slice(*np.searchsorted(tail, (lo, hi)))
+            first = head[h] - lo
+            yield records(hi - lo, [
+                (b",", slice(int(lo == 0), None)), (b"[", first),
+                (labels.take(boxes[h], axis=0), first), (b",[", first),
+                labels.take(self._dst[lo:hi], axis=0), (b"]]", tail[t] - lo)])
+        yield b"]"
 
     @classmethod
     def from_json(cls, path):
@@ -214,61 +239,110 @@ class TransitionGraph:
         return load_json(path, "graph file", parse)
 
     def to_dot(self):
-        head = b"digraph transition {\n"
+        """The text of graph.dot, without its final newline, as str blocks."""
+        head = "digraph transition {\n"
         if self.has_exit:
-            head += b'  exit [label="EXIT", shape=doublecircle];\n'
+            head += '  exit [label="EXIT", shape=doublecircle];\n'
+        yield head
         # box ids label as b<id>; EXIT, index -1, as exit
         labels = id_labels(self.grid.n_boxes, b"b", b"exit")
-        body = records(self.n_edges, [b"  ", labels.take(self._src, axis=0), b" -> ",
-                                      labels.take(self._dst, axis=0), b";\n"])
-        return (head + body + b"}").decode("ascii")
+        for lo, hi in blocks(self.n_edges):
+            yield records(hi - lo, [b"  ", labels.take(self._src[lo:hi], axis=0), b" -> ",
+                                    labels.take(self._dst[lo:hi], axis=0), b";\n"]).decode("ascii")
+        yield "}"
 
 
-def _distinct_rows(pts):
-    """(first, inverse) for the bitwise-distinct rows of a C-contiguous
-    float64 array: pts[first] holds each distinct row once, at its first
-    occurrence, and pts[first][inverse] is pts.
+def _distinct_samples(grid, ids, samples_per_axis):
+    """(points, inverse) for the bitwise-distinct lattice points of the
+    given boxes: points holds each once, in the row order of np.unique,
+    and points[inverse] is grid.lattice(ids, samples_per_axis) bit for bit.
 
-    One stable sort of the rows' uint64 bit patterns and a mask of where
-    the runs of equal rows start.  The distinct rows come in the order of
-    their bit patterns, last column first.
+    The lattice itself is never built.  A coordinate on axis k depends only
+    on the box's position along k and the sample's fraction, so each axis
+    takes at most (positions the boxes use) * samples_per_axis values.  They
+    are ranked by value, bitwise-distinct ones apart, and each sample gets
+    the mixed-radix code of its ranks, axis 0 most significant: two samples
+    are bitwise equal exactly when their codes are.  The distinct codes come
+    from a dense mask over the code space when that space is no larger than
+    the sample count, as it always is for the whole grid, and from one sort
+    of the codes otherwise (see _distinct_codes).  The code space is at most
+    samples_per_axis**d * MAX_BOXES, so a code fits int64 for any lattice
+    that fits in memory.
     """
-    bits = pts.view(np.uint64)
-    order = np.lexsort(bits.T)
-    bits = bits[order]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    run = np.cumsum(starts)
-    run -= 1
-    inverse = np.empty_like(order)
-    inverse[order] = run
-    return order[starts], inverse
+    d = grid.dimension
+    multi = np.unravel_index(ids, grid.shape)
+    codes = np.zeros((ids.size,) + (samples_per_axis,) * d, dtype=np.int64)
+    values = [None] * d
+    space = 1
+    for k in reversed(range(d)):
+        rows = sorted_unique(multi[k].copy())
+        flat = grid.axis_samples(k, rows, samples_per_axis).ravel()
+        bits = flat.view(np.uint64)
+        order = np.lexsort((bits, flat))
+        new = np.empty(order.size, dtype=bool)
+        new[0] = True
+        np.not_equal(bits[order[1:]], bits[order[:-1]], out=new[1:])
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.cumsum(new) - 1
+        values[k] = flat[order[new]]
+        shape = [ids.size] + [1] * d
+        shape[k + 1] = samples_per_axis
+        rank = rank.reshape(rows.size, samples_per_axis) * space
+        codes += rank[np.searchsorted(rows, multi[k])].reshape(shape)
+        space *= values[k].size
+    distinct, inverse = _distinct_codes(codes.reshape(-1), space)
+    points = np.empty((distinct.size, d))
+    for k in reversed(range(d)):
+        distinct, digit = np.divmod(distinct, values[k].size)
+        points[:, k] = values[k][digit]
+    return points, inverse
 
 
-def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
-    """Edges (src, dst) from sampling the flow on the given boxes.
+def _distinct_codes(codes, space):
+    """(distinct, inverse) for an int64 array of codes below space: the
+    sorted distinct codes, and distinct[inverse] == codes.  A dense mask
+    over the code space when it is no larger than the array, else one sort;
+    the mask path writes inverse into the buffer of codes.
+    """
+    if space <= codes.size:
+        seen = np.zeros(space, dtype=bool)
+        seen[codes] = True
+        rank = np.cumsum(seen)
+        rank -= 1
+        return np.flatnonzero(seen), np.take(rank, codes, out=codes, mode="clip")
+    distinct = sorted_unique(codes.copy())
+    return distinct, np.searchsorted(distinct, codes)
+
+
+def _edge_keys(system, grid, ids, map_time, padding, samples_per_axis):
+    """The edges from sampling the flow on the given boxes, each packed as
+    box * (n + 1) + target + 1 for n grid boxes, so that EXIT packs as
+    box * (n + 1); unsorted, and an edge may repeat.
 
     Boxes that share a face share lattice points.  Each bitwise-distinct
     point is marched once and its padded target range is found once.
     Points are merged only when their bits are equal, never within a
     tolerance, so the graph is the one a march of every lattice point
     gives.  Samples of one box whose images cover the same range give the
-    same targets, so each (box, target range) is expanded once.
+    same targets, so each (box, target range) is expanded once, straight
+    into the one key array; the arrays that are dead by then are freed
+    first.
     """
     per_box = samples_per_axis ** grid.dimension
-    pts = grid.lattice(ids, samples_per_axis)
-    first, inverse = _distinct_rows(pts)
-    img, escaped, _ = _advance(system, pts[first], map_time)
+    pts, inverse = _distinct_samples(grid, ids, samples_per_axis)
+    img, escaped, _ = _advance(system, pts, map_time)
+    del pts
 
     # each image covers the boxes corner + off for 0 <= off <= ext per axis
     lo = grid.domain[:, 0]
     top = np.array(grid.shape, dtype=np.int64) - 1
     # clipped while still floats: a huge padding would not survive the cast
     low = np.clip(np.floor((img - padding - lo) / grid.widths), 0, top).astype(np.int64)
-    high = np.clip(np.floor((img + padding - lo) / grid.widths), 0, top).astype(np.int64)
-    ext = high - low
+    ext = np.clip(np.floor((img + padding - lo) / grid.widths), 0, top).astype(np.int64)
+    del img
+    ext -= low
     targets = np.where(escaped, 0, np.prod(ext + 1, axis=1))
-    n_pairs = int(np.bincount(inverse, minlength=first.size) @ targets)
+    n_pairs = int(np.bincount(inverse, minlength=targets.size) @ targets)
     if n_pairs > MAX_PAIRS:
         raise CapacityError(
             f"padding {padding:g} gives {n_pairs} (sample, target box) pairs, "
@@ -282,38 +356,44 @@ def _image_pairs(system, grid, ids, map_time, padding, samples_per_axis):
     key *= n
     key += grid.ravel(ext)
     key[escaped] = EXIT
-    # the lattice is box-major: one row of keys per box, sorted, so that
-    # EXIT comes first and equal ranges are adjacent
-    keys = key[inverse].reshape(ids.size, per_box)
+    del low, ext, escaped, targets
+    # the samples are box-major: one row of keys per box, in the buffer of
+    # inverse, sorted, so that EXIT comes first and equal ranges are adjacent
+    keys = np.take(key, inverse, out=inverse, mode="clip").reshape(ids.size, per_box)
+    del key, inverse
     keys.sort(axis=1)
     keep = np.empty(keys.shape, dtype=bool)
     keep[:, 0] = True
     np.not_equal(keys[:, 1:], keys[:, :-1], out=keep[:, 1:])
     exits = ids[keys[:, 0] == EXIT]
     keep &= keys != EXIT
-    src_live = np.repeat(ids, np.count_nonzero(keep, axis=1))
+    base = np.repeat(ids, np.count_nonzero(keep, axis=1))
     corner, ext = np.divmod(keys[keep], n)
+    del keys, keep
     ext = np.unravel_index(ext, grid.shape)
     size = np.ones_like(corner)
     for e in ext:
         size *= e + 1
+    # the key of the edge to corner + off is base + ravel(off); a box
+    # times n + 1 is below n**2 + n < 2**63
+    base *= n + 1
+    base += corner
+    base += 1
+    del corner
 
     # sized by the distinct ranges; n_pairs counted every sample
-    src = np.empty(exits.size + int(size.sum()), dtype=np.int64)
-    dst = np.empty_like(src)
-    src[:exits.size] = exits
-    dst[:exits.size] = EXIT
+    edges = np.empty(exits.size + int(size.sum()), dtype=np.int64)
+    np.multiply(exits, n + 1, out=edges[:exits.size])
     filled = exits.size
-    valid = np.empty(corner.size, dtype=bool)
+    valid = np.empty(base.size, dtype=bool)
     for off in itertools.product(*(range(int(e.max(initial=-1)) + 1) for e in ext)):
         np.greater_equal(ext[0], off[0], out=valid)
         for e, o in zip(ext[1:], off[1:]):
             valid &= e >= o
         k = np.count_nonzero(valid)
-        src[filled:filled + k] = src_live[valid]
-        np.add(corner[valid], grid.ravel(off), out=dst[filled:filled + k])
+        np.add(base[valid], grid.ravel(off), out=edges[filled:filled + k])
         filled += k
-    return src, dst
+    return edges
 
 
 def _checked_padding(system, grid, map_time, padding):
@@ -338,16 +418,16 @@ def build_transition_graph(system, grid, map_time, padding=None, samples_per_axi
     """
     padding = _checked_padding(system, grid, map_time, padding)
     ids = np.arange(grid.n_boxes, dtype=np.int64)
-    src, dst = _image_pairs(system, grid, ids, map_time, padding, samples_per_axis)
-    return TransitionGraph(grid, map_time, padding, samples_per_axis, src, dst)
+    keys = _edge_keys(system, grid, ids, map_time, padding, samples_per_axis)
+    return TransitionGraph._from_keys(grid, map_time, padding, samples_per_axis, keys)
 
 
 def box_image(system, grid, box, map_time, padding=None, samples_per_axis=3):
     """The target boxes of a single box, as a BoxSet; may include EXIT."""
     padding = _checked_padding(system, grid, map_time, padding)
     ids = np.asarray([box], dtype=np.int64)
-    _, dst = _image_pairs(system, grid, ids, map_time, padding, samples_per_axis)
-    return BoxSet(dst)
+    keys = _edge_keys(system, grid, ids, map_time, padding, samples_per_axis)
+    return BoxSet(keys % (grid.n_boxes + 1) - 1)
 
 
 class InvariantPart(NamedTuple):

@@ -436,7 +436,14 @@ def test_morse_file_gives_the_bytes_of_json_dumps(tmp_path, doublewell, hopf, sa
                            domain=[[0.0, 1.0]], name="drift")
     grid = bf.build_grid(system.domain, (16,))
     empty = bf.morse_graph(bf.build_transition_graph(system, grid, 1.0), grid.all_boxes())
-    for mg in (doublewell.mg, hopf.mg, saddle.mg, empty):
+    # 12 self-loop boxes joined in a chain through one box each: Morse
+    # indices of two digits, and connecting boxes with many classes a side
+    chain_grid = bf.build_grid([(0.0, 1.0)], (23,))
+    src, dst = zip(*[(b, b) for b in range(0, 23, 2)], *[(b, b + 1) for b in range(22)])
+    chain = bf.morse_graph(bf.TransitionGraph(chain_grid, 1.0, 0.0, 3, src, dst),
+                           chain_grid.all_boxes())
+    assert chain.n == 12 and len(chain.connecting) == 11
+    for mg in (doublewell.mg, hopf.mg, saddle.mg, empty, chain):
         mg.to_json(str(tmp_path / "morse.json"))
         data = {
             "n": mg.n,

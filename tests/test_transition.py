@@ -3,17 +3,22 @@
 import itertools
 import json
 import math
+import os
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
 
 import boxflow as bf
+from boxflow import jsonio, transition
+from boxflow.cli import _write_text
 from boxflow.errors import CapacityError, IngestionError
 from boxflow.flows import _advance, polynomial_field
 from boxflow.grid import MAX_BOXES, BoxSet
-from boxflow.transition import EXIT, TransitionGraph, box_image, reachable
-from conftest import _assert_graph_writers, _peel_oracle, _random_exit_graph
+from boxflow.transition import EXIT, TransitionGraph, _distinct_samples, box_image, reachable
+from conftest import (_assert_graph_writers, _graph_dot_oracle, _peel_oracle,
+                      _random_exit_graph)
 
 
 def test_contract_edges_match_interval_arithmetic():
@@ -143,7 +148,7 @@ def test_dot_rendering_mentions_exit():
     system = bf.builtin_system("saddle1d")
     grid = bf.build_grid(system.domain, (8,))
     graph = bf.build_transition_graph(system, grid, 1.0)
-    text = graph.to_dot()
+    text = "".join(graph.to_dot())
     assert text.startswith("digraph")
     assert "EXIT" in text
 
@@ -354,6 +359,59 @@ def test_shared_faces_are_merged_only_when_bitwise_equal():
     assert 201 * 75 < distinct < full
 
 
+def _spy_distinct_codes(monkeypatch):
+    """The list that records, per _distinct_codes call, the path its size
+    rule takes: the dense mask or the sort."""
+    paths = []
+    inner = transition._distinct_codes
+
+    def spy(codes, space):
+        paths.append("mask" if space <= codes.size else "sort")
+        return inner(codes, space)
+    monkeypatch.setattr(transition, "_distinct_codes", spy)
+    return paths
+
+
+def _assert_distinct_samples(grid, ids, samples_per_axis):
+    pts = grid.lattice(ids, samples_per_axis)
+    points, inverse = _distinct_samples(grid, ids, samples_per_axis)
+    np.testing.assert_array_equal(points, np.unique(pts, axis=0))
+    np.testing.assert_array_equal(points[inverse].view(np.uint64), pts.view(np.uint64))
+
+
+@pytest.mark.parametrize("domain, shape", [
+    ([(-2.0, 2.0)] * 2, (64, 64)),
+    ([(-2.0, 2.0)] * 2, (100, 37)),
+    ([[-1.5, 1.5], [-1.0, 1.0], [-0.7, 0.9]], (11, 6, 5)),
+])
+@pytest.mark.parametrize("samples", [1, 2, 3, 4])
+def test_distinct_samples_are_the_unique_lattice_rows(monkeypatch, domain, shape, samples):
+    grid = bf.build_grid(domain, shape)
+    rng = np.random.default_rng(samples)
+    subsets = [np.arange(grid.n_boxes)] + [rng.choice(grid.n_boxes, k, replace=False)
+                                           for k in (1, 7, 60)]
+    paths = _spy_distinct_codes(monkeypatch)
+    for ids in subsets:
+        _assert_distinct_samples(grid, ids, samples)
+    # the whole grid's code space is at most its sample count; scattered
+    # boxes use few positions per axis but spread their codes wide
+    assert paths[0] == "mask" and "sort" in paths
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 4])
+def test_distinct_samples_of_boxes_of_the_largest_grid(monkeypatch, samples):
+    # per axis, only the positions the boxes use count: one box has a code
+    # space of at most samples**2 and takes the mask, three far-apart boxes
+    # take the sort, and neither allocates anything of the grid's size
+    system = bf.builtin_system("hopf2d")
+    grid = bf.build_grid(system.domain, (2 ** 15, 2 ** 16))
+    assert grid.n_boxes == MAX_BOXES
+    paths = _spy_distinct_codes(monkeypatch)
+    for ids in ([grid.n_boxes - 1], [0, grid.n_boxes // 3, grid.n_boxes - 1]):
+        _assert_distinct_samples(grid, np.array(ids), samples)
+    assert paths == ["mask", "sort"]
+
+
 def _hand_graphs():
     # boxes 1, 3 and 4 have no targets; box 0 starts with EXIT; the
     # second graph has no edge at all
@@ -380,11 +438,51 @@ def test_graph_writers_give_the_bytes_of_the_per_box_and_per_edge_loops(tmp_path
     assert saddle.graph.has_exit and some.has_exit and empty.n_edges == 0
     for i, graph in enumerate(graphs):
         _assert_graph_writers(graph, tmp_path / f"graph{i}.json")
-    assert some.to_dot().splitlines()[2:] == [
+    assert "".join(some.to_dot()).splitlines()[2:] == [
         "  b0 -> exit;", "  b0 -> b1;", "  b2 -> b2;", "  b5 -> exit;", "  b5 -> b0;", "}"]
-    assert empty.to_dot() == "digraph transition {\n}"
-    assert wide.to_dot().splitlines()[-4:] == [
+    assert "".join(empty.to_dot()) == "digraph transition {\n}"
+    assert "".join(wide.to_dot()).splitlines()[-4:] == [
         "  b1202 -> exit;", "  b1202 -> b5;", "  b1202 -> b1202;", "}"]
     wide.to_json(str(tmp_path / "wide.json"))
     assert json.loads((tmp_path / "wide.json").read_text())["edges"][-3:] == [
         [999, [EXIT, 0, 1000]], [1000, [1001]], [1202, [EXIT, 5, 1202]]]
+
+
+# box 0 has 3 edges and box 1 has 6, from edge 3 to edge 8: with blocks of
+# 4 edges, box 1 straddles two block borders
+_BLOCK_EDGES = [(0, EXIT), (0, 1), (0, 11), (1, EXIT), (1, 0), (1, 2), (1, 3), (1, 9),
+                (1, 10), (4, 4), (7, EXIT), (10, 5), (10, 6), (11, EXIT), (11, 11)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 4, 5, 7, 8, 9, 11, 12, 13])
+def test_streamed_graph_writers_give_the_same_bytes_at_every_block_border(
+        monkeypatch, tmp_path, m):
+    monkeypatch.setattr(jsonio, "BLOCK", 4)
+    grid = bf.build_grid([(0.0, 12.0)], (12,))
+    edges = _BLOCK_EDGES[:m]
+    graph = TransitionGraph(grid, 1.0, 0.5, 3, [e[0] for e in edges], [e[1] for e in edges])
+    assert graph.n_edges == m
+    _assert_graph_writers(graph, tmp_path / "graph.json")
+    _write_text(str(tmp_path / "graph.dot"), graph.to_dot(), "\n")
+    assert (tmp_path / "graph.dot").read_text() == _graph_dot_oracle(graph) + "\n"
+
+
+def test_graph_writers_hold_a_block_not_the_file(monkeypatch, tmp_path):
+    # 64 blocks of 1024 edges: 512 boxes with 128 edges each
+    monkeypatch.setattr(jsonio, "BLOCK", 1024)
+    n = 512
+    grid = bf.build_grid([(0.0, 1.0)], (n,))
+    src = np.repeat(np.arange(n), 128)
+    graph = TransitionGraph(grid, 1.0, 0.5, 3, src, (src + np.tile(np.arange(128), n)) % n)
+    assert graph.n_edges == 64 * 1024
+    writers = {"graph.json": graph.to_json,
+               "graph.dot": lambda path: _write_text(path, graph.to_dot(), "\n")}
+    for name, write in writers.items():
+        path = str(tmp_path / name)
+        tracemalloc.start()
+        try:
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path) / 2, (name, peak, os.path.getsize(path))
