@@ -127,7 +127,8 @@ def _write_json(path, data):
 
 def _write_text(path, *texts):
     """Write the texts one after another, with no joined copy of them; a
-    text is a str or an iterable of str blocks, such as graph.to_dot()."""
+    text is a str or an iterable of str blocks, such as a graph's
+    _dot_blocks()."""
     def writer(p):
         with open(p, "w") as fh:
             for text in texts:
@@ -159,7 +160,7 @@ def cmd_analyze(config):
 
     out = config.out
     _atomic(os.path.join(out, "graph.json"), graph.to_json)
-    _write_text(os.path.join(out, "graph.dot"), graph.to_dot(), "\n")
+    _write_text(os.path.join(out, "graph.dot"), graph._dot_blocks(), "\n")
     _atomic(os.path.join(out, "morse.json"), mg.to_json)
     _write_text(os.path.join(out, "morse.dot"), mg.to_dot(), "\n")
     _write_json(os.path.join(out, "recurrent.json"), {"boxes": recurrent})

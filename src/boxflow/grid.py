@@ -260,15 +260,35 @@ class BoxGrid:
         lo = self.domain[:, 0] + multi * self.widths
         return np.stack([lo, lo + self.widths], axis=2)
 
+    def lattice(self, ids, samples_per_axis):
+        """Sample points in each box, box-major.
+
+        One sample per axis means box centers; otherwise samples are spread
+        evenly from one face to the other, corners included.  Returns an
+        (n_boxes * samples_per_axis**d, d) array.
+        """
+        if samples_per_axis < 1:
+            raise PreconditionError("samples_per_axis must be at least 1")
+        ids = self._check_ids(ids)
+        if samples_per_axis == 1:
+            fractions = np.array([0.5])
+        else:
+            fractions = np.linspace(0.0, 1.0, samples_per_axis)
+        grids = np.meshgrid(*([fractions] * self.dimension), indexing="ij")
+        combo = np.stack([g.ravel() for g in grids], axis=1)
+        multi = np.stack(np.unravel_index(ids, self.shape), axis=1)
+        lo = self.domain[:, 0] + multi * self.widths
+        pts = lo[:, None, :] + combo[None, :, :] * self.widths
+        return pts.reshape(-1, self.dimension)
+
     def axis_samples(self, axis, index, samples_per_axis):
         """Sample coordinates on one axis, as an (index.size, samples_per_axis)
         array: row r holds those of the boxes at position index[r] along it.
 
-        One sample per axis means box centers; otherwise samples are spread
-        evenly from one face to the other, corners included.  A coordinate
-        is (low + i * width) + fraction * width, so it depends only on the
-        position and the fraction, and every lattice point is built from
-        these values.
+        The coordinates of lattice's points on that axis, with its
+        arithmetic, (low + i * width) + fraction * width: they depend only
+        on the position and the fraction, which lets the graph build find
+        the distinct lattice points without the lattice.
         """
         if samples_per_axis < 1:
             raise PreconditionError("samples_per_axis must be at least 1")
@@ -278,23 +298,6 @@ class BoxGrid:
             fractions = np.linspace(0.0, 1.0, samples_per_axis)
         width = self.widths[axis]
         return (self.domain[axis, 0] + index[:, None] * width) + fractions * width
-
-    def lattice(self, ids, samples_per_axis):
-        """Sample points in each box, box-major, the last axis fastest.
-
-        Returns an (n_boxes * samples_per_axis**d, d) array of the
-        axis_samples coordinates.
-        """
-        ids = self._check_ids(ids)
-        multi = np.unravel_index(ids, self.shape)
-        d = self.dimension
-        values = [self.axis_samples(k, multi[k], samples_per_axis) for k in range(d)]
-        pts = np.empty((ids.size,) + (samples_per_axis,) * d + (d,))
-        for k, v in enumerate(values):
-            shape = [ids.size] + [1] * d
-            shape[k + 1] = samples_per_axis
-            pts[..., k] = v.reshape(shape)
-        return pts.reshape(-1, d)
 
     def _offsets(self):
         return [off for off in itertools.product((-1, 0, 1), repeat=self.dimension)

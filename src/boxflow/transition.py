@@ -239,7 +239,11 @@ class TransitionGraph:
         return load_json(path, "graph file", parse)
 
     def to_dot(self):
-        """The text of graph.dot, without its final newline, as str blocks."""
+        """The text of graph.dot, without its final newline."""
+        return "".join(self._dot_blocks())
+
+    def _dot_blocks(self):
+        """The text of to_dot as str blocks of jsonio.BLOCK edges each."""
         head = "digraph transition {\n"
         if self.has_exit:
             head += '  exit [label="EXIT", shape=doublecircle];\n'
@@ -262,12 +266,12 @@ def _distinct_samples(grid, ids, samples_per_axis):
     takes at most (positions the boxes use) * samples_per_axis values.  They
     are ranked by value, bitwise-distinct ones apart, and each sample gets
     the mixed-radix code of its ranks, axis 0 most significant: two samples
-    are bitwise equal exactly when their codes are.  The distinct codes come
-    from a dense mask over the code space when that space is no larger than
-    the sample count, as it always is for the whole grid, and from one sort
-    of the codes otherwise (see _distinct_codes).  The code space is at most
-    samples_per_axis**d * MAX_BOXES, so a code fits int64 for any lattice
-    that fits in memory.
+    are bitwise equal exactly when their codes are.  The distinct codes are
+    marked in a dense mask over the code space.  That space is at most
+    (product of the positions used per axis) * samples_per_axis**d, which
+    is the sample count when the boxes are the whole grid or one box, as
+    for the two callers, and at most samples_per_axis**d * MAX_BOXES, so a
+    code fits int64.
     """
     d = grid.dimension
     multi = np.unravel_index(ids, grid.shape)
@@ -290,28 +294,20 @@ def _distinct_samples(grid, ids, samples_per_axis):
         rank = rank.reshape(rows.size, samples_per_axis) * space
         codes += rank[np.searchsorted(rows, multi[k])].reshape(shape)
         space *= values[k].size
-    distinct, inverse = _distinct_codes(codes.reshape(-1), space)
+    codes = codes.reshape(-1)
+    seen = np.zeros(space, dtype=bool)
+    seen[codes] = True
+    rank = np.cumsum(seen)
+    rank -= 1
+    # the inverse, written into the buffer of codes
+    inverse = np.take(rank, codes, out=codes, mode="clip")
+    distinct = np.flatnonzero(seen)
+    del seen, rank
     points = np.empty((distinct.size, d))
     for k in reversed(range(d)):
         distinct, digit = np.divmod(distinct, values[k].size)
         points[:, k] = values[k][digit]
     return points, inverse
-
-
-def _distinct_codes(codes, space):
-    """(distinct, inverse) for an int64 array of codes below space: the
-    sorted distinct codes, and distinct[inverse] == codes.  A dense mask
-    over the code space when it is no larger than the array, else one sort;
-    the mask path writes inverse into the buffer of codes.
-    """
-    if space <= codes.size:
-        seen = np.zeros(space, dtype=bool)
-        seen[codes] = True
-        rank = np.cumsum(seen)
-        rank -= 1
-        return np.flatnonzero(seen), np.take(rank, codes, out=codes, mode="clip")
-    distinct = sorted_unique(codes.copy())
-    return distinct, np.searchsorted(distinct, codes)
 
 
 def _edge_keys(system, grid, ids, map_time, padding, samples_per_axis):

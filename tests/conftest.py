@@ -357,7 +357,7 @@ def _graph_edges_oracle(graph):
 
 
 def _graph_dot_oracle(graph):
-    """The text of graph.to_dot() with one f-string per edge."""
+    """graph.to_dot() with one f-string per edge."""
     lines = ["digraph transition {"]
     if graph.has_exit:
         lines.append('  exit [label="EXIT", shape=doublecircle];')
@@ -369,10 +369,10 @@ def _graph_dot_oracle(graph):
 
 
 def _assert_graph_writers(graph, path):
-    """to_dot's blocks join to the per-edge loop's text, and to_json writes,
-    at path, the bytes of write_json and of one json.dumps call on the
-    per-box loop's edges; the file loads back to the graph."""
-    assert "".join(graph.to_dot()) == _graph_dot_oracle(graph)
+    """to_dot equals the per-edge loop, and to_json writes, at path, the
+    bytes of write_json and of one json.dumps call on the per-box loop's
+    edges; the file loads back to the graph."""
+    assert graph.to_dot() == _graph_dot_oracle(graph)
     graph.to_json(str(path))
     got = path.read_bytes()
     data = json.loads(got)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import boxflow as bf
-from boxflow import jsonio, transition
+from boxflow import jsonio
 from boxflow.cli import _write_text
 from boxflow.errors import CapacityError, IngestionError
 from boxflow.flows import _advance, polynomial_field
@@ -148,7 +148,7 @@ def test_dot_rendering_mentions_exit():
     system = bf.builtin_system("saddle1d")
     grid = bf.build_grid(system.domain, (8,))
     graph = bf.build_transition_graph(system, grid, 1.0)
-    text = "".join(graph.to_dot())
+    text = graph.to_dot()
     assert text.startswith("digraph")
     assert "EXIT" in text
 
@@ -359,19 +359,6 @@ def test_shared_faces_are_merged_only_when_bitwise_equal():
     assert 201 * 75 < distinct < full
 
 
-def _spy_distinct_codes(monkeypatch):
-    """The list that records, per _distinct_codes call, the path its size
-    rule takes: the dense mask or the sort."""
-    paths = []
-    inner = transition._distinct_codes
-
-    def spy(codes, space):
-        paths.append("mask" if space <= codes.size else "sort")
-        return inner(codes, space)
-    monkeypatch.setattr(transition, "_distinct_codes", spy)
-    return paths
-
-
 def _assert_distinct_samples(grid, ids, samples_per_axis):
     pts = grid.lattice(ids, samples_per_axis)
     points, inverse = _distinct_samples(grid, ids, samples_per_axis)
@@ -385,31 +372,25 @@ def _assert_distinct_samples(grid, ids, samples_per_axis):
     ([[-1.5, 1.5], [-1.0, 1.0], [-0.7, 0.9]], (11, 6, 5)),
 ])
 @pytest.mark.parametrize("samples", [1, 2, 3, 4])
-def test_distinct_samples_are_the_unique_lattice_rows(monkeypatch, domain, shape, samples):
+def test_distinct_samples_are_the_unique_lattice_rows(domain, shape, samples):
     grid = bf.build_grid(domain, shape)
     rng = np.random.default_rng(samples)
     subsets = [np.arange(grid.n_boxes)] + [rng.choice(grid.n_boxes, k, replace=False)
                                            for k in (1, 7, 60)]
-    paths = _spy_distinct_codes(monkeypatch)
     for ids in subsets:
         _assert_distinct_samples(grid, ids, samples)
-    # the whole grid's code space is at most its sample count; scattered
-    # boxes use few positions per axis but spread their codes wide
-    assert paths[0] == "mask" and "sort" in paths
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3, 4])
-def test_distinct_samples_of_boxes_of_the_largest_grid(monkeypatch, samples):
-    # per axis, only the positions the boxes use count: one box has a code
-    # space of at most samples**2 and takes the mask, three far-apart boxes
-    # take the sort, and neither allocates anything of the grid's size
+def test_distinct_samples_of_boxes_of_the_largest_grid(samples):
+    # per axis, only the positions the boxes use count: the mask over the
+    # code space of one box, or of three far-apart boxes, has at most
+    # 9 * samples**2 entries, nothing of the grid's size
     system = bf.builtin_system("hopf2d")
     grid = bf.build_grid(system.domain, (2 ** 15, 2 ** 16))
     assert grid.n_boxes == MAX_BOXES
-    paths = _spy_distinct_codes(monkeypatch)
     for ids in ([grid.n_boxes - 1], [0, grid.n_boxes // 3, grid.n_boxes - 1]):
         _assert_distinct_samples(grid, np.array(ids), samples)
-    assert paths == ["mask", "sort"]
 
 
 def _hand_graphs():
@@ -438,10 +419,10 @@ def test_graph_writers_give_the_bytes_of_the_per_box_and_per_edge_loops(tmp_path
     assert saddle.graph.has_exit and some.has_exit and empty.n_edges == 0
     for i, graph in enumerate(graphs):
         _assert_graph_writers(graph, tmp_path / f"graph{i}.json")
-    assert "".join(some.to_dot()).splitlines()[2:] == [
+    assert some.to_dot().splitlines()[2:] == [
         "  b0 -> exit;", "  b0 -> b1;", "  b2 -> b2;", "  b5 -> exit;", "  b5 -> b0;", "}"]
-    assert "".join(empty.to_dot()) == "digraph transition {\n}"
-    assert "".join(wide.to_dot()).splitlines()[-4:] == [
+    assert empty.to_dot() == "digraph transition {\n}"
+    assert wide.to_dot().splitlines()[-4:] == [
         "  b1202 -> exit;", "  b1202 -> b5;", "  b1202 -> b1202;", "}"]
     wide.to_json(str(tmp_path / "wide.json"))
     assert json.loads((tmp_path / "wide.json").read_text())["edges"][-3:] == [
@@ -463,7 +444,7 @@ def test_streamed_graph_writers_give_the_same_bytes_at_every_block_border(
     graph = TransitionGraph(grid, 1.0, 0.5, 3, [e[0] for e in edges], [e[1] for e in edges])
     assert graph.n_edges == m
     _assert_graph_writers(graph, tmp_path / "graph.json")
-    _write_text(str(tmp_path / "graph.dot"), graph.to_dot(), "\n")
+    _write_text(str(tmp_path / "graph.dot"), graph._dot_blocks(), "\n")
     assert (tmp_path / "graph.dot").read_text() == _graph_dot_oracle(graph) + "\n"
 
 
@@ -476,7 +457,7 @@ def test_graph_writers_hold_a_block_not_the_file(monkeypatch, tmp_path):
     graph = TransitionGraph(grid, 1.0, 0.5, 3, src, (src + np.tile(np.arange(128), n)) % n)
     assert graph.n_edges == 64 * 1024
     writers = {"graph.json": graph.to_json,
-               "graph.dot": lambda path: _write_text(path, graph.to_dot(), "\n")}
+               "graph.dot": lambda path: _write_text(path, graph._dot_blocks(), "\n")}
     for name, write in writers.items():
         path = str(tmp_path / name)
         tracemalloc.start()
