@@ -97,7 +97,9 @@ class BoxSet:
         return cls(np.flatnonzero(np.asarray(mask)))
 
     def mask(self, n_boxes):
-        out = np.zeros(n_boxes, dtype=bool)
+        """Membership of the boxes 0 .. n_boxes - 1, plus a last entry, always
+        False, that id -1 (EXIT, or a point outside the domain) reads."""
+        out = np.zeros(n_boxes + 1, dtype=bool)
         out[self.ids] = True
         return out
 
@@ -317,7 +319,7 @@ class BoxGrid:
         boundary of the box set inside the grid, with the grid edge itself
         counting as outside.
         """
-        mask = boxset.mask(self.n_boxes).reshape(self.shape)
+        mask = boxset.mask(self.n_boxes)[:-1].reshape(self.shape)
         interior = mask.copy()
         for off in self._offsets():
             interior &= self._shift(mask, off)
@@ -325,7 +327,7 @@ class BoxGrid:
 
     def closure(self, boxset):
         """The set together with all in-grid adjacent boxes."""
-        mask = boxset.mask(self.n_boxes).reshape(self.shape)
+        mask = boxset.mask(self.n_boxes)[:-1].reshape(self.shape)
         grown = mask.copy()
         for off in self._offsets():
             grown |= self._shift(mask, off)

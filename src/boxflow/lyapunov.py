@@ -86,9 +86,8 @@ class RhoFunction:
     def _forward_closed(graph, boxes):
         if not boxes:
             return True
-        src, dst = graph.edge_arrays()
-        sel = np.isin(src, boxes.ids) & (dst != EXIT)
-        return bool(np.isin(dst[sel], boxes.ids).all())
+        _, dst = graph.edge_arrays(boxes)
+        return bool(np.isin(dst[dst != EXIT], boxes.ids).all())
 
     def __call__(self, points, boxes=None, dL=None):
         """ρ at points; boxes (their QueryBoxes) and dL (their distances to
@@ -568,9 +567,8 @@ def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,
 
     n_steps = int(round(horizon / dt))
     positions, absorbed = _march_quotient(system, pair, pts, n_steps, dt)
-    u_mask = U.mask(grid.n_boxes)
     boxes = grid.box_of(positions.reshape(-1, grid.dimension)).reshape(n_steps + 1, -1)
-    inside = absorbed | ((boxes >= 0) & u_mask[np.maximum(boxes, 0)])
+    inside = absorbed | U.mask(grid.n_boxes)[boxes]
     outside_rows = np.flatnonzero(~inside.all(axis=1))
     if outside_rows.size == 0:
         return 0.0

@@ -17,7 +17,7 @@ from .errors import CapacityError, ConstructionError, IsolationError, Preconditi
 from .flows import _advance, _advance_rows, _require_inside, _sample_block, _schedule
 from .grid import MAX_MARCH_VALUES, BoxGrid, BoxSet, sample_in_boxes
 from .jsonio import load_json, write_json
-from .transition import EXIT, invariant_part, reachable
+from .transition import invariant_part, reachable
 
 
 class _Basepoint:
@@ -121,10 +121,8 @@ def build_index_pair(mg):
     start = graph.grid.closure(inv).mask(graph.grid.n_boxes)[region.ids]
     N = BoxSet(region.ids[reachable(graph.restricted(region), start)])
 
-    src, dst = graph.edge_arrays()
-    n_mask = N.mask(graph.grid.n_boxes)
-    leaves = (dst == EXIT) | ~n_mask[np.maximum(dst, 0)]
-    exits = np.isin(N.ids, src[leaves & n_mask[src]])
+    src, dst = graph.edge_arrays(N)
+    exits = np.isin(N.ids, src[~N.mask(graph.grid.n_boxes)[dst]])
     L = BoxSet(N.ids[reachable(graph.restricted(N), exits)])
 
     pair = IndexPair(graph.grid, N, L)
@@ -177,18 +175,12 @@ class PairValidation:
 
 def validate_index_pair(graph, pair):
     """Check conditions (i), (ii), and the isolating clause on the graph."""
-    src, dst = graph.edge_arrays()
-    n_mask = pair._N_mask
-    l_mask = pair._L_mask
-
-    from_l = l_mask[src]
-    into_n = (dst >= 0) & n_mask[np.maximum(dst, 0)]
-    bad_i = from_l & into_n & ~l_mask[np.maximum(dst, 0)]
+    src, dst = graph.edge_arrays(pair.L)
+    bad_i = pair._N_mask[dst] & ~pair._L_mask[dst]
     cond_i = list(zip(src[bad_i].tolist(), dst[bad_i].tolist()))
 
-    from_core = pair._core_mask[src]
-    out_of_n = (dst == EXIT) | ~n_mask[np.maximum(dst, 0)]
-    bad_ii = from_core & out_of_n
+    src, dst = graph.edge_arrays(pair.core)
+    bad_ii = ~pair._N_mask[dst]
     cond_ii = list(zip(src[bad_ii].tolist(), dst[bad_ii].tolist()))
 
     inv_core, _ = invariant_part(graph, pair.core)
@@ -220,7 +212,7 @@ def _exit_times_batch(system, pair, points, dt, horizon):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(pts.shape[0], math.inf)
     boxes = np.atleast_1d(grid.box_of(pts))
-    out[pair._L_mask[np.maximum(boxes, 0)] & (boxes >= 0)] = 0.0
+    out[pair._L_mask[boxes]] = 0.0
 
     marched = np.flatnonzero(out > 0)
     n_steps = int(math.ceil(horizon / dt - 1e-9))
@@ -241,8 +233,7 @@ def _exit_times_batch(system, pair, points, dt, horizon):
     while rows.size:
         mid = 0.5 * (lo[rows] + hi[rows])
         probe, escaped, _ = _advance_rows(system, base[rows], mid)
-        boxes = grid.box_of(probe)
-        inside = ~escaped & (boxes >= 0) & pair._isolating_mask[np.maximum(boxes, 0)]
+        inside = ~escaped & pair._isolating_mask[grid.box_of(probe)]
         lo[rows[inside]] = mid[inside]
         hi[rows[~inside]] = mid[~inside]
         rows = rows[hi[rows] - lo[rows] > dt / 1024]
@@ -266,8 +257,7 @@ def exit_time(system, pair, x, dt=1e-3, horizon=50.0):
 
 def _absorbed(grid, mask, points):
     """Rows of an (n, d) array outside the domain or in a box outside mask."""
-    boxes = grid.box_of(points)
-    return (boxes < 0) | ~mask[np.maximum(boxes, 0)]
+    return ~mask[grid.box_of(points)]
 
 
 def _march_quotient(system, pair, points, n_steps, dt, mask=None):
@@ -413,8 +403,7 @@ def regularity_check(system, pair, n_samples=50, t_probe=1.0, rng=None):
             if not rows.size:
                 break
             probe, escaped, _ = _advance(system, pts[rows], s)
-            boxes = grid.box_of(probe)
-            inside = ~escaped & (boxes >= 0) & pair._isolating_mask[np.maximum(boxes, 0)]
+            inside = ~escaped & pair._isolating_mask[grid.box_of(probe)]
             stayed[rows[~inside]] = False
         n_checked = n_samples
         violations = [(int(picks[i]), pts[i].tolist()) for i in np.flatnonzero(stayed)]

@@ -7,10 +7,11 @@ norm.  Every grid box touching an inflated image becomes a target of the
 source box.  Sample points whose orbit leaves the closed domain produce an
 edge to the synthetic EXIT node instead.
 
-Every graph question (cycles, reachability, invariant parts) is answered
-in numpy on the CSR arrays of an Adjacency, which TransitionGraph.restricted
-reads off the graph's own sorted edge arrays for a box set.  With n nodes
-and m edges in the set:
+A TransitionGraph is CSR rows over the grid boxes, EXIT first in a row,
+and its readers gather only the rows of the boxes they ask about.  Graph
+questions (cycles, reachability, invariant parts) are answered in numpy
+on the CSR arrays of an Adjacency, which TransitionGraph.restricted reads
+off those rows for a box set.  With n nodes and m edges in the set:
 
 - The reverse graph (Adjacency.T) is one plain sort of the m edges packed
   as target * n + source, O(m log m).
@@ -100,7 +101,6 @@ class Adjacency:
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
             self._T = Adjacency(indptr, key % n)
-            self._T._T = self
         return self._T
 
     def successors(self, nodes):
@@ -111,8 +111,9 @@ class Adjacency:
 class TransitionGraph:
     """A directed graph over grid boxes plus an optional EXIT node.
 
-    Edges are stored as parallel sorted arrays (src, dst) with dst == EXIT
-    marking escape from the domain.
+    The edges are CSR rows over the grid boxes: the targets of box b are
+    _dst[_starts[b]:_starts[b + 1]], in increasing order, so that EXIT,
+    which marks escape from the domain, comes first.
     """
 
     def __init__(self, grid, map_time, padding, samples_per_axis, src, dst):
@@ -138,23 +139,27 @@ class TransitionGraph:
         self.padding = float(padding)
         self.samples_per_axis = int(samples_per_axis)
         keys = sorted_unique(keys)
-        self._src = keys // (grid.n_boxes + 1)
-        np.remainder(keys, grid.n_boxes + 1, out=keys)
+        # the keys of box b lie in [b * (n + 1), b * (n + 1) + n]
+        n = np.int64(grid.n_boxes)
+        self._starts = np.searchsorted(keys, np.arange(n + 1) * (n + 1))
+        np.remainder(keys, n + 1, out=keys)
         keys -= 1
         self._dst = keys
-        self._starts = np.searchsorted(self._src, np.arange(grid.n_boxes + 1))
 
     @property
     def n_edges(self):
-        return int(self._src.size)
+        return int(self._dst.size)
 
     @property
     def has_exit(self):
         return bool((self._dst == EXIT).any())
 
-    def edge_arrays(self):
-        """The (src, dst) edge arrays, sorted by source then target."""
-        return self._src, self._dst
+    def edge_arrays(self, boxes=None):
+        """The (src, dst) arrays of the edges out of a BoxSet, read from its
+        CSR rows, by default every edge; sorted by source then target."""
+        ids = np.arange(self.grid.n_boxes) if boxes is None else boxes.ids
+        dst, bounds = _row_entries(self._starts, self._dst, ids)
+        return np.repeat(ids, np.diff(bounds)), dst
 
     def targets_of(self, box):
         """Sorted targets of one box; may start with EXIT."""
@@ -182,7 +187,7 @@ class TransitionGraph:
                 and self.map_time == other.map_time
                 and self.padding == other.padding
                 and self.samples_per_axis == other.samples_per_axis
-                and np.array_equal(self._src, other._src)
+                and np.array_equal(self._starts, other._starts)
                 and np.array_equal(self._dst, other._dst))
 
     def __repr__(self):
@@ -251,7 +256,8 @@ class TransitionGraph:
         # box ids label as b<id>; EXIT, index -1, as exit
         labels = id_labels(self.grid.n_boxes, b"b", b"exit")
         for lo, hi in blocks(self.n_edges):
-            yield records(hi - lo, [b"  ", labels.take(self._src[lo:hi], axis=0), b" -> ",
+            src = np.searchsorted(self._starts, np.arange(lo, hi), side="right") - 1
+            yield records(hi - lo, [b"  ", labels.take(src, axis=0), b" -> ",
                                     labels.take(self._dst[lo:hi], axis=0), b";\n"]).decode("ascii")
         yield "}"
 

@@ -194,7 +194,7 @@ def _graph_checks(system, grid, graph, inv, rng, add):
             hit = bool((targets == b2).any())
         if hit:
             continue
-        inside = BoxSet(targets[targets >= 0])
+        inside = BoxSet(targets[targets != EXIT])
         dist = float(np.atleast_1d(BoxSetDistance(grid, inside)(end[i][None, :]))[0]) \
             if inside else math.inf
         if dist <= diag:
@@ -241,7 +241,6 @@ def _recurrence_checks(mg, add):
         {"n_pairs": len(pairs), "violations": dual_viol}, None,
         "attractor and repeller are disjoint and cover the recurrent boxes")
 
-    src, dst = graph.edge_arrays()
     inv_mask = inv.mask(grid.n_boxes)
     fwd_viol = 0
     for ar in pairs:
@@ -251,9 +250,8 @@ def _recurrence_checks(mg, add):
         # that other classes also feed into, so test the forward-reach classes
         # of the targets rather than membership in the attractor itself
         reach_ok = mg.reaching_only(ar.down_set).mask(grid.n_boxes)
-        a_mask = ar.attractor.mask(grid.n_boxes)
-        sel = a_mask[src] & (dst >= 0) & inv_mask[np.maximum(dst, 0)]
-        fwd_viol += int((sel & ~reach_ok[np.maximum(dst, 0)]).sum())
+        _, dst = graph.edge_arrays(ar.attractor)
+        fwd_viol += int((inv_mask[dst] & ~reach_ok[dst]).sum())
     add("attractor_forward_invariance", fwd_viol == 0, has_classes,
         {"n_pairs": len(pairs), "edge_violations": fwd_viol}, None,
         "edges out of an attractor reach only classes in its down-set")

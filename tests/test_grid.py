@@ -88,6 +88,14 @@ def test_boxset_mask_round_trip():
     assert BoxSet.from_mask(bs.mask(12)) == bs
 
 
+def test_boxset_mask_reads_id_minus_one_as_outside():
+    for ids, n in (([2, 5, 9], 12), (range(12), 12), ([], 12), ([0], 1)):
+        mask = BoxSet(ids).mask(n)
+        assert mask.size == n + 1
+        assert not mask[-1]
+        assert np.flatnonzero(mask).tolist() == list(ids)
+
+
 def test_closure_in_one_dimension():
     grid = bf.build_grid([(0.0, 1.0)], (8,))
     assert grid.closure(BoxSet([4])).ids.tolist() == [3, 4, 5]

@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 import boxflow as bf
-from boxflow import pairs
+from boxflow import cli, pairs
 from boxflow.errors import (ConstructionError, IngestionError, IsolationError,
                             NumericalError, PreconditionError)
 from boxflow.flows import ADVANCE_CHUNK
 from boxflow.grid import BoxSet
 from boxflow.pairs import BASEPOINT, _exit_times_batch, _march_quotient
-from boxflow.transition import TransitionGraph
+from boxflow.transition import EXIT, TransitionGraph
 
-from conftest import (_exit_time_oracle, _march_quotient_oracle, _retraction_oracle,
-                      _stopped_flow_oracle)
+from conftest import (_exit_time_oracle, _march_quotient_oracle, _random_exit_graph,
+                      _retraction_oracle, _stopped_flow_oracle)
 
 
 def test_constructed_pair_shape(doublewell):
@@ -446,3 +446,50 @@ def test_pair_rejects_box_ids_outside_the_grid(tmp_path, saddle):
                                 "N": [1, 2, 99], "L": []}))
     with pytest.raises(IngestionError, match="99"):
         bf.IndexPair.from_json(str(path))
+
+
+def _violations_oracle(graph, pair):
+    """Conditions (i) and (ii) of validate_index_pair, one edge at a time."""
+    cond_i, cond_ii = [], []
+    for s in range(graph.grid.n_boxes):
+        for d in graph.targets_of(s).tolist():
+            if s in pair.L and d in pair.N and d not in pair.L:
+                cond_i.append((s, d))
+            if s in pair.core and d not in pair.N:
+                cond_ii.append((s, d))
+    return cond_i, cond_ii
+
+
+# the pinned bytes of pair_check.json for the saddle1d pair below
+_SADDLE_PAIR_CHECK = (
+    b'{"condition_i":false,"condition_i_violations":[[20,0],[20,2],[21,2],[21,3],[21,4],'
+    b'[21,5]],"condition_ii":false,"condition_ii_violations":[[0,-1],'
+    + b",".join(b"[%d,-1]" % b for b in range(2, 20))
+    + b',[34,40],[35,40],[35,41],[35,42],[35,43],[36,42],[36,43],[36,44],[36,45],[36,46],'
+    b'[37,45],[37,46],[37,47],[37,48],[38,47],[38,48],[38,49],[38,50],[38,51],[39,50],'
+    b'[39,51],[39,52],[39,53],[39,54]],"invariant_core":[31,32],"isolating_ok":true,'
+    b'"passed":false}\n')
+
+
+def test_violations_are_listed_as_a_loop_over_every_edge_lists_them(tmp_path, saddle):
+    # L holds box 1, whose orbit leaves the domain, and boxes 20 and 21,
+    # whose images fall in N - L; core boxes near the ends exit N or the domain
+    pair = bf.IndexPair.from_boxes(saddle.grid, list(range(40)), [1, 20, 21])
+    verdict = bf.validate_index_pair(saddle.graph, pair)
+    expected = _violations_oracle(saddle.graph, pair)
+    assert (verdict.condition_i_violations, verdict.condition_ii_violations) == expected
+    assert (0, EXIT) in verdict.condition_ii_violations and (1, EXIT) not in expected[0]
+    rng = np.random.default_rng(21)
+    for seed in range(30):
+        grid, graph, N = _random_exit_graph(seed)
+        pair = bf.IndexPair(grid, N, BoxSet(N.ids[rng.random(len(N)) < 0.3]))
+        verdict = bf.validate_index_pair(graph, pair)
+        expected = _violations_oracle(graph, pair)
+        assert (verdict.condition_i_violations, verdict.condition_ii_violations) == expected
+
+    pair_path = str(tmp_path / "pair.json")
+    bf.IndexPair.from_boxes(saddle.grid, list(range(40)), [1, 20, 21]).to_json(pair_path)
+    out = str(tmp_path / "check")
+    assert cli.main(["verify", "--system", "saddle1d", "--depth", "64",
+                     "--pair-file", pair_path, "--out", out]) == 1
+    assert (tmp_path / "check" / "pair_check.json").read_bytes() == _SADDLE_PAIR_CHECK

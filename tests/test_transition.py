@@ -1,10 +1,12 @@
 """Transition digraphs against interval-arithmetic oracles."""
 
+import gc
 import itertools
 import json
 import math
 import os
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -17,8 +19,8 @@ from boxflow.errors import CapacityError, IngestionError
 from boxflow.flows import _advance, polynomial_field
 from boxflow.grid import MAX_BOXES, BoxSet
 from boxflow.transition import EXIT, TransitionGraph, _distinct_samples, box_image, reachable
-from conftest import (_assert_graph_writers, _graph_dot_oracle, _peel_oracle,
-                      _random_exit_graph)
+from conftest import (_assert_graph_writers, _graph_dot_oracle, _graph_edges_oracle,
+                      _peel_oracle, _random_exit_graph)
 
 
 def test_contract_edges_match_interval_arithmetic():
@@ -219,6 +221,45 @@ def test_restriction_keeps_exactly_the_edges_inside_the_set():
         rows, cols = graph.restricted(region).nonzero()
         got = set(zip(region.ids[rows].tolist(), region.ids[cols].tolist()))
         assert got == expected, seed
+
+
+def test_edges_by_rows_equal_every_edge_filtered_by_source(saddle):
+    rng = np.random.default_rng(21)
+    graphs = [_random_exit_graph(seed)[1] for seed in range(30)] + [saddle.graph]
+    assert saddle.graph.has_exit
+    for graph in graphs:
+        n = graph.grid.n_boxes
+        src, dst = graph.edge_arrays()
+        assert ([[b, dst[src == b].tolist()] for b in np.unique(src).tolist()]
+                == _graph_edges_oracle(graph))
+        for boxes in (BoxSet(), BoxSet([int(rng.integers(n))]), graph.grid.all_boxes(),
+                      BoxSet(np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9)))):
+            keep = np.isin(src, boxes.ids)
+            got_src, got_dst = graph.edge_arrays(boxes)
+            np.testing.assert_array_equal(got_src, src[keep])
+            np.testing.assert_array_equal(got_dst, dst[keep])
+
+
+def test_graphs_with_the_same_targets_but_other_sources_differ():
+    grid = bf.build_grid([(0.0, 1.0)], (3,))
+    chain = TransitionGraph(grid, 1.0, 0.0, 3, [0, 1], [1, 2])
+    fan = TransitionGraph(grid, 1.0, 0.0, 3, [0, 0], [1, 2])
+    np.testing.assert_array_equal(chain.edge_arrays()[1], fan.edge_arrays()[1])
+    assert chain != fan
+    assert chain == TransitionGraph(grid, 1.0, 0.0, 3, [1, 0], [2, 1])
+
+
+def test_an_adjacency_whose_reverse_was_read_is_freed_without_the_collector():
+    grid, graph, _ = _random_exit_graph(3)
+    adj = graph.restricted(grid.all_boxes())
+    assert adj.T.shape == adj.shape
+    ref = weakref.ref(adj)
+    gc.disable()
+    try:
+        del adj
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_peels_match_the_deque_oracle():
