@@ -61,8 +61,12 @@ from .grid import sorted_unique
 _SLACK = 1e-9
 
 # Query points clamped per batch, which bounds the per-point arrays of one
-# batch.
-_CHUNK = 1 << 16
+# batch, about 100 bytes per point.  glibc's malloc keeps a batch under a
+# megabyte for the next batch or call; at 65,536 points, each distance call
+# on a row block of the Lyapunov readers was given back to the system and
+# faulted in again (36k against 18k page faults for the hopf2d 64²
+# Morse-sum field).
+_CHUNK = 1 << 13
 
 # Virtual boxes with an index beyond this on some axis take every set box.
 _FAR = 2.0 ** 52

@@ -21,7 +21,11 @@ MAX_BOXES = 2 ** 31
 MAX_PAIRS = 2 ** 26
 # coordinates one quotient march may store, (steps + 1) x points x d: 256 MiB
 # of float64 positions; the largest default march, hopf2d's field at 256²,
-# stores 7,915,208
+# stores 7,915,208.  Beside the positions a march stores one int32 box id
+# and one absorbed flag per sample, 5 / (8 d) of their bytes.  Its readers
+# add one row block of samples at a time (lyapunov.SAMPLE_BLOCK) and their
+# outputs: a value per point and profile, or, where a reader keeps ρ, one
+# float64 per sample and profile.
 MAX_MARCH_VALUES = 2 ** 25
 
 
@@ -98,9 +102,17 @@ class BoxSet:
 
     def mask(self, n_boxes):
         """Membership of the boxes 0 .. n_boxes - 1, plus a last entry, always
-        False, that id -1 (EXIT, or a point outside the domain) reads."""
+        False, that id -1 (EXIT, or a point outside the domain) reads.
+
+        An id outside [0, n_boxes) raises PreconditionError: id n_boxes
+        would set that last entry, and a negative id would index from the end.
+        """
+        ids = self.ids
+        if ids.size and (ids[0] < 0 or ids[-1] >= n_boxes):
+            bad = ids[0] if ids[0] < 0 else ids[np.searchsorted(ids, n_boxes)]
+            raise PreconditionError(f"box id {bad} is outside the boxes 0..{n_boxes - 1}")
         out = np.zeros(n_boxes + 1, dtype=bool)
-        out[self.ids] = True
+        out[ids] = True
         return out
 
     def union(self, other):

@@ -25,6 +25,10 @@ from .pairs import (BASEPOINT, IndexPair, _march_quotient, regularity_check,
 from .recurrence import ar_regions_in_pair, enumerate_ar_pairs
 from .transition import EXIT
 
+# Samples one row block of a quotient march holds while its readers work:
+# the block's QueryBoxes, distances and ρ scale with it, not with the march.
+SAMPLE_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class LyapunovParams:
@@ -174,28 +178,31 @@ class _QuotientSamples:
     """ρ, envelopes, g and renewal residuals of the profiles of a pair, read
     off the samples of one quotient march.
 
-    positions and absorbed are the two arrays of _march_quotient.  The box
-    ids of the live samples, their grouping by box (QueryBoxes, made at the
-    first ρ) and their distances to the L-boxes of the pair, which every
-    profile of the pair shares, are computed once.  Absorbed samples are
-    not evaluated and get ρ = 0.  g keeps its column of each (Z, R)
-    profile, params and k for later calls.  ρ itself is kept per (Z, R)
-    only with keep_rho, for callers that read several windows of a
-    profile; otherwise one profile's ρ is held at a time.
+    positions, absorbed and boxes are the three arrays of _march_quotient.
+    Every reader goes through the march in row blocks: the columns of at
+    most SAMPLE_BLOCK samples, or one row.  A block's QueryBoxes and its
+    distances to the L-boxes of the pair are made once and shared by every
+    profile read in that pass, and each profile's distance tables search
+    the distinct boxes of the live samples once, before the first block.
+    Each column of an output (a g column, an envelope, a residual) depends
+    only on the samples of its row, so the blocks give it the bits of a
+    single pass; g's quadrature runs once per block over the columns of
+    every profile it reads.  Absorbed samples are not evaluated and get
+    ρ = 0.  g keeps its column of each (Z, R) profile, params and k for
+    later calls.  ρ itself is kept whole per (Z, R) only with keep_rho, for
+    callers that read several windows of a profile; otherwise a pass holds
+    the ρ of one block.
     """
 
-    def __init__(self, pair, positions, absorbed, keep_rho=False):
-        k_samples, m, d = positions.shape
-        self.shape = (k_samples, m)
-        self.n_boxes = pair.grid.n_boxes
-        self.live = ~absorbed.ravel()
-        self.points = positions.reshape(-1, d)[self.live]
+    def __init__(self, pair, positions, absorbed, boxes, keep_rho=False):
+        self.shape = absorbed.shape
         self.pair = pair
-        self.boxes = pair.grid.box_of(self.points)
+        self.positions = positions
+        self.absorbed = absorbed
+        self.boxes = boxes
         self.system = self.dt = None    # known to samples made by march()
         self.keep_rho = keep_rho
-        self._query = None
-        self._dL = None
+        self._live_boxes = None
         self._rho = {}
         self._g = {}
 
@@ -206,20 +213,72 @@ class _QuotientSamples:
         samples.system, samples.dt = system, dt
         return samples
 
+    def _row_blocks(self):
+        """The column slices of the row blocks, in order."""
+        n_samples, m = self.shape
+        width = max(1, SAMPLE_BLOCK // n_samples)
+        return [slice(c, min(c + width, m)) for c in range(0, m, width)]
+
+    def _visited(self):
+        """The sorted distinct boxes of the live samples."""
+        if self._live_boxes is None:
+            # live samples lie in boxes of the grid, so their ids are in range
+            seen = np.zeros(self.pair.grid.n_boxes, dtype=bool)
+            for cols in self._row_blocks():
+                seen[self.boxes[:, cols][~self.absorbed[:, cols]]] = True
+            self._live_boxes = np.flatnonzero(seen)
+        return self._live_boxes
+
+    def _read(self, rho_fns, read):
+        """Call read(cols, ρ of each of rho_fns at the samples of columns
+        cols) for each row block, in order.
+
+        ρ kept from an earlier call is sliced; the rest is evaluated on the
+        live samples of the block and, with keep_rho, kept once the pass
+        is over.  Nothing of a block outlives its read.
+        """
+        keys = [(fn.zero_set, fn.one_set) for fn in rho_fns]
+        todo = {key: fn for key, fn in zip(keys, rho_fns) if key not in self._rho}
+        measured = [fn for fn in todo.values() if fn.one_set and fn.zero_set]
+        # one profile measures d(·, L) for the block; every profile of the pair has this L
+        to_L = next((fn._dL for fn in measured if fn.uses_L), None)
+        searched = [dist for fn in measured for dist in (fn._dZ, fn._dR)]
+        if to_L is not None:
+            searched.append(to_L)
+        for dist in searched:
+            dist._rows(self._visited())
+        kept = {key: np.empty(self.shape) for key in todo} if self.keep_rho else {}
+
+        def block(cols):
+            live = ~self.absorbed[:, cols]
+            pts = self.positions[:, cols][live]
+            query = dL = None
+            if measured:
+                query = QueryBoxes(self.pair.grid, pts, self.boxes[:, cols][live])
+                dL = None if to_L is None else to_L(pts, query)
+            fresh = {}
+            for key, fn in todo.items():
+                vals = fresh[key] = np.zeros(live.shape)
+                vals[live] = fn(pts, query, dL)
+                if key in kept:
+                    kept[key][:, cols] = vals
+            return [fresh[key] if key in fresh else self._rho[key][:, cols] for key in keys]
+
+        for cols in self._row_blocks():
+            read(cols, block(cols))
+        self._rho.update(kept)
+
     def rho(self, rho_fn):
         """ρ at every sample, shape (n_steps + 1, m)."""
         key = (rho_fn.zero_set, rho_fn.one_set)
         if key in self._rho:
             return self._rho[key]
-        if self._query is None:
-            self._query = QueryBoxes(self.pair.grid, self.points, self.boxes)
-        if rho_fn.uses_L and self._dL is None:
-            self._dL = rho_fn._dL(self.points, self._query)
-        vals = np.zeros(self.live.size)
-        vals[self.live] = rho_fn(self.points, self._query, self._dL)
-        vals = vals.reshape(self.shape)
-        if self.keep_rho:
-            self._rho[key] = vals
+        vals = np.empty(self.shape)
+
+        def read(cols, rhos):
+            vals[:, cols] = rhos[0]
+
+        self._read([rho_fn], read)
         return vals
 
     def envelope(self, rho_fn, k, n):
@@ -229,18 +288,26 @@ class _QuotientSamples:
         the maximum of ρ over the samples [k, k + n], up to the first entry
         (after sample k) into a forward-closed zero set.
         """
-        window = self.rho(rho_fn)[k:k + n + 1]
-        # entered[i]: the row entered the zero set at a window sample in [1, i]
-        entered = np.zeros(window.shape, dtype=bool)
-        if rho_fn.zero_forward_closed:
-            hit = np.zeros(self.live.size, dtype=bool)
-            hit[self.live] = rho_fn.zero_set.mask(self.n_boxes)[self.boxes]
-            entered[1:] = np.logical_or.accumulate(
-                hit.reshape(self.shape)[k + 1:k + n + 1], axis=0)
-        counted = np.ones(window.shape, dtype=bool)
-        counted[1:] = ~entered[:-1]
-        h = np.where(counted, window, 0.0).max(axis=0)
-        return h, entered[-1] | ~self.live.reshape(self.shape)[k + n]
+        h = np.empty(self.shape[1])
+        converged = np.empty(self.shape[1], dtype=bool)
+        zero = rho_fn.zero_set.mask(self.pair.grid.n_boxes) if rho_fn.zero_forward_closed else None
+
+        def read(cols, rhos):
+            window = rhos[0][k:k + n + 1]
+            # entered[i]: the row entered the zero set at a window sample in
+            # [1, i]; a row stays absorbed, with ρ = 0, so an entry read off
+            # the frozen box of an absorbed sample changes neither output
+            entered = np.zeros(window.shape, dtype=bool)
+            if zero is not None:
+                entered[1:] = np.logical_or.accumulate(zero[self.boxes[k + 1:k + n + 1, cols]],
+                                                       axis=0)
+            counted = np.ones(window.shape, dtype=bool)
+            counted[1:] = ~entered[:-1]
+            h[cols] = np.where(counted, window, 0.0).max(axis=0)
+            converged[cols] = entered[-1] | self.absorbed[k + n, cols]
+
+        self._read([rho_fn], read)
+        return h, converged
 
     def g(self, profiles, params, k=0):
         """Σ w·g of the weighted profiles at the k-step images of the points.
@@ -249,17 +316,28 @@ class _QuotientSamples:
         one profile there is the quadrature over the samples [k, k + n_total]:
         the envelope h is the running maximum to the end of that window, not
         of the whole march.  The profiles are added in order; an image
-        already absorbed gets g = 0.
+        already absorbed gets g = 0.  The quadrature of a block runs once
+        over the columns of every profile not read before.
         """
         n_quad, n_total = params.steps()
-        columns = []
+        todo = {}
         for _, rho_fn in profiles:
             key = (rho_fn.zero_set, rho_fn.one_set, params, k)
             if key not in self._g:
-                self._g[key] = _discounted_from_h(
-                    _suffix_max(self.rho(rho_fn)[k:k + n_total + 1]), n_quad, params.dt)
-            columns.append(self._g[key])
-        return _ordered_sum(np.array([w for w, _ in profiles]), np.array(columns))
+                todo[key] = rho_fn
+        if todo:
+            columns = np.empty((len(todo), self.shape[1]))
+
+            def read(cols, rhos):
+                h = np.concatenate([_suffix_max(vals[k:k + n_total + 1]) for vals in rhos],
+                                   axis=1)
+                columns[:, cols] = _discounted_from_h(h, n_quad, params.dt).reshape(len(todo), -1)
+
+            self._read(list(todo.values()), read)
+            self._g.update(zip(todo, columns))
+        return _ordered_sum(np.array([w for w, _ in profiles]),
+                            np.array([self._g[(fn.zero_set, fn.one_set, params, k)]
+                                      for _, fn in profiles]))
 
     def renewal(self, field, k_t):
         """Renewal residuals of the field at time k_t·dt, one per point.
@@ -270,16 +348,21 @@ class _QuotientSamples:
         params = field.params
         dt = params.dt
         n_quad, n_total = params.steps()
-        h_bar = np.zeros((n_total + k_t + 1, self.shape[1]))
-        for w, rho_fn in field.profiles:
-            h_bar += w * _suffix_max(self.rho(rho_fn)[:n_total + k_t + 1])
-
-        g0 = _discounted_from_h(h_bar, n_quad, dt)
-        gt = _discounted_from_h(h_bar[k_t:], n_quad, dt)
         w_i, _ = _quadrature_weights(k_t, dt)
         den = _quadrature_weights(n_quad, dt)[0].sum() + math.exp(-params.t_max)
-        integral = _ordered_sum(w_i, h_bar[:k_t + 1])
-        return np.abs(g0 - (integral / den + math.exp(-k_t * dt) * gt))
+        out = np.empty(self.shape[1])
+
+        def read(cols, rhos):
+            h_bar = np.zeros((n_total + k_t + 1, cols.stop - cols.start))
+            for (w, _), vals in zip(field.profiles, rhos):
+                h_bar += w * _suffix_max(vals[:n_total + k_t + 1])
+            g0 = _discounted_from_h(h_bar, n_quad, dt)
+            gt = _discounted_from_h(h_bar[k_t:], n_quad, dt)
+            integral = _ordered_sum(w_i, h_bar[:k_t + 1])
+            out[cols] = np.abs(g0 - (integral / den + math.exp(-k_t * dt) * gt))
+
+        self._read([rho_fn for _, rho_fn in field.profiles], read)
+        return out
 
 
 def CenterTable(system, pair, params):
@@ -338,8 +421,8 @@ def discounted_average(system, pair, h_fn, x, dt=0.05, t_max=12.0):
     if x is BASEPOINT:
         return 0.0
     n_quad = int(round(t_max / dt))
-    positions, absorbed = _march_quotient(system, pair, np.asarray(x, dtype=float)[None, :],
-                                          n_quad, dt)
+    positions, absorbed, _ = _march_quotient(system, pair, np.asarray(x, dtype=float)[None, :],
+                                             n_quad, dt)
     h = np.zeros((n_quad + 1, 1))
     for k in np.flatnonzero(~absorbed[:, 0]):
         h[k] = h_fn(positions[k, 0])
@@ -566,8 +649,7 @@ def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,
     _, pts = sample_in_boxes(rng, grid, B, n_samples)
 
     n_steps = int(round(horizon / dt))
-    positions, absorbed = _march_quotient(system, pair, pts, n_steps, dt)
-    boxes = grid.box_of(positions.reshape(-1, grid.dimension)).reshape(n_steps + 1, -1)
+    _, absorbed, boxes = _march_quotient(system, pair, pts, n_steps, dt)
     inside = absorbed | U.mask(grid.n_boxes)[boxes]
     outside_rows = np.flatnonzero(~inside.all(axis=1))
     if outside_rows.size == 0:

@@ -216,8 +216,8 @@ def _exit_times_batch(system, pair, points, dt, horizon):
 
     marched = np.flatnonzero(out > 0)
     n_steps = int(math.ceil(horizon / dt - 1e-9))
-    positions, absorbed = _march_quotient(system, pair, pts[marched], n_steps, dt,
-                                          mask=pair._isolating_mask)
+    positions, absorbed, _ = _march_quotient(system, pair, pts[marched], n_steps, dt,
+                                             mask=pair._isolating_mask)
     hit = absorbed.any(axis=0)
     crossed = marched[hit]
     step = np.maximum(absorbed[:, hit].argmax(axis=0), 1)
@@ -255,21 +255,18 @@ def exit_time(system, pair, x, dt=1e-3, horizon=50.0):
     return float(_exit_times_batch(system, pair, x[None, :], dt, horizon)[0])
 
 
-def _absorbed(grid, mask, points):
-    """Rows of an (n, d) array outside the domain or in a box outside mask."""
-    return ~mask[grid.box_of(points)]
-
-
 def _march_quotient(system, pair, points, n_steps, dt, mask=None):
     """Quotient-orbit samples of a point batch, n_steps steps of dt.
 
-    Returns (positions, absorbed) with shapes (n_steps+1, m, d) and
-    (n_steps+1, m); a row is absorbed from the first sample whose box falls
-    outside the boxes of mask (by default those of N−L) or whose orbit
-    leaves the domain, and its position freezes.  Exit times, envelopes,
-    probes and fields all step their orbits here.  A march that would
-    store more than MAX_MARCH_VALUES coordinates raises CapacityError
-    before it allocates.
+    Returns (positions, absorbed, boxes) with shapes (n_steps+1, m, d),
+    (n_steps+1, m) and (n_steps+1, m); a row is absorbed from the first
+    sample whose box falls outside the boxes of mask (by default those of
+    N−L) or whose orbit leaves the domain, and its position freezes.
+    boxes holds the box_of id of every sample's position, the ids the
+    march finds absorption with, as int32 (every id is below MAX_BOXES =
+    2^31).  Exit times, envelopes, probes and fields all step their orbits
+    here.  A march that would store more than MAX_MARCH_VALUES coordinates
+    raises CapacityError before it allocates.
 
     Each pass steps the rows still live through a block of samples with
     _sample_block, and then finds each row's first absorbed sample with
@@ -292,40 +289,52 @@ def _march_quotient(system, pair, points, n_steps, dt, mask=None):
             f"store {float(n_values):.6g} coordinates, limit is {MAX_MARCH_VALUES}")
     positions = np.empty((n_steps + 1,) + current.shape)
     absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
-    dead = _absorbed(grid, mask, current)
+    boxes = np.empty(absorbed.shape, dtype=np.int32)
+    box = grid.box_of(current)
+    dead = ~mask[box]
     positions[0] = current
     absorbed[0] = dead
+    boxes[0] = box
     k = 0
     while k < n_steps:
         live = np.flatnonzero(~dead)
         if not live.size:
             positions[k + 1:] = current
             absorbed[k + 1:] = True
+            boxes[k + 1:] = box
             break
         block = _sample_block(system, current[live], dt, n_steps - k)
         j = block.shape[0]
         if not j:
             nxt, escaped, _ = _advance(system, current[live], dt)
             current[live] = nxt
-            dead[live] = escaped | _absorbed(grid, mask, nxt)
+            box[live] = grid.box_of(nxt)
+            dead[live] = escaped | ~mask[box[live]]
             k += 1
             positions[k] = current
             absorbed[k] = dead
+            boxes[k] = box
             continue
-        out = _absorbed(grid, mask, block.reshape(-1, block.shape[2])).reshape(j, live.size)
+        ids = grid.box_of(block.reshape(-1, block.shape[2])).reshape(j, live.size)
+        out = ~mask[ids]
         # each row's first absorbed sample in the block, j if none
         first = np.where(out.any(axis=0), out.argmax(axis=0), j)
         sample = np.arange(j)[:, None]
+        at = np.minimum(sample, first)
         cols = np.arange(live.size)
         span = slice(k + 1, k + 1 + j)
         positions[span] = current
-        positions[span, live] = block[np.minimum(sample, first), cols]
+        positions[span, live] = block[at, cols]
         absorbed[span] = dead
         absorbed[span, live] = sample >= first
-        current[live] = block[np.minimum(first, j - 1), cols]
+        boxes[span] = box
+        boxes[span, live] = ids[at, cols]
+        last = np.minimum(first, j - 1)
+        current[live] = block[last, cols]
+        box[live] = ids[last, cols]
         dead[live] = first < j
         k += j
-    return positions, absorbed
+    return positions, absorbed, boxes
 
 
 def quotient_flow(system, pair, x, t, dt=0.05):
@@ -340,7 +349,7 @@ def quotient_flow(system, pair, x, t, dt=0.05):
     n_steps, rem = _schedule(max(t, 0.0), dt)
     current = np.asarray(x, dtype=float)[None, :]
     for steps, size in ((n_steps, dt), (int(rem > 0), rem)):
-        positions, absorbed = _march_quotient(system, pair, current, steps, size)
+        positions, absorbed, _ = _march_quotient(system, pair, current, steps, size)
         if absorbed[-1, 0]:
             return BASEPOINT
         current = positions[-1]

@@ -379,7 +379,7 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
 
     per_field = list(zip(fixed, renew, mono, strict))
     _, n_total = params.steps()
-    positions, absorbed = _march_quotient(
+    positions, absorbed, boxes = _march_quotient(
         system, pair, np.concatenate([pts for parts in per_field for pts in parts]),
         max(n_total + max(k_renew, max(probe_ks), k_strict), 1 + n_env), dt)
 
@@ -401,7 +401,13 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
         b = a + mono_pts.shape[0]
         cols = slice(start, start + b + strict_pts.shape[0])
         start = cols.stop
-        samples = _QuotientSamples(pair, positions[:, cols], absorbed[:, cols], keep_rho=True)
+        samples = _QuotientSamples(pair, positions[:, cols], absorbed[:, cols], boxes[:, cols],
+                                   keep_rho=True)
+        # the renewal reads every profile, so its one pass over the samples
+        # keeps ρ of all of them for the envelopes and g below
+        res = samples.renewal(field, k_renew)[f:a]
+        renew_worst = max(renew_worst, float(res.max()))
+        renew_count += renew_pts.shape[0]
 
         for p in sorted({0, len(field.profiles) - 1}):
             rho_fn = field.profiles[p][1]
@@ -413,10 +419,6 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
             if ok.any():
                 res = np.abs(h[ok] - np.maximum(rho_fn(fixed_pts[ok]), h1[ok]))
                 fixed_worst = max(fixed_worst, float(res.max()))
-
-        res = samples.renewal(field, k_renew)[f:a]
-        renew_worst = max(renew_worst, float(res.max()))
-        renew_count += renew_pts.shape[0]
 
         g0 = samples.g(field.profiles, field.params)
         for k in probe_ks:
@@ -565,11 +567,14 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
     f_complete = None
     if pair is not None and mg.n >= 1:
         table = CenterTable(system, pair, params)
+        # every Morse-sum profile is a profile of the complete field, so
+        # built first the complete field leaves one pass over the table's
+        # samples to the single-pair field and none to the Morse sum
+        f_complete = complete_lyapunov(system, pair, mg, params, table=table)
+        f_morse = morse_lyapunov(system, pair, mg, params, table=table)
         if mg.n >= 2:
             ar_first = ar_regions_in_pair(mg, frozenset({1}))
             fields.append(pair_lyapunov(system, pair, ar_first, params, table=table))
-        f_morse = morse_lyapunov(system, pair, mg, params, table=table)
-        f_complete = complete_lyapunov(system, pair, mg, params, table=table)
         fields.extend([f_morse, f_complete])
     _lyapunov_checks(system, grid, pair, mg, fields, ar_first, recurrent, params, rng, add)
     _constancy_check(grid, mg, f_complete, add)

@@ -90,7 +90,8 @@ def sample_in_boxes(rng, grid, boxset, n):
 
 def _march_quotient_oracle(system, pair, points, n_steps, dt, mask=None):
     """The quotient march one sample at a time: the rows still live take one
-    _advance step of dt, then one box_of call decides which are absorbed."""
+    _advance step of dt, then one box_of call decides which are absorbed.
+    The box ids are box_of of every stored position, as int32."""
     mask = pair._core_mask if mask is None else mask
     current = np.array(np.atleast_2d(points), dtype=float)
     positions = np.empty((n_steps + 1,) + current.shape)
@@ -110,7 +111,8 @@ def _march_quotient_oracle(system, pair, points, n_steps, dt, mask=None):
             dead[live] = escaped | (boxes < 0) | ~mask[np.maximum(boxes, 0)]
         positions[k] = current
         absorbed[k] = dead
-    return positions, absorbed
+    ids = pair.grid.box_of(positions.reshape(-1, positions.shape[2]))
+    return positions, absorbed, ids.reshape(absorbed.shape).astype(np.int32)
 
 
 def _sup_envelope_oracle(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
@@ -246,7 +248,7 @@ def _discounted_average_oracle(system, pair, h_fn, x, dt=0.05, t_max=12.0):
 def _g_along_orbits_oracle(system, field, pts, ks, dt):
     """g at the points and at their k·dt quotient images, k in ks: one march
     to the images, then one evaluate that marches every live image again."""
-    positions, absorbed = _march_quotient(system, field.pair, pts, max(ks), dt)
+    positions, absorbed, _ = _march_quotient(system, field.pair, pts, max(ks), dt)
     live = [~absorbed[k] for k in ks]
     g = field.evaluate(system, np.concatenate(
         [pts] + [positions[k][lv] for k, lv in zip(ks, live)]))
@@ -276,7 +278,7 @@ def _orbit_checks_oracle(system, grid, pair, fields, ar_first, recurrent, params
         profs = {0: field.profiles[0], len(field.profiles) - 1: field.profiles[-1]}
         _, pts = bfgrid.sample_in_boxes(rng, grid, field.pair.core, 4)
         n = pts.shape[0]
-        positions, absorbed = _march_quotient(system, pair, pts, 1, dt)
+        positions, absorbed, _ = _march_quotient(system, pair, pts, 1, dt)
         nxt, live = positions[1], ~absorbed[1]
         for _, (_, rho_fn) in sorted(profs.items()):
             h, conv = bf.sup_envelope(system, pair, rho_fn, np.concatenate([pts, nxt[live]]),

@@ -20,7 +20,7 @@ from conftest import sample_in_boxes
 def _march_values(system, pair, field, pts, t):
     """Field values after marching the quotient flow for time t."""
     steps = int(round(t / 0.05))
-    positions, absorbed = _march_quotient(system, pair, pts, steps, 0.05)
+    positions, absorbed, _ = _march_quotient(system, pair, pts, steps, 0.05)
     vals = field.evaluate(system, positions[-1])
     vals[absorbed[-1]] = 0.0
     return vals
@@ -226,8 +226,8 @@ def test_uniform_entry_time(doublewell, acceptance_log):
     rng = np.random.default_rng(123)
     pts = sample_in_boxes(rng, grid, B, 20)
     steps = int(round(6.0 / 0.05))
-    positions, absorbed = _march_quotient(doublewell.system, pair, pts,
-                                          steps, 0.05)
+    positions, absorbed, _ = _march_quotient(doublewell.system, pair, pts,
+                                             steps, 0.05)
     u_mask = U.mask(grid.n_boxes)
     stays = True
     first = int(math.ceil(T / 0.05))

@@ -96,6 +96,15 @@ def test_boxset_mask_reads_id_minus_one_as_outside():
         assert np.flatnonzero(mask).tolist() == list(ids)
 
 
+@pytest.mark.parametrize("ids,n,bad", [([3, 12], 12, 12), ([-1, 4], 5, -1),
+                                       ([-3, -1, 2, 7, 9], 5, -3), ([1, 5, 8], 5, 5)])
+def test_boxset_mask_rejects_ids_outside_the_grid(ids, n, bad):
+    # id n would set the entry id -1 reads, and id -1 would set it too, so
+    # EXIT and points outside the domain would read as inside
+    with pytest.raises(PreconditionError, match=f"box id {bad} is outside the boxes 0..{n - 1}"):
+        BoxSet(ids).mask(n)
+
+
 def test_closure_in_one_dimension():
     grid = bf.build_grid([(0.0, 1.0)], (8,))
     assert grid.closure(BoxSet([4])).ids.tolist() == [3, 4, 5]

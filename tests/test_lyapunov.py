@@ -1,6 +1,7 @@
 """Lyapunov constructions: envelopes, discounted averages, fields, filtrations."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import boxflow as bf
 from numpy.testing import assert_array_equal
 
+from boxflow import lyapunov
 from boxflow.errors import CapacityError, FiltrationError, IngestionError, PreconditionError
 from boxflow.grid import BoxSet
 from boxflow.lyapunov import (CenterTable, Filtration, LyapunovField, LyapunovParams,
@@ -146,8 +148,8 @@ def test_window_envelopes_equal_sup_envelope_at_the_points_and_their_images(enve
     n = int(math.ceil(horizon / dt - 1e-9))
     lo, hi = system.domain[0]
     pts = np.linspace(lo - 0.05, hi + 0.05, 41)[:, None]
-    positions, absorbed = _march_quotient(system, pair, pts, 1 + n, dt)
-    samples = _QuotientSamples(pair, positions, absorbed)
+    positions, absorbed, boxes = _march_quotient(system, pair, pts, 1 + n, dt)
+    samples = _QuotientSamples(pair, positions, absorbed, boxes)
     for k in (0, 1):
         h, converged = samples.envelope(rho_fn, k, n)
         live = ~absorbed[k]
@@ -174,8 +176,8 @@ def test_window_envelopes_ignore_samples_after_the_zero_set_entry():
     rho_fn = bf.make_rho(pair, BoxSet([30, 31, 32, 33]), BoxSet([0, 1, 62, 63]))
     rho_fn.zero_forward_closed = True
     pts = np.linspace(-0.1, 0.1, 9)[:, None]
-    positions, absorbed = _march_quotient(system, pair, pts, 1 + 40, 0.05)
-    samples = _QuotientSamples(pair, positions, absorbed)
+    positions, absorbed, boxes = _march_quotient(system, pair, pts, 1 + 40, 0.05)
+    samples = _QuotientSamples(pair, positions, absorbed, boxes)
     everything = samples.rho(rho_fn)
     for k in (0, 1):
         h, converged = samples.envelope(rho_fn, k, 40)
@@ -477,9 +479,9 @@ def test_probe_windows_equal_evaluate_at_the_marched_images(field_case):
     params = LyapunovParams()
     _, n_total = params.steps()
     ks = [1, 10, 20, 40, 100]
-    positions, absorbed = _march_quotient(b.system, b.pair, b.points, max(ks) + n_total,
-                                          params.dt)
-    samples = _QuotientSamples(b.pair, positions, absorbed)
+    positions, absorbed, boxes = _march_quotient(b.system, b.pair, b.points,
+                                                 max(ks) + n_total, params.dt)
+    samples = _QuotientSamples(b.pair, positions, absorbed, boxes)
     assert absorbed[0, 30:].all()
     if b.pair.L:
         assert (absorbed[max(ks)] & ~absorbed[0]).any()
@@ -519,9 +521,120 @@ def test_renewal_from_a_shared_march_prefix_equals_renewal_residual(field_case):
     params = LyapunovParams()
     _, n_total = params.steps()
     k_t = _renewal_steps(params, 1.0)
-    positions, absorbed = _march_quotient(b.system, b.pair, b.points, n_total + k_t + 20,
-                                          params.dt)
-    samples = _QuotientSamples(b.pair, positions, absorbed)
+    samples = _QuotientSamples(b.pair, *_march_quotient(b.system, b.pair, b.points,
+                                                        n_total + k_t + 20, params.dt))
     for field in b.fields:
         assert_array_equal(samples.renewal(field, k_t),
                            bf.renewal_residual(b.system, field, b.points, 1.0))
+
+
+def _saddle_march_case():
+    """saddle1d with N all 64 boxes and L the boxes 6-8 and 55-57, a pair
+    whose profiles measure distances to L: rows start outside the domain or
+    in L (absorbed at sample 0), enter L part way, or leave the domain past
+    L (escapes, which the march steps through _advance)."""
+    system = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(system.domain, (64,))
+    pair = bf.IndexPair.from_boxes(grid, grid.all_boxes().ids, [6, 7, 8, 55, 56, 57])
+    pts = np.concatenate([[-1.05, -0.75, 0.73], np.linspace(-0.7, 0.7, 21),
+                          np.linspace(0.82, 0.99, 6)])[:, None]
+    params = LyapunovParams(t_max=2.0, settle=0.5)
+    one = bf.make_rho(pair, BoxSet([30, 31, 32, 33]), BoxSet([0, 1, 62, 63]))
+    one.zero_forward_closed = True
+    profiles = [(1.0, one), (0.5, bf.make_rho(pair, BoxSet([]), BoxSet([20, 40]))),
+                (0.25, bf.make_rho(pair, BoxSet([25, 26]), BoxSet([]))),
+                (0.125, bf.make_rho(pair, BoxSet([10, 50]), BoxSet([29, 35])))]
+    field = LyapunovField(pair=pair, construction="test", boxes=pair.core.ids,
+                          values=np.zeros(len(pair.core)), range_hint=(0.0, 2.0),
+                          params=params, profiles=profiles)
+    return system, pts, field
+
+
+def _doublewell_march_case():
+    """doublewell1d 64 with its index pair and Morse-sum field; the points
+    are core samples and samples outside N−L."""
+    b = _bundle("doublewell1d", (64,))
+    pair = bf.build_index_pair(b.mg)
+    params = LyapunovParams(t_max=3.0, settle=1.0)
+    field = bf.morse_lyapunov(b.system, pair, b.mg, params)
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([sample_in_boxes(rng, b.grid, pair.core, 25),
+                          sample_in_boxes(rng, b.grid, b.grid.all_boxes().difference(pair.core), 4)])
+    return b.system, pts, field
+
+
+@pytest.mark.parametrize("case", ["doublewell1d-64", "saddle1d-escapes"])
+def test_row_blocks_give_the_bits_of_one_block(monkeypatch, case):
+    system, pts, field = (_doublewell_march_case() if case == "doublewell1d-64"
+                          else _saddle_march_case())
+    params = field.params
+    _, n_total = params.steps()
+    k_t = _renewal_steps(params, 0.25)
+    n_samples = n_total + 10 + 1
+    march = _march_quotient(system, field.pair, pts, n_samples - 1, params.dt)
+    positions, absorbed, _ = march
+    first = np.where(absorbed.any(axis=0), absorbed.argmax(axis=0), n_samples)
+    assert (first == 0).any()
+    if case == "saddle1d-escapes":
+        assert ((0 < first) & (first < n_samples)).sum() >= 10
+        escaped = absorbed[-1] & field.pair._core_mask[field.pair.grid.box_of(positions[-1])]
+        assert escaped.sum() >= 3
+
+    def read(block):
+        monkeypatch.setattr(lyapunov, "SAMPLE_BLOCK", block)
+        samples = _QuotientSamples(field.pair, *march)
+        kept = _QuotientSamples(field.pair, *march, keep_rho=True)
+        out = [kept.rho(fn) for _, fn in field.profiles]
+        for reader in (samples, kept):
+            for _, fn in field.profiles:
+                out.extend(reader.envelope(fn, 3, n_total - 5))
+            out.append(reader.renewal(field, k_t))
+            out.append(reader.g(field.profiles, params, 4))
+        out.append(field.evaluate(system, pts))
+        return out
+
+    whole = read(1 << 40)
+    # one row per block, and blocks of four rows with a shorter last one
+    for block in (n_samples, n_samples - 1, 4 * n_samples + 3):
+        assert len(range(0, pts.shape[0], max(1, block // n_samples))) > 1
+        for got, expected in zip(read(block), whole):
+            assert_array_equal(got, expected)
+
+
+def test_center_table_row_blocks_give_the_bits_of_one_block(monkeypatch):
+    b = _bundle("hopf2d", (16, 16))
+    pair = bf.build_index_pair(b.mg)
+    params = LyapunovParams()
+    morse = bf.morse_lyapunov(b.system, pair, b.mg, params)
+    complete = bf.complete_lyapunov(b.system, pair, b.mg, params)
+    n_samples = params.steps()[1] + 1
+    assert len(pair.core) % 3
+
+    def g(block):
+        monkeypatch.setattr(lyapunov, "SAMPLE_BLOCK", block)
+        table = CenterTable(b.system, pair, params)
+        return [table.g(morse.profiles, params), table.g(complete.profiles, params)]
+
+    whole = g(1 << 40)
+    assert_array_equal(whole[0], morse.values)
+    assert_array_equal(whole[1], complete.values)
+    for block in (n_samples, 3 * n_samples):
+        for got, expected in zip(g(block), whole):
+            assert_array_equal(got, expected)
+
+
+def test_a_morse_field_build_holds_a_few_times_its_march(hopf):
+    # the readers hold one row block of samples at a time, so the build
+    # peaks at a few times the march's positions array above what was live
+    # before it; readers that took whole arrays of every sample peaked at
+    # 6.8 times
+    params = LyapunovParams()
+    positions = (params.steps()[1] + 1) * len(hopf.pair.core) * hopf.grid.dimension * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bf.morse_lyapunov(hopf.system, hopf.pair, hopf.mg, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert positions > 4e6 and peak - before <= 4 * positions, (peak - before) / positions

@@ -303,10 +303,14 @@ def _march_case(name):
 def test_march_quotient_equals_the_per_step_oracle(monkeypatch, name):
     system, pair, pts, n_steps, dt = _march_case(name)
     calls = _counting_advance(monkeypatch)
-    positions, absorbed = _march_quotient(system, pair, pts, n_steps, dt)
-    ref_positions, ref_absorbed = _march_quotient_oracle(system, pair, pts, n_steps, dt)
+    positions, absorbed, boxes = _march_quotient(system, pair, pts, n_steps, dt)
+    ref_positions, ref_absorbed, ref_boxes = _march_quotient_oracle(system, pair, pts,
+                                                                    n_steps, dt)
     np.testing.assert_array_equal(positions, ref_positions)
     np.testing.assert_array_equal(absorbed, ref_absorbed)
+    # the ids the march found absorption with are box_of of every position
+    assert boxes.dtype == np.int32
+    np.testing.assert_array_equal(boxes, ref_boxes)
     first = np.where(absorbed.any(axis=0), absorbed.argmax(axis=0), n_steps + 1)
     # an absorbed row frozen in a box of N−L left the domain
     escaped = absorbed[-1] & pair._core_mask[pair.grid.box_of(positions[-1])]
@@ -369,7 +373,7 @@ def test_rows_that_overflow_after_they_are_absorbed_raise_nothing(monkeypatch, k
     calls = _counting_advance(monkeypatch)
     got = _outcome(_march_quotient, system, pair, pts, mode)
     assert got == _outcome(_march_quotient_oracle, system, pair, pts, mode)
-    assert len(got[0]) == 2 and got[1] == [] and calls == []
+    assert len(got[0]) == 3 and got[1] == [] and calls == []
 
 
 @pytest.mark.parametrize("kind", ["nan", "finite"])
@@ -389,7 +393,7 @@ def test_a_live_row_that_overflows_fails_or_warns_as_in_the_per_step_oracle(kind
         assert {c for c, _ in got[1]} == {RuntimeWarning}
     else:
         # the march completes, warning on every step past x = 7.1
-        assert len(got[0]) == 2 and len(got[1]) > 40
+        assert len(got[0]) == 3 and len(got[1]) > 40
 
 
 def test_pair_round_trip(tmp_path, doublewell):
