@@ -5,8 +5,11 @@ internal step size.  All integration is done with the classic fourth order
 Runge-Kutta scheme on batches of points at once; a batch larger than one
 chunk is marched chunk by chunk, by the calling thread and one more thread
 per further CPU, with the same bits as a march of each row alone.  A
-trajectory that leaves the closed domain is frozen at its last in-domain
-position and reported as an escape rather than integrated further.
+field is always called with a C-contiguous float64 (n, d) array; it may
+return that array, a read-only array or an array of any layout or float
+dtype, and the integrator writes into neither.  A trajectory that leaves
+the closed domain is frozen at its last in-domain position and reported
+as an escape rather than integrated further.
 """
 
 import contextvars
@@ -36,10 +39,14 @@ class FlowSystem:
     """A vector field restricted to a closed box domain.
 
     field maps an (n, d) array of points to an (n, d) array of velocities.
-    It may be called from several threads at once, on disjoint blocks of
-    rows, so it must keep no state between calls.  domain is a (d, 2)
-    array of [low, high] bounds per axis.  step is the internal RK4 step
-    size.  equilibria is informational only.
+    The integrator calls it with a C-contiguous float64 array and writes
+    neither into that array nor into the one returned, so a field may
+    return its argument, a read-only array such as np.broadcast_to gives,
+    or an array of any layout or float dtype.  It may be called from
+    several threads at once, on disjoint blocks of rows, so it must keep
+    no state between calls.  domain is a (d, 2) array of [low, high]
+    bounds per axis.  step is the internal RK4 step size.  equilibria is
+    informational only.
     """
 
     dimension: int
@@ -113,11 +120,36 @@ def _schedule(t, h):
 
 
 def _rk4_step(field, pts, h):
-    k1 = field(pts)
-    k2 = field(pts + 0.5 * h * k1)
-    k3 = field(pts + 0.5 * h * k2)
-    k4 = field(pts + h * k3)
-    return pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classic RK4 step of size h, a scalar or a column of one per row.
+
+    The result has the bits of pts + (h / 6) (k1 + 2 k2 + 2 k3 + k4) with
+    stages at pts + (h / 2) k1, pts + (h / 2) k2 and pts + h k3, since
+    IEEE + and * commute: each stage input is one product into a fresh
+    array with pts added in place, and the sum accumulates in place in one
+    fresh array, in the same order.  k1, k2 and k3 are read as
+    C-contiguous float64, copied only when the field returns another
+    layout or dtype, so the stage inputs and the result are C-contiguous
+    float64.  Nothing is written into an array the field was given or
+    returned.
+    """
+    half = 0.5 * h
+    k1 = np.asarray(field(pts), dtype=float, order="C")
+    stage = k1 * half
+    stage += pts
+    k2 = np.asarray(field(stage), dtype=float, order="C")
+    stage = k2 * half
+    stage += pts
+    k3 = np.asarray(field(stage), dtype=float, order="C")
+    stage = k3 * h
+    stage += pts
+    k4 = field(stage)
+    acc = k2 * 2.0
+    acc += k1
+    acc += k3 * 2.0
+    acc += k4
+    acc *= h / 6.0
+    acc += pts
+    return acc
 
 
 def _substeps(t, h):
@@ -277,10 +309,11 @@ def _advance(system, points, t):
 def _sample_block(system, points, dt, n_samples):
     """The next samples of a march of in-domain points at spacing dt.
 
-    Returns an (j, m, d) array: row i of sample s is points[i] advanced
-    by (s + 1) dt, with the steps and arithmetic _advance gives it.  At
+    points is a C-contiguous float64 (m, d) array.  Returns an (j, m, d)
+    array: row i of sample s is points[i] advanced by (s + 1) dt, with the
+    steps and arithmetic _advance gives it.  At
     most n_samples samples are taken, and at most ADVANCE_CHUNK // m, so
-    that a block stays the size of one _advance chunk; more than
+    that a block stays the size of one _advance chunk; no rows, more than
     ADVANCE_CHUNK rows, or a dt that is negative or NaN, give none.  The
     block stops before the first sample in which any row fails
     _step_inside's bounds test (an escape or a non-finite value) or sets a
@@ -290,7 +323,7 @@ def _sample_block(system, points, dt, n_samples):
     reaches the caller.
     """
     m = len(points)
-    n_block = min(n_samples, ADVANCE_CHUNK // m) if dt >= 0 else 0
+    n_block = min(n_samples, ADVANCE_CHUNK // m) if m and dt >= 0 else 0
     block = np.empty((n_block,) + points.shape)
     if not n_block:
         return block
@@ -441,19 +474,26 @@ def _builtin_specs():
     def doublewell(p):
         return p - p ** 3
 
+    # gradient and hopf fill the columns of their result in place, with
+    # the bits of -x, -2 y and x - y - x r2, x + y - y r2
     def gradient(p):
         out = np.empty_like(p)
-        out[:, 0] = -p[:, 0]
-        out[:, 1] = -2.0 * p[:, 1]
+        np.negative(p[:, 0], out=out[:, 0])
+        np.multiply(p[:, 1], -2.0, out=out[:, 1])
         return out
 
     def hopf(p):
         x = p[:, 0]
         y = p[:, 1]
-        r2 = x * x + y * y
+        r2 = x * x
+        r2 += y * y
         out = np.empty_like(p)
-        out[:, 0] = x - y - x * r2
-        out[:, 1] = x + y - y * r2
+        u = out[:, 0]
+        v = out[:, 1]
+        np.subtract(x, y, out=u)
+        u -= x * r2
+        np.add(x, y, out=v)
+        v -= y * r2
         return out
 
     return {

@@ -1,5 +1,6 @@
 """Command line interface: config validation, artifacts, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -468,3 +469,40 @@ def test_the_commands_run_with_scipy_blocked(tmp_path):
                                "--out", str(tmp_path / argv[0])],
                               capture_output=True, text=True, env=env)
         assert done.returncode == 0, (argv, done.stderr)
+
+
+# SHA-256 of analyze's graph.json, morse.json and recurrent.json.  The
+# fields of these systems use only +, - and *, and the graph build only
+# floor and clip beside correctly rounded arithmetic, so the bytes are the
+# same under any IEEE numpy.  They show a change to the march that moves an
+# image across a box border; test_flows pins the bits of each RK4 step
+# against the one-line expression.  doublewell1d is left out because its
+# p ** 3 goes through numpy's own pow, whose bits need not match the C
+# library's, and the Lyapunov commands because field.json goes through exp.
+ANALYZE_DIGESTS = {
+    ("hopf2d", "32"): {
+        "graph.json": "4437512ad1630f6b4892cdb6bad98e4ac9c94bc1c7e5c574654fa8593cb051c7",
+        "morse.json": "3d6bdc6f79f34c80b8952bad5481833f6b1eb4386cee3c42c8e35556d389be32",
+        "recurrent.json": "bd134e9b9d9242096cd8bd8d853e9c8b1a4dc634f0c4e89b14faa31e9638f331",
+    },
+    ("gradient2d", "32"): {
+        "graph.json": "cf4254e1c879c93c689d0f5e28aa053bf3e873591e97fdd1446638fc4167fc90",
+        "morse.json": "5b12620491ac57f1a3ca61774b912dc6cdbc1df06596f0ebeff96634aec08c3e",
+        "recurrent.json": "7f96e42665aaaacf54078d3cbfe625de06402daf6328af73189a05f30e5b358a",
+    },
+    ("saddle1d", "64"): {
+        "graph.json": "209c49543eeebeca9d6d430d19ab3e5f632615bbafc27d6e5c334513f260c7a3",
+        "morse.json": "3d1048c63e1e84ddf937b18a5699f54844ebac563c3bb48691655c6edaadce50",
+        "recurrent.json": "db06242af5a2281ed48ad772ab7b93e0615ec93f2ac231f818fb353b66af019c",
+    },
+}
+
+
+@pytest.mark.parametrize("system,depth", sorted(ANALYZE_DIGESTS))
+def test_analyze_writes_the_pinned_bytes(tmp_path, capsys, system, depth):
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--system", system, "--depth", depth, "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in ANALYZE_DIGESTS[system, depth]}
+    assert got == ANALYZE_DIGESTS[system, depth]

@@ -1,6 +1,7 @@
 """Integrator accuracy against closed-form orbits and escape events."""
 
 import gc
+import hashlib
 import json
 import math
 import sys
@@ -608,3 +609,180 @@ def test_a_chunk_error_leaves_no_reference_cycle(monkeypatch, rows):
         assert inputs and all(ref() is None for ref in inputs)
     finally:
         gc.enable()
+
+
+def _rk4_oracle(field, pts, h):
+    # the one-line RK4 step that _rk4_step must reproduce bit for bit
+    k1 = field(pts)
+    k2 = field(pts + 0.5 * h * k1)
+    k3 = field(pts + 0.5 * h * k2)
+    k4 = field(pts + h * k3)
+    return pts + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _oracle_systems():
+    # every built-in, and a two-term list with the exponents [2, 3], whose
+    # pts ** e bits depend on the memory layout of pts
+    systems = [bf.builtin_system(name) for name in bf.builtin_names()]
+    terms = [{"coeffs": [1.0, -0.5], "exponents": [2, 3]},
+             {"coeffs": [-1.0, 0.25], "exponents": [1, 0]}]
+    systems.append(bf.FlowSystem(dimension=2, field=polynomial_field(terms, 2),
+                                 domain=[[-2.0, 2.0], [-2.0, 2.0]], name="terms"))
+    return systems
+
+
+@pytest.mark.parametrize("system", _oracle_systems(), ids=lambda s: s.name)
+def test_the_rk4_step_has_the_bits_of_the_one_line_expression(system):
+    rng = np.random.default_rng(23)
+    lo, hi = system.domain[:, 0], system.domain[:, 1]
+    pts = rng.uniform(lo, hi, size=(257, system.dimension))
+    # a scalar step, and the column of remainder steps _advance_rows passes
+    for h in (system.step, 0.0371, rng.uniform(0.0, system.step, size=(257, 1))):
+        got = flows._rk4_step(system.field, pts, h)
+        np.testing.assert_array_equal(got, _rk4_oracle(system.field, pts, h))
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+
+
+def _hopf_oracle(p):
+    # hopf2d as one expression per column
+    x, y = p[:, 0], p[:, 1]
+    r2 = x * x + y * y
+    return np.column_stack([x - y - x * r2, x + y - y * r2])
+
+
+def _gradient_oracle(p):
+    return np.column_stack([-p[:, 0], -2.0 * p[:, 1]])
+
+
+@pytest.mark.parametrize("name,oracle", [("hopf2d", _hopf_oracle),
+                                         ("gradient2d", _gradient_oracle)])
+def test_hopf_and_gradient_fill_their_result_with_the_bits_of_one_expression(name, oracle):
+    p = np.random.default_rng(31).uniform(-2.0, 2.0, size=(1000, 2))
+    p[:6] = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [1e-300, -1e-300], [1e100, 3.0], [0.5, -0.0]]
+    got = bf.builtin_system(name).field(p)
+    np.testing.assert_array_equal(got.view(np.int64), oracle(p).view(np.int64))
+
+
+def _returns_argument(p):
+    return p
+
+
+def _returns_read_only(p):
+    return np.broadcast_to(np.array([0.3, -0.2]), p.shape)
+
+
+def _returns_fortran(p):
+    return np.asfortranarray(p * np.array([1.0, -1.0]))
+
+
+def _returns_float32(p):
+    return (p * np.array([1.0, -1.0])).astype(np.float32)
+
+
+def _spied(field, d, seen):
+    # records whether each call got a C-contiguous float64 (n, d) array
+    def spy(p):
+        seen.append(p.dtype == np.float64 and p.flags.c_contiguous
+                    and p.ndim == 2 and p.shape[1] == d)
+        return field(p)
+
+    return spy
+
+
+def _marches(monkeypatch):
+    # every path into _rk4_step: _advance inline and on three threads,
+    # _sample_block, and _advance_rows with remainder steps
+    pts = np.random.default_rng(29).uniform(-0.9, 0.9, size=(300, 2))
+    t = np.random.default_rng(30).uniform(0.0, 0.3, size=300)
+
+    def threaded(system):
+        with monkeypatch.context() as patch:
+            _threaded(patch)
+            return _advance(system, pts, 0.237)
+
+    return {
+        "inline": lambda system: _advance(system, pts[:40], 0.237),
+        "threaded": threaded,
+        "sample_block": lambda system: (flows._sample_block(system, pts[:30], 0.05, 4),),
+        "rows": lambda system: _advance_rows(system, pts[:60], t[:60]),
+    }
+
+
+@pytest.mark.parametrize("field", [_returns_argument, _returns_read_only, _returns_fortran,
+                                   _returns_float32], ids=lambda f: f.__name__[9:])
+def test_fields_get_c_contiguous_float64_rows_whatever_they_return(monkeypatch, field):
+    for name, march in _marches(monkeypatch).items():
+        seen = []
+        system = bf.FlowSystem(dimension=2, field=_spied(field, 2, seen),
+                               domain=[[-1.0, 1.0], [-1.0, 1.0]], name="spied")
+        got = march(system)
+        assert seen and all(seen), name
+        assert got[0].dtype == np.float64 and got[0].flags.c_contiguous, name
+        if field is _returns_float32:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(flows, "_rk4_step", _rk4_oracle)
+            want = march(system)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def _still(p, c):
+    # a constant field of speed c along the one axis
+    return np.full_like(p, c)
+
+
+@pytest.mark.parametrize("field,x0", [
+    # speed c: the sum k1 + 2 k2 + 2 k3 + k4 is 6c, so 2e307 passes, 5e307
+    # overflows in that sum and 1e308 in 2 k2
+    (lambda p: _still(p, 2e307), 0.0), (lambda p: _still(p, 5e307), 0.0),
+    (lambda p: _still(p, 1e308), 0.0),
+    # x' = 100 x with steps of 0.01: the sum is 1025 x0 and 2 k2 is 300 x0,
+    # so 1.7e305 passes, 1.8e305 overflows in the sum, 1e306 in 2 k2 and
+    # 2e306 in the field itself
+    (lambda p: 100.0 * p, 1.7e305), (lambda p: 100.0 * p, 1.8e305),
+    (lambda p: 100.0 * p, 1e306), (lambda p: 100.0 * p, 2e306),
+])
+def test_an_overflow_raises_in_the_step_where_it_raises_in_the_expression(field, x0):
+    pts = np.full((3, 1), x0)
+    outcomes = []
+    for step in (_rk4_oracle, flows._rk4_step):
+        with np.errstate(over="raise"):
+            try:
+                outcomes.append(step(field, pts, 0.01))
+            except FloatingPointError:
+                outcomes.append(None)
+    want, got = outcomes
+    assert (got is None) == (want is None)
+    if want is not None:
+        np.testing.assert_array_equal(got, want)
+
+
+# SHA-256 of the positions, escape flags and escape times of _advance on a
+# 41-point lattice per axis over 1.237, which ends in a remainder step.
+# These fields use only +, - and *, so the bytes are the same under any
+# IEEE numpy; unlike the graph digests of test_cli, they move with the
+# last bit of any step.
+MARCH_DIGESTS = {
+    "hopf2d": "9e5cecb82bd3233c1464963c6851599186f113690fa1311f39933eb47123a467",
+    "gradient2d": "7c2eebd9ebb16fcbfcec0102b6c4fba916a0a0d719bcdc2057f928ad854f47e1",
+    "saddle1d": "72f0c0a618bfeeeb1b9c95bae21b3472f70854c8832034960add7eb591ec9784",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARCH_DIGESTS))
+def test_the_march_writes_the_pinned_bytes(name):
+    system = bf.builtin_system(name)
+    axes = [np.linspace(lo, hi, 41) for lo, hi in system.domain]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, system.dimension)
+    digest = hashlib.sha256()
+    for a in _advance(system, pts, 1.237):
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == MARCH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_sample_block_of_no_rows_is_empty(d):
+    system = bf.builtin_system("doublewell1d" if d == 1 else "hopf2d")
+    block = flows._sample_block(system, np.empty((0, d)), 0.1, 5)
+    assert block.shape == (0, 0, d)
