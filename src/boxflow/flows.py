@@ -3,20 +3,21 @@
 A system is a vector field on a closed rectangular domain together with an
 internal step size.  All integration is done with the classic fourth order
 Runge-Kutta scheme on batches of points at once; a batch larger than one
-chunk is marched chunk by chunk, by the calling thread and one more thread
-per further CPU, with the same bits as a march of each row alone.  A
-field is always called with a C-contiguous float64 (n, d) array; it may
-return that array, a read-only array or an array of any layout or float
-dtype, and the integrator writes into neither.  A trajectory that leaves
-the closed domain is frozen at its last in-domain position and reported
-as an escape rather than integrated further.
+chunk is marched chunk by chunk, by the calling process and one forked
+worker process per further CPU, with the same bits as a march of each row
+alone.  A field is always called with a C-contiguous float64 (n, d)
+array; it may return that array, a read-only array or an array of any
+layout or float dtype, and the integrator writes into neither.  It must
+keep no state and have no side effects: a chunk may be marched in another
+process, and marched twice.  A trajectory that leaves the closed domain
+is frozen at its last in-domain position and reported as an escape
+rather than integrated further.
 """
 
-import contextvars
 import itertools
 import math
 import os
-import threading
+import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -26,11 +27,11 @@ from .grid import ingest_domain, sorted_unique
 from .jsonio import load_json, number, positive, string
 
 # the most rows _advance marches as one chunk: a chunk's RK4 stages fit in
-# cache, and each chunk is the unit of work a marching thread claims.
-# Smaller chunks would give the threads more, shorter ufunc calls, and the
-# interpreter lock changes hands between calls: 4,096-row chunks on two
-# threads marched the hopf2d 256^2 lattice in 2.29 s against 0.99 s with
-# this size.
+# cache, and a chunk is the unit of work that the calling process and its
+# forked workers claim, and that the calling process marches again when a
+# worker could not.  Worker processes share no interpreter lock, so the
+# size matters little: with 4,096 to 32,768 rows per chunk the hopf2d
+# 256^2 lattice marched in 0.51-0.63 s on two CPUs and 0.96-1.18 s on one.
 ADVANCE_CHUNK = 16384
 
 
@@ -42,10 +43,11 @@ class FlowSystem:
     The integrator calls it with a C-contiguous float64 array and writes
     neither into that array nor into the one returned, so a field may
     return its argument, a read-only array such as np.broadcast_to gives,
-    or an array of any layout or float dtype.  It may be called from
-    several threads at once, on disjoint blocks of rows, so it must keep
-    no state between calls.  domain is a (d, 2) array of [low, high]
-    bounds per axis.  step is the internal RK4 step size.  equilibria is
+    or an array of any layout or float dtype.  It may be called in forked
+    worker processes, on disjoint blocks of rows, and a block may be
+    marched again by the calling process, so it must keep no state
+    between calls and have no side effects.  domain is a (d, 2) array of
+    [low, high] bounds per axis.  step is the internal RK4 step size.  equilibria is
     informational only.
     """
 
@@ -194,6 +196,84 @@ def _cpus():
     return os.cpu_count() or 1
 
 
+def _flag_guard(flagged):
+    """np.errstate under which each floating-point flag that numpy's
+    current settings do not ignore appends its kind to flagged, in place
+    of warning, raising or calling the caller's handler."""
+    modes = {kind: "ignore" if mode == "ignore" else "call"
+             for kind, mode in np.geterr().items()}
+    return np.errstate(call=lambda kind, code: flagged.append(kind), **modes)
+
+
+def _batch_arrays(shape, n_chunks, shared):
+    """The result arrays of a batch of the given (n, d) shape: uninitialised
+    positions, escape flags set to False and escape times set to nan, and
+    per chunk a claimed flag set to False and an int64 outcome set to -1.
+
+    With shared, the five arrays lie in one anonymous shared mapping, so
+    that forked workers write into the arrays the caller reads.
+    """
+    n, d = shape
+    if not shared:
+        return (np.empty(shape), np.zeros(n, dtype=bool), np.full(n, np.nan),
+                np.zeros(n_chunks, dtype=bool), np.full(n_chunks, -1))
+    # imported here, as signal is in _reap, so that a process whose marches
+    # fork nothing loads neither module: about 50 KB of resident memory
+    import mmap
+
+    buf = mmap.mmap(-1, 8 * (n * d + n + n_chunks) + n + n_chunks)
+    pts = np.frombuffer(buf, float, n * d).reshape(shape)
+    esc_time = np.frombuffer(buf, float, n, 8 * n * d)
+    outcome = np.frombuffer(buf, np.int64, n_chunks, 8 * (n * d + n))
+    escaped = np.frombuffer(buf, bool, n, 8 * (n * d + n + n_chunks))
+    claimed = np.frombuffer(buf, bool, n_chunks, 8 * (n * d + n + n_chunks) + n)
+    esc_time[:] = np.nan
+    outcome[:] = -1
+    return pts, escaped, esc_time, claimed, outcome
+
+
+def _work_in_child(march, chunks, top, claimed, outcome, parent):
+    """The whole life of a forked worker: claim and march chunks top,
+    top - 1, ... until one is claimed already, and record march's result in
+    outcome for each chunk whose march raised nothing, set no floating-point
+    flag that numpy's settings do not ignore and issued no warning.  The
+    worker stops before a chunk once its parent process is no longer
+    parent, and ends with os._exit, whatever happens.
+    """
+    try:
+        flagged = []
+        with warnings.catch_warnings(record=True) as caught, _flag_guard(flagged):
+            warnings.simplefilter("always")
+            for i in range(top, -1, -1):
+                if claimed[i] or os.getppid() != parent:
+                    break
+                claimed[i] = True
+                flagged.clear()
+                caught.clear()
+                try:
+                    failed_at = march(chunks[i])
+                except Exception:
+                    continue  # left for the calling process to march again
+                if not (flagged or caught):
+                    outcome[i] = failed_at
+    finally:
+        os._exit(0)
+
+
+def _reap(pids, kill):
+    """Wait for each worker process to end, killing it first with kill.
+    A worker already reaped because SIGCHLD is ignored is passed over."""
+    for pid in pids:
+        try:
+            if kill:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+
+
 def _advance(system, points, t):
     """March a batch of in-domain points forward by time t.
 
@@ -207,20 +287,40 @@ def _advance(system, points, t):
     stepped: an escaped row is written back once and dropped.  Every row is
     stepped by the same arithmetic as it would be alone, so the result does
     not depend on the batch it arrives in, and the chunks are independent
-    work.  The calling thread and min(CPUs, chunks) - 1 threads started for
-    the batch claim chunks from one counter until none is left (numpy
-    releases the interpreter lock inside the ufuncs of the field and of the
-    RK4 stages); a batch of one chunk, or any batch on one CPU, starts no
-    thread.  Each chunk writes only its own rows, and each started thread
-    runs in a copy of the caller's context, so numpy's error settings hold
-    in every thread.
+    work.  With more than one chunk and more than one CPU, the calling
+    process forks min(CPUs, chunks) - 1 workers with os.fork and marches
+    beside them, so numpy's ufuncs run on every CPU with no interpreter
+    lock to share.  It claims chunks from the first upwards, and each
+    worker claims downwards from the last chunk of its equal share of the
+    batch, each until it meets a chunk already claimed.  Workers write
+    their rows straight into the result arrays, which lie in one anonymous
+    shared mapping, so nothing is copied back.  A batch of one chunk, a
+    process on one CPU or a platform without os.fork forks nothing, and the
+    calling process claims every chunk through the same loop.  A field
+    thus runs in other processes, and a chunk may be marched twice, so a
+    field must keep no state and have no side effects.  On Python 3.12 and
+    later, os.fork issues a DeprecationWarning in a process with more than
+    one OS thread, such as one with an OpenBLAS thread pool; it is
+    attributed to this module, so the default warning filters hide it, and
+    the fork goes ahead either way.
 
-    _advance returns or raises only once every chunk has finished and every
-    started thread has ended.  An exception raised in a chunk, such as a
-    FloatingPointError under np.errstate, is raised for the first chunk, in
-    chunk order, that raised one.  Otherwise a non-finite value raises
-    NumericalError naming the earliest step at which any row still inside
-    the domain produced one.
+    A worker records a chunk as done only if its march raised nothing, set
+    no floating-point flag that the caller's numpy settings do not ignore
+    and issued no warning.  Once the workers are reaped, the calling
+    process marches, in chunk order, every chunk that is not done and that
+    it has not marched: one whose worker raised, warned, was killed or was
+    never forked.  The chunks it marched first come before all of these in
+    chunk order, so exceptions, warnings and numpy's error settings reach
+    the caller as from a march in one process.  Every worker is reaped
+    before _advance returns or raises; when the calling process unwinds
+    from an exception of its own, it kills its workers first.  A worker
+    whose parent has ended stops before its next chunk.
+
+    An exception raised in a chunk, such as a FloatingPointError under
+    np.errstate, is raised for the first chunk, in chunk order, that
+    raised one, once every chunk has been marched.  Otherwise a non-finite
+    value raises NumericalError naming the earliest step at which any row
+    still inside the domain produced one.
 
     A chunk runs _step_inside's contiguous bounds test after each step.
     Only when it fails do the isfinite scan and the per-row escape
@@ -229,12 +329,10 @@ def _advance(system, points, t):
     if t < 0:
         raise PreconditionError(f"advance time must be nonnegative, got {t}")
     sizes = _substeps(t, system.step)
-    pts = np.array(points, dtype=float, copy=True)
-    n = pts.shape[0]
-    escaped = np.zeros(n, dtype=bool)
-    esc_time = np.full(n, np.nan)
+    src = np.asarray(points, dtype=float)
+    n = src.shape[0]
     if t == 0 or n == 0:
-        return pts, escaped, esc_time
+        return src.copy(), np.zeros(n, dtype=bool), np.full(n, np.nan)
 
     lo = system.domain[:, 0]
     hi = system.domain[:, 1]
@@ -244,11 +342,16 @@ def _advance(system, points, t):
     # the bounds repeated for every row of the first chunk, the largest;
     # shorter and shrunken chunks compare with a leading slice
     lo_rows, hi_rows = _tiled_bounds(system, chunks[0].size)
+    workers = min(_cpus(), len(chunks)) - 1 if hasattr(os, "fork") else 0
+    pts, escaped, esc_time, claimed, outcome = _batch_arrays(
+        src.shape, len(chunks), workers > 0)
 
     def march(rows):
         # the step at which a row of the chunk still inside turned
-        # non-finite, or len(sizes) once every row is written back
-        cur = pts[rows]
+        # non-finite, or len(sizes) once every row is written back.  Rows
+        # are read from src, which no march writes, and only final values
+        # are written, so a march cut short leaves no wrong value behind.
+        cur = src[rows]
         k = 0
         while rows.size:
             m = rows.size
@@ -270,35 +373,52 @@ def _advance(system, points, t):
         pts[rows] = cur
         return len(sizes)
 
-    # each chunk's march result, or the exception its march raised
-    outcome = [None] * len(chunks)
-    claim = itertools.count().__next__  # atomic under the interpreter lock
+    # the exception each chunk's march raised in this process
+    failures = [None] * len(chunks)
 
-    def work():
-        while (i := claim()) < len(chunks):
+    def settle(i):
+        # march chunk i here, unless a worker has marched it cleanly or
+        # this process has marched it already
+        if outcome[i] < 0 and failures[i] is None:
             try:
                 outcome[i] = march(chunks[i])
             except Exception as exc:
-                outcome[i] = exc
+                failures[i] = exc
 
-    threads = []
+    # the calling process claims chunks 0, 1, ... and each worker claims
+    # downwards from the last chunk of its equal share, each until it meets
+    # a claimed chunk.  Two that claim one chunk at once both march it and
+    # write the same values.
+    tops = [len(chunks) * (j + 1) // (workers + 1) - 1 for j in range(1, workers + 1)]
+    parent = os.getpid()
+    pids = []
     try:
-        for j in range(1, min(_cpus(), len(chunks))):
-            thread = threading.Thread(target=contextvars.copy_context().run,
-                                      args=(work,), name=f"boxflow-advance-{j}")
-            thread.start()
-            threads.append(thread)
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    errors = [result for result in outcome if isinstance(result, Exception)]
+        for top in tops:
+            try:
+                pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                _work_in_child(march, chunks, top, claimed, outcome, parent)
+            pids.append(pid)
+        for i in range(len(chunks)):
+            if claimed[i]:
+                break
+            claimed[i] = True
+            settle(i)
+    except BaseException:
+        _reap(pids, kill=True)
+        raise
+    _reap(pids, kill=False)
+    for i in range(len(chunks)):
+        settle(i)
+    errors = [exc for exc in failures if exc is not None]
     if errors:
-        # a saved traceback reaches outcome through work's frame, and this
-        # frame through the raise: neither may still hold the exception
-        outcome.clear()
+        # a saved traceback reaches failures through settle's frame, and
+        # this frame through the raise: neither may still hold the exception
+        failures.clear()
         raise errors.pop(0)
-    failed_at = min(outcome)
+    failed_at = int(outcome.min())
     if failed_at < len(sizes):
         raise NumericalError(
             f"integration of {system.name} produced non-finite values at "
@@ -330,10 +450,8 @@ def _sample_block(system, points, dt, n_samples):
     sizes = _substeps(dt, system.step)
     lo_rows, hi_rows = _tiled_bounds(system, m)
     flagged = []
-    modes = {kind: "ignore" if mode == "ignore" else "call"
-             for kind, mode in np.geterr().items()}
     cur = points
-    with np.errstate(call=lambda kind, code: flagged.append(kind), **modes):
+    with _flag_guard(flagged):
         for j in range(n_block):
             cur, done, _ = _step_inside(system.field, cur, sizes, lo_rows, hi_rows)
             if done < len(sizes) or flagged:

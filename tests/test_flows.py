@@ -1,11 +1,14 @@
 """Integrator accuracy against closed-form orbits and escape events."""
 
+import errno
 import gc
 import hashlib
 import json
 import math
-import sys
+import os
+import signal
 import threading
+import time
 import warnings
 import weakref
 
@@ -408,40 +411,64 @@ def test_short_last_chunks_and_shrinking_chunks_equal_row_at_a_time(monkeypatch)
     _rows_match_row_at_a_time(system, pts[30:], 0.7)
 
 
-def _threaded(monkeypatch, chunk=16):
-    # three marching threads whatever the CPU count, so that one-CPU
-    # runners start threads too
+def _forking(monkeypatch, chunk=16):
+    # three marching processes whatever the CPU count, so that one-CPU
+    # runners fork workers too
     monkeypatch.setattr(flows, "ADVANCE_CHUNK", chunk)
     monkeypatch.setattr(flows, "_cpus", lambda: 3)
 
 
-def _workers_called(field):
-    # the field, and the set of thread names it was called from
-    names = set()
+def _counted_forks(monkeypatch):
+    # the pid of each worker os.fork starts, as the calling process sees it
+    pids = []
+    fork = os.fork
 
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _pid_files(field, folder):
+    # the field, called in any process, leaves a file named by its pid
     def traced(p):
-        names.add(threading.current_thread().name)
+        (folder / str(os.getpid())).touch()
         return field(p)
 
-    return traced, names
+    return traced
 
 
-def test_threaded_chunks_equal_row_at_a_time(monkeypatch):
-    # the chunks write their rows of shared arrays; a short switch interval
-    # hands the interpreter lock over often, so a lost write would show
-    _threaded(monkeypatch)
-    field, names = _workers_called(_saddle2d().field)
-    system = bf.FlowSystem(dimension=2, field=field, domain=[[-1.0, 1.0], [-1.0, 1.0]],
-                           name="saddle2d")
+def test_forked_chunks_equal_row_at_a_time(monkeypatch, tmp_path):
+    # 300 rows in 19 chunks of 16, claimed by three processes
+    _forking(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    calls = []
+
+    def field(p):
+        calls.append(len(p))
+        return p * np.array([1.0, -1.0])
+
+    system = bf.FlowSystem(dimension=2, field=_pid_files(field, tmp_path),
+                           domain=[[-1.0, 1.0], [-1.0, 1.0]], name="saddle2d")
     pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(300, 2))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = _advance(system, pts, 1.237)
-    finally:
-        sys.setswitchinterval(interval)
-    assert any(name.startswith("boxflow-advance-") for name in names)
-    assert names <= {threading.current_thread().name, "boxflow-advance-1", "boxflow-advance-2"}
+    got = _advance(system, pts, 1.237)
+    _no_child_left()
+    assert len(pids) == 2
+    assert {int(f.name) for f in tmp_path.iterdir()} == {os.getpid(), *pids}
+    # the workers' rows are read from the shared arrays, not marched again
+    forked_calls = len(calls)
+    monkeypatch.setattr(flows, "_cpus", lambda: 1)
+    _advance(system, pts, 1.237)
+    assert 0 < forked_calls < len(calls) - forked_calls
     assert len({i // 16 for i in np.flatnonzero(got[1])}) > 10
     for a, b in zip(got, _row_at_a_time(system, pts, 1.237)):
         np.testing.assert_array_equal(a, b)
@@ -465,21 +492,24 @@ def _march_case(kind):
     return system, pts, 0.05
 
 
-def test_threaded_chunks_name_the_earliest_failure(monkeypatch):
+def test_forked_chunks_name_the_earliest_failure(monkeypatch):
     # speed 1 to the right with a wall at x = 5: a row from x0 fails near
-    # t = 5 - x0.  Rows fail in four of the 20 chunks marched at once; the
-    # earliest failure is in the last of them, whatever chunk ends first.
-    _threaded(monkeypatch)
+    # t = 5 - x0.  Rows fail in chunks 0, 6, 12 and 19 of 20; the calling
+    # process claims chunk 0 first and the workers chunks 12 and 19.  The
+    # earliest failure is in chunk 19, whatever process ends first.
+    _forking(monkeypatch)
     system, pts, _ = _march_case("wall")
     assert "t=0.41" in _same_failure(system, pts, 1.0, 310)
     assert "t=0.51" in _same_failure(system, pts[:300], 1.0, 200)
+    _no_child_left()
 
 
-def test_threaded_chunks_raise_the_exception_of_the_first_chunk_that_raised(monkeypatch):
+def test_forked_chunks_raise_the_exception_of_the_first_chunk_that_raised(monkeypatch):
     # a still field that raises naming its largest row: rows 20 and 40
-    # make the second and third of three chunks raise, and the second's
-    # exception is raised whatever chunk ends first
-    _threaded(monkeypatch)
+    # make the second and third of three chunks raise, the first chunks
+    # that the two workers claim, and the second's exception is raised
+    # whatever process ends first; with row 5 the first chunk raises first
+    _forking(monkeypatch)
 
     def field(p):
         if p.max() > 0:
@@ -491,26 +521,35 @@ def test_threaded_chunks_raise_the_exception_of_the_first_chunk_that_raised(monk
     pts[[20, 40], 0] = [1.0, 2.0]
     with pytest.raises(LookupError, match="^x=1$"):
         _advance(system, pts, 0.05)
+    _no_child_left()
+    pts[5] = 3.0
+    with pytest.raises(LookupError, match="^x=3$"):
+        _advance(system, pts, 0.05)
+    _no_child_left()
 
 
-def test_threaded_graph_equals_a_single_worker_graph(monkeypatch):
+def test_forked_graph_equals_a_single_process_graph(monkeypatch):
     # hopf2d 128^2 has 66,049 lattice points, five chunks of the real size
     system = bf.builtin_system("hopf2d")
     grid = bf.build_grid(system.domain.tolist(), (128, 128))
-    _threaded(monkeypatch, ADVANCE_CHUNK)
-    threaded = bf.build_transition_graph(system, grid, 1.0)
+    _forking(monkeypatch, ADVANCE_CHUNK)
+    pids = _counted_forks(monkeypatch)
+    forked = bf.build_transition_graph(system, grid, 1.0)
+    assert len(pids) == 2
     monkeypatch.setattr(flows, "_cpus", lambda: 1)
-    assert threaded == bf.build_transition_graph(system, grid, 1.0)
+    assert forked == bf.build_transition_graph(system, grid, 1.0)
+    assert len(pids) == 2
 
 
-def test_threaded_chunks_keep_the_callers_floating_point_settings(monkeypatch):
+def test_forked_chunks_keep_the_callers_floating_point_settings(monkeypatch):
     # exp overflows past x = 709.78, so the row at 800 overflows in its
-    # first stage; the others march on
+    # first stage, in the third of four chunks, which the second worker
+    # claims after the fourth; the others march on
     system, pts, _ = _march_case("overflow")
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             _advance(system, pts[37:38], 0.05)
-        _threaded(monkeypatch)
+        _forking(monkeypatch)
         with pytest.raises(FloatingPointError):
             _advance(system, pts, 0.05)
     # ignored overflow: the march names the non-finite value, and no
@@ -519,40 +558,73 @@ def test_threaded_chunks_keep_the_callers_floating_point_settings(monkeypatch):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="t=0.01"):
             _advance(system, pts, 0.05)
+    _no_child_left()
 
 
-def test_the_calling_thread_marches_beside_the_started_threads(monkeypatch):
-    # three chunks on three CPUs: the first field call in each thread waits
-    # until three threads have made one, so the march ends only if three
-    # chunks march at once, and the calling thread is one of the three
-    _threaded(monkeypatch)
-    barrier = threading.Barrier(3, timeout=10)
-    names = set()
+def test_a_worker_warning_reaches_the_caller_as_in_a_one_cpu_march(monkeypatch):
+    # four chunks: the calling process claims chunk 0 first, and the two
+    # workers chunks 1 and 3.  Rows at 720 and 800 overflow in chunks 0 and
+    # 1, and the field warns, naming its largest row, so the order shows;
+    # the row at 1 in chunk 3 only warns.
+    def field(p):
+        if p.max() > 0:
+            warnings.warn(f"x={p.max():g}")
+        return np.exp(p)
+
+    system = bf.FlowSystem(dimension=1, field=field, domain=[[-1000.0, 1000.0]], name="exp")
+    pts = np.full((64, 1), -50.0)
+    pts[[5, 20, 60], 0] = [720.0, 800.0, 1.0]
+    _forking(monkeypatch)
+    seen = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(flows, "_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(over="warn"):
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError) as error:
+                _advance(system, pts, 0.05)
+        seen[cpus] = ([(w.category, str(w.message), w.filename, w.lineno) for w in caught],
+                      str(error.value))
+    assert seen[3] == seen[1]
+    messages = [m for _, m, _, _ in seen[1][0]]
+    assert messages.index("x=720") < messages.index("x=800") < messages.index("x=1")
+    assert "overflow encountered in exp" in messages
+    _no_child_left()
+
+
+def test_the_calling_process_marches_beside_the_workers(monkeypatch, tmp_path):
+    # three chunks on three CPUs: the first field call in each process
+    # leaves a file and waits until three processes have left one, so the
+    # march ends only if three chunks march at once, and the calling
+    # process is one of the three
+    _forking(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    first = []
 
     def field(p):
-        name = threading.current_thread().name
-        if name not in names:
-            names.add(name)
-            barrier.wait()
+        if not first:
+            first.append(os.getpid())
+            (tmp_path / str(os.getpid())).touch()
+            deadline = time.monotonic() + 10
+            while len(list(tmp_path.iterdir())) < 3:
+                if time.monotonic() > deadline:
+                    raise TimeoutError("fewer than three processes marched at once")
+                time.sleep(0.001)
         return -p
 
     system = bf.FlowSystem(dimension=1, field=field, domain=[[-1.0, 1.0]], name="contract")
     _advance(system, np.linspace(-0.9, 0.9, 48)[:, None], 0.05)
-    assert len(names) == 3 and threading.current_thread().name in names
+    _no_child_left()
+    assert {int(f.name) for f in tmp_path.iterdir()} == {os.getpid(), *pids}
+    assert len(pids) == 2
 
 
 @pytest.mark.parametrize("kind,error", [("returns", None), ("wall", NumericalError),
                                         ("overflow", FloatingPointError)])
 def test_no_started_thread_outlives_the_march(monkeypatch, kind, error):
-    _threaded(monkeypatch)
-    started = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Recorded)
+    # the march starts no thread, and each worker it forks has been reaped
+    # when it returns or raises
+    _forking(monkeypatch)
+    pids = _counted_forks(monkeypatch)
     system, pts, t = _march_case(kind)
     before = threading.enumerate()
     with np.errstate(over="raise"):
@@ -561,15 +633,39 @@ def test_no_started_thread_outlives_the_march(monkeypatch, kind, error):
         else:
             with pytest.raises(error):
                 _advance(system, pts, t)
-    assert len(started) == 2
+    assert len(pids) == 2
+    _no_child_left()
     assert threading.enumerate() == before
-    assert not any(thread.is_alive() for thread in started)
+
+
+def test_an_interrupted_march_kills_and_reaps_its_workers(monkeypatch, tmp_path):
+    # the calling process's own chunk is interrupted while the workers are
+    # still marching theirs, which would take ten seconds
+    _forking(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    parent = os.getpid()
+
+    def field(p):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(0.1)
+        return -p
+
+    system = bf.FlowSystem(dimension=1, field=field, domain=[[-1.0, 1.0]], name="slow")
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _advance(system, np.linspace(-0.9, 0.9, 48)[:, None], 0.25)
+    assert time.monotonic() - start < 5
+    assert len(pids) == 2
+    _no_child_left()
 
 
 @pytest.mark.parametrize("cpus,rows", [(3, 16), (1, 300)])
 def test_a_one_chunk_or_one_cpu_batch_starts_no_thread(monkeypatch, cpus, rows):
-    _threaded(monkeypatch)
+    # nor forks a process
+    _forking(monkeypatch)
     monkeypatch.setattr(flows, "_cpus", lambda: cpus)
+    pids = _counted_forks(monkeypatch)
     before = threading.enumerate()
     seen = []
 
@@ -581,14 +677,73 @@ def test_a_one_chunk_or_one_cpu_batch_starts_no_thread(monkeypatch, cpus, rows):
     pts = np.random.default_rng(10).uniform(-1.0, 1.0, size=(rows, 2))
     _advance(system, pts, 0.5)
     assert seen and all(threads == before for threads in seen)
+    assert pids == []
+
+
+def test_a_march_that_cannot_fork_gives_the_same_bits(monkeypatch):
+    _forking(monkeypatch)
+    tries = []
+
+    def fork():
+        tries.append(1)
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    system, pts, t = _march_case("returns")
+    _rows_match_row_at_a_time(system, pts, t)
+    # the first failed fork ends the forking
+    assert len(tries) == 1
+
+
+def test_the_chunks_of_a_killed_worker_are_marched_by_the_caller(monkeypatch, tmp_path):
+    # a worker kills itself in the middle of its first chunk, once rows of
+    # it have escaped and been written to the shared arrays; the caller
+    # marches that chunk and the rest of the worker's run again
+    _forking(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    parent = os.getpid()
+
+    def field(p):
+        if os.getpid() != parent and len(p) < 16 and len(p) % 2:
+            (tmp_path / str(os.getpid())).touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return p * np.array([1.0, -1.0])
+
+    system = bf.FlowSystem(dimension=2, field=field, domain=[[-1.0, 1.0], [-1.0, 1.0]],
+                           name="saddle2d")
+    pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(300, 2))
+    monkeypatch.setattr(flows, "_cpus", lambda: 1)
+    want = _advance(system, pts, 1.237)
+    monkeypatch.setattr(flows, "_cpus", lambda: 3)
+    got = _advance(system, pts, 1.237)
+    _no_child_left()
+    assert {int(f.name) for f in tmp_path.iterdir()} <= set(pids) and any(tmp_path.iterdir())
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_worker_whose_parent_has_changed_marches_nothing(monkeypatch, tmp_path):
+    # workers read their parent's pid as another process's, as an orphan
+    # does, so each stops before its first chunk and the calling process
+    # marches every chunk
+    _forking(monkeypatch)
+    pids = _counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "getppid", lambda: -1)
+    system = bf.FlowSystem(dimension=2, field=_pid_files(_saddle2d().field, tmp_path),
+                           domain=[[-1.0, 1.0], [-1.0, 1.0]], name="saddle2d")
+    pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(300, 2))
+    _rows_match_row_at_a_time(system, pts, 1.237)
+    _no_child_left()
+    assert len(pids) == 2
+    assert [f.name for f in tmp_path.iterdir()] == [str(os.getpid())]
 
 
 @pytest.mark.parametrize("rows", [16, 64])
 def test_a_chunk_error_leaves_no_reference_cycle(monkeypatch, rows):
     # the arrays of a march that raised are freed with the exception,
     # without waiting for the cyclic garbage collector; 16 rows are one
-    # chunk and 64 rows four
-    _threaded(monkeypatch)
+    # chunk and 64 rows four, the failing one the first chunk
+    _forking(monkeypatch)
     system, pts, t = _march_case("overflow")
     inputs = []
 
@@ -690,19 +845,19 @@ def _spied(field, d, seen):
 
 
 def _marches(monkeypatch):
-    # every path into _rk4_step: _advance inline and on three threads,
+    # every path into _rk4_step: _advance in one process and in three,
     # _sample_block, and _advance_rows with remainder steps
     pts = np.random.default_rng(29).uniform(-0.9, 0.9, size=(300, 2))
     t = np.random.default_rng(30).uniform(0.0, 0.3, size=300)
 
-    def threaded(system):
+    def forked(system):
         with monkeypatch.context() as patch:
-            _threaded(patch)
+            _forking(patch)
             return _advance(system, pts, 0.237)
 
     return {
         "inline": lambda system: _advance(system, pts[:40], 0.237),
-        "threaded": threaded,
+        "forked": forked,
         "sample_block": lambda system: (flows._sample_block(system, pts[:30], 0.05, 4),),
         "rows": lambda system: _advance_rows(system, pts[:60], t[:60]),
     }
