@@ -9,9 +9,10 @@ alone.  A field is always called with a C-contiguous float64 (n, d)
 array; it may return that array, a read-only array or an array of any
 layout or float dtype, and the integrator writes into neither.  It must
 keep no state and have no side effects: a chunk may be marched in another
-process, and marched twice.  A trajectory that leaves the closed domain
-is frozen at its last in-domain position and reported as an escape
-rather than integrated further.
+process, and marched twice.  A march raises where its field first raises
+in chunk order, as a march in one process does.  A trajectory that
+leaves the closed domain is frozen at its last in-domain position and
+reported as an escape rather than integrated further.
 """
 
 import itertools
@@ -22,8 +23,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import CatalogError, DomainError, IngestionError, NumericalError, PreconditionError
-from .grid import ingest_domain, sorted_unique
+from .errors import (CapacityError, CatalogError, DomainError, IngestionError, NumericalError,
+                     PreconditionError)
+from .grid import MAX_MARCH_STEPS, ingest_domain, sorted_unique
 from .jsonio import load_json, number, positive, string
 
 # the most rows _advance marches as one chunk: a chunk's RK4 stages fit in
@@ -110,11 +112,16 @@ def _schedule(t, h):
     """Split a duration into whole RK4 steps plus a remainder.
 
     Durations that are an integer number of steps up to roundoff snap to
-    a zero remainder so that repeated composition stays exact.
+    a zero remainder so that repeated composition stays exact.  More than
+    MAX_MARCH_STEPS whole steps raise CapacityError.
     """
     if not (math.isfinite(t) and 0 < h < math.inf):
         raise PreconditionError(f"need a finite time and a finite step > 0, got t={t}, step={h}")
-    n = int(math.floor(t / h + 1e-9))
+    steps = t / h + 1e-9
+    if steps >= MAX_MARCH_STEPS + 1:
+        raise CapacityError(f"a march by t={t:g} at step {h:g} takes {steps:.6g} steps, "
+                            f"limit is {MAX_MARCH_STEPS}")
+    n = int(math.floor(steps))
     rem = t - n * h
     if rem <= 1e-12 * max(1.0, abs(t)):
         rem = 0.0
@@ -234,11 +241,12 @@ def _batch_arrays(shape, n_chunks, shared):
 
 def _work_in_child(march, chunks, top, claimed, outcome, parent):
     """The whole life of a forked worker: claim and march chunks top,
-    top - 1, ... until one is claimed already, and record march's result in
-    outcome for each chunk whose march raised nothing, set no floating-point
-    flag that numpy's settings do not ignore and issued no warning.  The
-    worker stops before a chunk once its parent process is no longer
-    parent, and ends with os._exit, whatever happens.
+    top - 1, ... until one is claimed already, recording march's result in
+    outcome for each.  The worker stops at the first chunk whose march
+    raised, set a floating-point flag that numpy's settings do not ignore
+    or issued a warning, and leaves that chunk and the rest of its share to
+    the calling process.  It also stops before a chunk once its parent
+    process is no longer parent, and ends with os._exit, whatever happens.
     """
     try:
         flagged = []
@@ -248,14 +256,10 @@ def _work_in_child(march, chunks, top, claimed, outcome, parent):
                 if claimed[i] or os.getppid() != parent:
                     break
                 claimed[i] = True
-                flagged.clear()
-                caught.clear()
-                try:
-                    failed_at = march(chunks[i])
-                except Exception:
-                    continue  # left for the calling process to march again
-                if not (flagged or caught):
-                    outcome[i] = failed_at
+                failed_at = march(chunks[i])
+                if flagged or caught:
+                    break
+                outcome[i] = failed_at
     finally:
         os._exit(0)
 
@@ -304,23 +308,25 @@ def _advance(system, points, t):
     attributed to this module, so the default warning filters hide it, and
     the fork goes ahead either way.
 
-    A worker records a chunk as done only if its march raised nothing, set
-    no floating-point flag that the caller's numpy settings do not ignore
-    and issued no warning.  Once the workers are reaped, the calling
-    process marches, in chunk order, every chunk that is not done and that
-    it has not marched: one whose worker raised, warned, was killed or was
-    never forked.  The chunks it marched first come before all of these in
-    chunk order, so exceptions, warnings and numpy's error settings reach
-    the caller as from a march in one process.  Every worker is reaped
-    before _advance returns or raises; when the calling process unwinds
-    from an exception of its own, it kills its workers first.  A worker
-    whose parent has ended stops before its next chunk.
+    A worker stops at the first chunk whose march raised, set a
+    floating-point flag that the caller's numpy settings do not ignore or
+    issued a warning, and leaves it and the rest of its share undone.
+    Once the workers are reaped, the calling process marches, in chunk
+    order, every chunk that no worker marched cleanly: one whose worker
+    raised, warned, stopped, was killed or was never forked.  The chunks it
+    marched first come before all of these in chunk order, so exceptions,
+    warnings and numpy's error settings reach the caller as from a march in
+    one process.  Every worker is reaped before _advance returns or raises;
+    when the calling process unwinds from an exception, it kills its
+    workers first.  A worker whose parent has ended stops before its next
+    chunk.
 
     An exception raised in a chunk, such as a FloatingPointError under
-    np.errstate, is raised for the first chunk, in chunk order, that
-    raised one, once every chunk has been marched.  Otherwise a non-finite
-    value raises NumericalError naming the earliest step at which any row
-    still inside the domain produced one.
+    np.errstate, propagates from the first chunk, in chunk order, that
+    raises one; the calling process marches no chunk after it, so their
+    warnings are not issued.  Otherwise a non-finite value raises
+    NumericalError naming the earliest step at which any row still inside
+    the domain produced one.
 
     A chunk runs _step_inside's contiguous bounds test after each step.
     Only when it fails do the isfinite scan and the per-row escape
@@ -373,18 +379,6 @@ def _advance(system, points, t):
         pts[rows] = cur
         return len(sizes)
 
-    # the exception each chunk's march raised in this process
-    failures = [None] * len(chunks)
-
-    def settle(i):
-        # march chunk i here, unless a worker has marched it cleanly or
-        # this process has marched it already
-        if outcome[i] < 0 and failures[i] is None:
-            try:
-                outcome[i] = march(chunks[i])
-            except Exception as exc:
-                failures[i] = exc
-
     # the calling process claims chunks 0, 1, ... and each worker claims
     # downwards from the last chunk of its equal share, each until it meets
     # a claimed chunk.  Two that claim one chunk at once both march it and
@@ -405,19 +399,15 @@ def _advance(system, points, t):
             if claimed[i]:
                 break
             claimed[i] = True
-            settle(i)
+            outcome[i] = march(chunks[i])
     except BaseException:
         _reap(pids, kill=True)
         raise
     _reap(pids, kill=False)
-    for i in range(len(chunks)):
-        settle(i)
-    errors = [exc for exc in failures if exc is not None]
-    if errors:
-        # a saved traceback reaches failures through settle's frame, and
-        # this frame through the raise: neither may still hold the exception
-        failures.clear()
-        raise errors.pop(0)
+    # every chunk this process has marched has an outcome, so these are the
+    # chunks no worker marched cleanly, in chunk order
+    for i in np.flatnonzero(outcome < 0):
+        outcome[i] = march(chunks[i])
     failed_at = int(outcome.min())
     if failed_at < len(sizes):
         raise NumericalError(

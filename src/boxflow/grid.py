@@ -27,6 +27,11 @@ MAX_PAIRS = 2 ** 26
 # outputs: a value per point and profile, or, where a reader keeps ρ, one
 # float64 per sample and profile.
 MAX_MARCH_VALUES = 2 ** 25
+# whole RK4 steps one march by a time t may take: its step sizes and start
+# times are Python lists of about 40 bytes a step, 42 MB (50 MB at the
+# peak of building them), or 10,485.76 time units at the default step
+# 0.01.  The graph build's default map time 1.0 takes 100.
+MAX_MARCH_STEPS = 2 ** 20
 
 
 def ingest_domain(values, what):

@@ -274,8 +274,9 @@ def _march_quotient(system, pair, points, n_steps, dt, mask=None):
     were stepped on, and those samples are dropped.  A pass whose block is
     empty (more live rows than ADVANCE_CHUNK, or a live row that escapes,
     turns non-finite or sets a floating-point flag in the next sample)
-    takes that sample as one _advance step instead.  Either way every row
-    gets the samples a march of one _advance call per step gives it.  Once
+    takes that sample as one _advance step instead, a block of one sample
+    in which a row that escaped is absorbed.  Either way every row gets
+    the samples a march of one _advance call per step gives it.  Once
     every row is absorbed the remaining samples are filled in without
     stepping.
     """
@@ -304,19 +305,13 @@ def _march_quotient(system, pair, points, n_steps, dt, mask=None):
             boxes[k + 1:] = box
             break
         block = _sample_block(system, current[live], dt, n_steps - k)
-        j = block.shape[0]
-        if not j:
+        escaped = False
+        if not len(block):
             nxt, escaped, _ = _advance(system, current[live], dt)
-            current[live] = nxt
-            box[live] = grid.box_of(nxt)
-            dead[live] = escaped | ~mask[box[live]]
-            k += 1
-            positions[k] = current
-            absorbed[k] = dead
-            boxes[k] = box
-            continue
+            block = nxt[None]
+        j = block.shape[0]
         ids = grid.box_of(block.reshape(-1, block.shape[2])).reshape(j, live.size)
-        out = ~mask[ids]
+        out = ~mask[ids] | escaped
         # each row's first absorbed sample in the block, j if none
         first = np.where(out.any(axis=0), out.argmax(axis=0), j)
         sample = np.arange(j)[:, None]

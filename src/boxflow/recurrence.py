@@ -328,19 +328,17 @@ def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=1
     edges = np.zeros((n, n), dtype=bool)
 
     current, escaped, _ = _advance(system, pts, grid_times[0])
-    prev_t = grid_times[0]
-    for t in grid_times:
-        if t > prev_t:
-            step_pts, step_esc, _ = _advance(system, current, t - prev_t)
-            current = np.where(escaped[:, None], current, step_pts)
-            escaped |= step_esc & ~escaped
-            prev_t = t
+    for k in range(steps):
         live = ~escaped
         if not live.any():
             break
         diff = current[live, None, :] - pts[None, :, :]
         dist = finite_norm(diff, axis=2)
         edges[live] |= dist < epsilon
+        if k + 1 < steps:
+            # only the rows still inside march on to the next probe time
+            current[live], escaped[live], _ = _advance(
+                system, current[live], grid_times[k + 1] - grid_times[k])
 
     rows, cols = np.nonzero(edges)
     return pts[on_cycle(Adjacency(np.searchsorted(rows, np.arange(n + 1)), cols))]

@@ -13,7 +13,7 @@ import pytest
 import boxflow as bf
 from boxflow import cli
 from boxflow.errors import ConfigError
-from boxflow.grid import MAX_MARCH_VALUES, MAX_PAIRS
+from boxflow.grid import MAX_MARCH_STEPS, MAX_MARCH_VALUES, MAX_PAIRS
 from boxflow.lyapunov import Filtration, LyapunovField
 from boxflow.transition import TransitionGraph
 
@@ -341,6 +341,22 @@ def test_dt_past_the_march_limit_exits_2_without_allocating_the_march(tmp_path, 
     err = capsys.readouterr().err
     assert "1.4e+08 steps of dt=1e-07" in err and f"limit is {MAX_MARCH_VALUES}" in err
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--system", "saddle1d", "--depth", "4", "--map-time", "1e9"],
+    ["analyze", "--system", "saddle1d", "--depth", "4", "--map-time", "1e300"],
+    ["analyze", "--system-file", "{tiny_step}", "--depth", "4"],
+    ["lyapunov", "--system", "saddle1d", "--depth", "8", "--dt", "1e9", "--tmax", "1e10"],
+], ids=["map-time-1e9", "map-time-1e300", "step-1e-300", "lyapunov-dt-1e9"])
+def test_a_march_past_the_step_limit_exits_2(tmp_path, capsys, args):
+    tiny_step = tmp_path / "tiny.json"
+    tiny_step.write_text(json.dumps({"field": "saddle1d", "step": 1e-300}))
+    args = [a.format(tiny_step=tiny_step) for a in args]
+    assert cli.main(args + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"limit is {MAX_MARCH_STEPS}" in err
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -17,8 +17,10 @@ import pytest
 
 import boxflow as bf
 from boxflow import flows
-from boxflow.errors import DomainError, IngestionError, NumericalError, PreconditionError
+from boxflow.errors import (CapacityError, DomainError, IngestionError, NumericalError,
+                            PreconditionError)
 from boxflow.flows import ADVANCE_CHUNK, Escape, _advance, _advance_rows, polynomial_field
+from boxflow.grid import MAX_MARCH_STEPS
 
 
 def test_linear_decay_matches_exponential():
@@ -764,6 +766,115 @@ def test_a_chunk_error_leaves_no_reference_cycle(monkeypatch, rows):
         assert inputs and all(ref() is None for ref in inputs)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_march_stops_at_the_chunk_whose_field_raises(monkeypatch, cpus):
+    # four chunks of 16, the first of which raises in its first field call:
+    # the calling process makes no further call, and on three CPUs it
+    # kills and reaps the workers marching the other chunks
+    _forking(monkeypatch)
+    monkeypatch.setattr(flows, "_cpus", lambda: cpus)
+    pids = _counted_forks(monkeypatch)
+    calls = []
+
+    def field(p):
+        calls.append(len(p))
+        if p.max() > 0:
+            raise LookupError(f"x={p.max():g}")
+        return np.zeros_like(p)
+
+    system = bf.FlowSystem(dimension=1, field=field, domain=[[-5.0, 5.0]], name="still")
+    pts = np.zeros((64, 1))
+    pts[5] = 1.0
+    with pytest.raises(LookupError, match="^x=1$"):
+        _advance(system, pts, 0.05)
+    assert calls == [16]
+    assert len(pids) == cpus - 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_a_worker_stops_at_a_chunk_that_warns(monkeypatch, tmp_path, fails):
+    # six chunks of 16 on three CPUs: the workers claim chunks 3 and 5
+    # first, and the calling process waits in its first field call until
+    # both have.  Chunk 5 warns, so its worker stops and leaves chunks 5
+    # and 4 to the calling process; with fails, chunk 4's field is
+    # infinite.  Positions, warnings and the error equal a one-CPU march's.
+    _forking(monkeypatch)
+    parent = os.getpid()
+    waited = []
+
+    def field(p):
+        chunk = int(p[0, 1])
+        (tmp_path / f"{os.getpid()}-{chunk}").touch()
+        if os.getpid() == parent and flows._cpus() > 1 and not waited:
+            waited.append(1)
+            deadline = time.monotonic() + 10
+            while len({f.name.split("-")[0] for f in tmp_path.iterdir()} - {str(parent)}) < 2:
+                if time.monotonic() > deadline:
+                    raise TimeoutError("the workers did not start")
+                time.sleep(0.001)
+        if chunk == 5:
+            warnings.warn(f"chunk {chunk}")
+        out = np.zeros_like(p)
+        out[:, 0] = np.inf if fails and chunk == 4 else -p[:, 0]
+        return out
+
+    system = bf.FlowSystem(dimension=2, field=field, domain=[[-1.0, 1.0], [0.0, 6.0]],
+                           name="chunks")
+    pts = np.column_stack([np.linspace(0.1, 0.9, 96), np.repeat(np.arange(6.0), 16)])
+    seen = {}
+    for cpus in (1, 3):
+        monkeypatch.setattr(flows, "_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = _advance(system, pts, 0.05)
+            except NumericalError as error:
+                got = str(error)
+        seen[cpus] = got, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    _no_child_left()
+    assert len(seen[1][1]) == 20 and seen[3][1] == seen[1][1]
+    if fails:
+        assert seen[3][0] == seen[1][0] and "non-finite values at t=0.01" in seen[3][0]
+    else:
+        for a, b in zip(*(seen[cpus][0] for cpus in (3, 1))):
+            np.testing.assert_array_equal(a, b)
+    # chunk 4 is marched by the calling process alone, chunk 5 by both
+    marched = {}
+    for f in tmp_path.iterdir():
+        pid, chunk = f.name.split("-")
+        marched.setdefault(int(chunk), set()).add(int(pid))
+    assert marched[4] == {parent}
+    assert len(marched[5]) == 2 and parent in marched[5]
+
+
+@pytest.mark.parametrize("t,step", [(1e9, 0.01), (1e300, 0.01), (1.0, 1e-300)],
+                         ids=["t-1e9", "t-1e300", "step-1e-300"])
+def test_a_march_past_the_step_limit_is_a_capacity_error(t, step):
+    # raised before any step list is built or the field is called
+    calls = []
+
+    def field(p):
+        calls.append(1)
+        return p
+
+    system = bf.FlowSystem(dimension=1, field=field, domain=[[-1.0, 1.0]], step=step,
+                           name="saddle1d")
+    x = np.array([0.5])
+    for call in (lambda: _advance(system, x[None], t),
+                 lambda: _advance_rows(system, x[None], [t]),
+                 lambda: bf.flow_map(system, x, t)):
+        with pytest.raises(CapacityError, match=f"limit is {MAX_MARCH_STEPS}"):
+            call()
+    assert calls == []
+
+
+def test_the_step_limit_admits_its_own_count():
+    assert flows._schedule(MAX_MARCH_STEPS * 0.5, 0.5) == (MAX_MARCH_STEPS, 0.0)
+    with pytest.raises(CapacityError):
+        flows._schedule((MAX_MARCH_STEPS + 1) * 0.5, 0.5)
 
 
 def _rk4_oracle(field, pts, h):

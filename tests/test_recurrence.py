@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import boxflow as bf
+from boxflow import recurrence
 from boxflow.errors import PreconditionError
-from boxflow.grid import BoxSet
-from boxflow.transition import TransitionGraph
+from boxflow.flows import _advance
+from boxflow.grid import BoxSet, finite_norm
+from boxflow.transition import Adjacency, TransitionGraph, on_cycle
 from conftest import _bundle, _connecting_oracle, _peel_oracle, _random_exit_graph
 
 
@@ -418,6 +420,50 @@ def test_chain_oracle_flags_the_contracting_fixed_point():
     flagged = bf.epsilon_chain_oracle(system, pts, 0.05, t_max=8.0)
     assert flagged.shape[0] > 0
     assert np.abs(flagged).max() < 0.2
+
+
+def _chain_oracle_marching_every_row(system, pts, epsilon, t_min=1.0, t_max=10.0, steps=19):
+    # epsilon_chain_oracle's probe loop with every row marched at every
+    # probe time, escaped rows kept at their frozen positions
+    n = pts.shape[0]
+    grid_times = np.linspace(t_min, t_max, steps)
+    edges = np.zeros((n, n), dtype=bool)
+    current, escaped, _ = _advance(system, pts, grid_times[0])
+    prev_t = grid_times[0]
+    for t in grid_times:
+        if t > prev_t:
+            step_pts, step_esc, _ = _advance(system, current, t - prev_t)
+            current = np.where(escaped[:, None], current, step_pts)
+            escaped |= step_esc & ~escaped
+            prev_t = t
+        live = ~escaped
+        if not live.any():
+            break
+        edges[live] |= finite_norm(current[live, None, :] - pts[None, :, :], axis=2) < epsilon
+    rows, cols = np.nonzero(edges)
+    return pts[on_cycle(Adjacency(np.searchsorted(rows, np.arange(n + 1)), cols))]
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.03, 0.1])
+def test_chain_oracle_marches_only_the_rows_still_inside(monkeypatch, epsilon):
+    # saddle1d: every row but the one at 0 leaves [-1, 1] by t = 10
+    system = bf.builtin_system("saddle1d")
+    pts = np.linspace(-1.0, 1.0, 201)[:, None]
+    calls = []
+
+    def counted(system, points, t):
+        result = _advance(system, points, t)
+        calls.append((len(points), int(result[1].sum())))
+        return result
+
+    monkeypatch.setattr(recurrence, "_advance", counted)
+    flagged = bf.epsilon_chain_oracle(system, pts, epsilon)
+    # each march takes the rows the one before left inside
+    assert calls[0][0] == 201
+    assert all(rows == prev - out for (prev, out), (rows, _) in zip(calls, calls[1:]))
+    assert sum(out for _, out in calls) == 200
+    np.testing.assert_array_equal(flagged,
+                                  _chain_oracle_marching_every_row(system, pts, epsilon))
 
 
 def test_chain_oracle_validates_inputs():
