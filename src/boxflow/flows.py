@@ -111,12 +111,15 @@ class Trajectory:
 def _schedule(t, h):
     """Split a duration into whole RK4 steps plus a remainder.
 
-    Durations that are an integer number of steps up to roundoff snap to
-    a zero remainder so that repeated composition stays exact.  More than
-    MAX_MARCH_STEPS whole steps raise CapacityError.
+    The one check of a march's time and step: t must be finite and >= 0
+    and h finite and > 0, or PreconditionError is raised.  Durations that
+    are an integer number of steps up to roundoff snap to a zero remainder
+    so that repeated composition stays exact.  More than MAX_MARCH_STEPS
+    whole steps raise CapacityError.
     """
-    if not (math.isfinite(t) and 0 < h < math.inf):
-        raise PreconditionError(f"need a finite time and a finite step > 0, got t={t}, step={h}")
+    if not (0 <= t < math.inf and 0 < h < math.inf):
+        raise PreconditionError(f"need a finite time >= 0 and a finite step > 0, "
+                                f"got t={t}, step={h}")
     steps = t / h + 1e-9
     if steps >= MAX_MARCH_STEPS + 1:
         raise CapacityError(f"a march by t={t:g} at step {h:g} takes {steps:.6g} steps, "
@@ -215,47 +218,50 @@ def _flag_guard(flagged):
 def _batch_arrays(shape, n_chunks, shared):
     """The result arrays of a batch of the given (n, d) shape: uninitialised
     positions, escape flags set to False and escape times set to nan, and
-    per chunk a claimed flag set to False and an int64 outcome set to -1.
+    per chunk an int64 state set to -1.  A chunk's state is -1 while no
+    process has claimed it, -2 once one has, and march's result once it
+    is marched.  No argument is checked here: _schedule has checked the
+    march's time and step.
 
-    With shared, the five arrays lie in one anonymous shared mapping, so
+    With shared, the four arrays lie in one anonymous shared mapping, so
     that forked workers write into the arrays the caller reads.
     """
     n, d = shape
     if not shared:
-        return (np.empty(shape), np.zeros(n, dtype=bool), np.full(n, np.nan),
-                np.zeros(n_chunks, dtype=bool), np.full(n_chunks, -1))
+        return np.empty(shape), np.zeros(n, dtype=bool), np.full(n, np.nan), np.full(n_chunks, -1)
     # imported here, as signal is in _reap, so that a process whose marches
     # fork nothing loads neither module: about 50 KB of resident memory
     import mmap
 
-    buf = mmap.mmap(-1, 8 * (n * d + n + n_chunks) + n + n_chunks)
+    buf = mmap.mmap(-1, 8 * (n * d + n + n_chunks) + n)
     pts = np.frombuffer(buf, float, n * d).reshape(shape)
     esc_time = np.frombuffer(buf, float, n, 8 * n * d)
     outcome = np.frombuffer(buf, np.int64, n_chunks, 8 * (n * d + n))
     escaped = np.frombuffer(buf, bool, n, 8 * (n * d + n + n_chunks))
-    claimed = np.frombuffer(buf, bool, n_chunks, 8 * (n * d + n + n_chunks) + n)
     esc_time[:] = np.nan
     outcome[:] = -1
-    return pts, escaped, esc_time, claimed, outcome
+    return pts, escaped, esc_time, outcome
 
 
-def _work_in_child(march, chunks, top, claimed, outcome, parent):
+def _work_in_child(march, chunks, top, outcome, parent):
     """The whole life of a forked worker: claim and march chunks top,
-    top - 1, ... until one is claimed already, recording march's result in
-    outcome for each.  The worker stops at the first chunk whose march
-    raised, set a floating-point flag that numpy's settings do not ignore
-    or issued a warning, and leaves that chunk and the rest of its share to
-    the calling process.  It also stops before a chunk once its parent
-    process is no longer parent, and ends with os._exit, whatever happens.
+    top - 1, ... until one is claimed already, setting each chunk's state
+    in outcome to -2 as it claims it and to march's result once marched.
+    The worker stops at the first chunk whose march raised, set a
+    floating-point flag that numpy's settings do not ignore or issued a
+    warning, and leaves that chunk at -2 and the rest of its share to the
+    calling process.  It also stops before a chunk once its parent process
+    is no longer parent, and ends with os._exit, whatever happens.  It
+    checks no argument: _schedule has checked the march's time and step.
     """
     try:
         flagged = []
         with warnings.catch_warnings(record=True) as caught, _flag_guard(flagged):
             warnings.simplefilter("always")
             for i in range(top, -1, -1):
-                if claimed[i] or os.getppid() != parent:
+                if outcome[i] != -1 or os.getppid() != parent:
                     break
-                claimed[i] = True
+                outcome[i] = -2
                 failed_at = march(chunks[i])
                 if flagged or caught:
                     break
@@ -284,7 +290,7 @@ def _advance(system, points, t):
     Returns (positions, escaped, escape_times).  Rows that leave the closed
     domain are frozen at their last in-domain position; their escape time is
     the elapsed time at that frozen position.  Non-escaped rows have nan in
-    escape_times.
+    escape_times.  _schedule checks t.
 
     A batch of n rows is split into ceil(n / ADVANCE_CHUNK) chunks of equal
     size.  Within a chunk only the rows still inside the domain are
@@ -332,8 +338,6 @@ def _advance(system, points, t):
     Only when it fails do the isfinite scan and the per-row escape
     bookkeeping run.
     """
-    if t < 0:
-        raise PreconditionError(f"advance time must be nonnegative, got {t}")
     sizes = _substeps(t, system.step)
     src = np.asarray(points, dtype=float)
     n = src.shape[0]
@@ -349,8 +353,7 @@ def _advance(system, points, t):
     # shorter and shrunken chunks compare with a leading slice
     lo_rows, hi_rows = _tiled_bounds(system, chunks[0].size)
     workers = min(_cpus(), len(chunks)) - 1 if hasattr(os, "fork") else 0
-    pts, escaped, esc_time, claimed, outcome = _batch_arrays(
-        src.shape, len(chunks), workers > 0)
+    pts, escaped, esc_time, outcome = _batch_arrays(src.shape, len(chunks), workers > 0)
 
     def march(rows):
         # the step at which a row of the chunk still inside turned
@@ -381,8 +384,8 @@ def _advance(system, points, t):
 
     # the calling process claims chunks 0, 1, ... and each worker claims
     # downwards from the last chunk of its equal share, each until it meets
-    # a claimed chunk.  Two that claim one chunk at once both march it and
-    # write the same values.
+    # a chunk whose state is not -1.  Two that claim one chunk at once both
+    # march it and write the same values.
     tops = [len(chunks) * (j + 1) // (workers + 1) - 1 for j in range(1, workers + 1)]
     parent = os.getpid()
     pids = []
@@ -393,19 +396,19 @@ def _advance(system, points, t):
             except OSError:
                 break
             if pid == 0:
-                _work_in_child(march, chunks, top, claimed, outcome, parent)
+                _work_in_child(march, chunks, top, outcome, parent)
             pids.append(pid)
         for i in range(len(chunks)):
-            if claimed[i]:
+            if outcome[i] != -1:
                 break
-            claimed[i] = True
+            outcome[i] = -2
             outcome[i] = march(chunks[i])
     except BaseException:
         _reap(pids, kill=True)
         raise
     _reap(pids, kill=False)
     # every chunk this process has marched has an outcome, so these are the
-    # chunks no worker marched cleanly, in chunk order
+    # chunks no worker marched cleanly (-2) or reached (-1), in chunk order
     for i in np.flatnonzero(outcome < 0):
         outcome[i] = march(chunks[i])
     failed_at = int(outcome.min())
@@ -423,8 +426,8 @@ def _sample_block(system, points, dt, n_samples):
     array: row i of sample s is points[i] advanced by (s + 1) dt, with the
     steps and arithmetic _advance gives it.  At
     most n_samples samples are taken, and at most ADVANCE_CHUNK // m, so
-    that a block stays the size of one _advance chunk; no rows, more than
-    ADVANCE_CHUNK rows, or a dt that is negative or NaN, give none.  The
+    that a block stays the size of one _advance chunk; no rows, or more
+    than ADVANCE_CHUNK rows, give none, and _schedule checks dt.  The
     block stops before the first sample in which any row fails
     _step_inside's bounds test (an escape or a non-finite value) or sets a
     floating-point flag that numpy's error settings do not ignore.  Such a
@@ -433,7 +436,7 @@ def _sample_block(system, points, dt, n_samples):
     reaches the caller.
     """
     m = len(points)
-    n_block = min(n_samples, ADVANCE_CHUNK // m) if m and dt >= 0 else 0
+    n_block = min(n_samples, ADVANCE_CHUNK // m) if m else 0
     block = np.empty((n_block,) + points.shape)
     if not n_block:
         return block
@@ -456,12 +459,13 @@ def _advance_rows(system, points, t):
 
     Each group of rows with the same whole-step count makes one _advance
     call; the rows still inside then take their remainder steps as one RK4
-    step with a column of step sizes.
+    step with a column of step sizes.  _schedule checks each time; here
+    there must be one time per row.
     """
     pts = np.array(points, dtype=float, copy=True)
     t = np.asarray(t, dtype=float)
-    if t.shape != pts.shape[:1] or not (t >= 0).all():
-        raise PreconditionError(f"need one nonnegative time per row, got {t!r:.60}")
+    if t.shape != pts.shape[:1]:
+        raise PreconditionError(f"need one time per row, got {t!r:.60}")
     whole, rem = np.array([_schedule(ti, system.step) for ti in t.tolist()]).reshape(-1, 2).T
     whole = whole.astype(np.int64)
     escaped = np.zeros(len(pts), dtype=bool)
@@ -516,17 +520,14 @@ def flow_map(system, x, t):
 def sample_trajectory(system, x, horizon, sample_step):
     """Sample one orbit at multiples of sample_step up to the horizon.
 
-    Samples that would store more than MAX_MARCH_VALUES coordinates raise
-    CapacityError before the first step.
+    step_ratio checks the horizon and sample_step; here sample_step must
+    not exceed the horizon.  Samples that would store more than
+    MAX_MARCH_VALUES coordinates raise CapacityError before the first step.
     """
-    if not math.isfinite(horizon):
-        raise PreconditionError(f"horizon must be finite, got {horizon}")
-    if sample_step <= 0:
-        raise PreconditionError(f"sample_step must be positive, got {sample_step}")
+    n_samples = int(math.floor(step_ratio(horizon, sample_step) + 1e-9)) + 1
     if not sample_step <= horizon:
         raise PreconditionError(
             f"sample_step ({sample_step}) must not exceed horizon ({horizon})")
-    n_samples = int(math.floor(step_ratio(horizon, sample_step) + 1e-9)) + 1
     x = np.asarray(x, dtype=float)
     if n_samples * x.size > MAX_MARCH_VALUES:
         raise CapacityError(

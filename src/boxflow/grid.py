@@ -37,14 +37,25 @@ MAX_MARCH_STEPS = 2 ** 20
 def step_ratio(horizon, dt):
     """horizon / dt, the steps of dt to the horizon before they are rounded.
 
-    A ratio that is not finite raises CapacityError, so no caller turns it
-    into an int; a finite one meets the caller's own limit.
+    The one check of a sampled march's step and horizon: dt must be
+    finite and > 0 and the horizon finite and >= 0, or PreconditionError
+    is raised.  A ratio that is not finite then raises CapacityError, so
+    no caller turns it into an int; a finite one meets the caller's own
+    limit.
     """
+    if not (0 < dt < math.inf and 0 <= horizon < math.inf):
+        raise PreconditionError(f"need a finite dt > 0 and a finite horizon >= 0, "
+                                f"got dt={dt}, horizon={horizon}")
     ratio = horizon / dt
     if not math.isfinite(ratio):
         raise CapacityError(f"a horizon of {horizon:g} at dt={dt:g} takes more steps "
                             "than a float can count")
     return ratio
+
+
+def covering_steps(horizon, dt):
+    """The fewest steps of dt that reach the horizon, up to roundoff."""
+    return int(math.ceil(step_ratio(horizon, dt) - 1e-9))
 
 
 def ingest_domain(values, what):
@@ -134,7 +145,8 @@ class BoxSet:
         return out
 
     def union(self, other):
-        return BoxSet(np.union1d(self.ids, other.ids))
+        # the constructor sorts once; np.union1d would sort twice and load numpy.ma
+        return BoxSet(np.concatenate((self.ids, other.ids)))
 
     def intersection(self, other):
         return BoxSet(np.intersect1d(self.ids, other.ids, assume_unique=True))

@@ -18,7 +18,7 @@ import numpy as np
 from .distances import BoxSetDistance, QueryBoxes, boxset_min_distance
 from .errors import (FiltrationError, IngestionError, PreconditionError,
                      RegionOverlapError)
-from .grid import BoxSet, sample_in_boxes, step_ratio
+from .grid import BoxSet, covering_steps, sample_in_boxes, step_ratio
 from .jsonio import csv_text, load_json, number, string, write_json
 from .pairs import (BASEPOINT, IndexPair, _march_quotient, regularity_check,
                     validate_index_pair)
@@ -36,7 +36,8 @@ class LyapunovParams:
 
     dt is the orbit sampling step, t_max the quadrature cutoff, and settle
     the extra marched time that feeds the envelope's running supremum past
-    the cutoff.
+    the cutoff.  t_max must be at least 1 and settle at least 0;
+    grid.step_ratio checks dt and the horizon t_max + settle.
     """
 
     dt: float = 0.05
@@ -44,11 +45,8 @@ class LyapunovParams:
     settle: float = 2.0
 
     def __post_init__(self):
-        finite = all(math.isfinite(v) for v in (self.dt, self.t_max, self.settle))
-        if not finite or self.dt <= 0 or self.t_max < 1.0 or self.settle < 0:
-            raise PreconditionError(
-                f"need finite dt > 0, t_max >= 1, settle >= 0; got {self}")
-        # a step count no float can hold raises CapacityError
+        if self.t_max < 1.0 or self.settle < 0:
+            raise PreconditionError(f"need t_max >= 1 and settle >= 0; got {self}")
         step_ratio(self.t_max + self.settle, self.dt)
 
     def steps(self):
@@ -379,11 +377,6 @@ def CenterTable(system, pair, params):
                                   n_total, params.dt)
 
 
-def _envelope_steps(horizon, dt):
-    """The steps of dt that cover the envelope horizon."""
-    return int(math.ceil(step_ratio(horizon, dt) - 1e-9))
-
-
 def sup_envelope(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
     """Supremum of a profile along forward quotient orbits.
 
@@ -397,12 +390,13 @@ def sup_envelope(system, pair, rho_fn, x, dt=0.05, horizon=14.0):
 
     The batch is one quotient march read by _QuotientSamples.envelope, so
     each row gets the same h and verdict as it would alone.
+    grid.step_ratio checks dt and the horizon.
     """
     if x is BASEPOINT:
         return 0.0, True
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
-    n = _envelope_steps(horizon, dt)
+    n = covering_steps(horizon, dt)
     h, converged = _QuotientSamples.march(system, pair, np.atleast_2d(pts), n, dt).envelope(
         rho_fn, 0, n)
     if single:

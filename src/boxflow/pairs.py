@@ -15,7 +15,7 @@ import numpy as np
 from .distances import BoxSetDistance
 from .errors import CapacityError, ConstructionError, IsolationError, PreconditionError
 from .flows import _advance, _advance_rows, _require_inside, _sample_block, _schedule
-from .grid import MAX_MARCH_VALUES, BoxGrid, BoxSet, sample_in_boxes, step_ratio
+from .grid import MAX_MARCH_VALUES, BoxGrid, BoxSet, covering_steps, sample_in_boxes
 from .jsonio import load_json, write_json
 from .transition import invariant_part, reachable
 
@@ -203,11 +203,8 @@ def _exit_times_batch(system, pair, points, dt, horizon):
     the first step.  Every halving advances all rows still bisecting in one
     _advance_rows call, each row by its own midpoint, and each row stops on
     its own bracket width, so every row gets the exit time it would get
-    alone.
+    alone.  grid.step_ratio checks dt and the horizon.
     """
-    if not (0 < dt < math.inf and 0 <= horizon < math.inf):
-        raise PreconditionError(f"exit times need a finite dt > 0 and a finite horizon >= 0, "
-                                f"got dt={dt}, horizon={horizon}")
     grid = pair.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(pts.shape[0], math.inf)
@@ -215,7 +212,7 @@ def _exit_times_batch(system, pair, points, dt, horizon):
     out[pair._L_mask[boxes]] = 0.0
 
     marched = np.flatnonzero(out > 0)
-    n_steps = int(math.ceil(step_ratio(horizon, dt) - 1e-9))
+    n_steps = covering_steps(horizon, dt)
     positions, absorbed, _ = _march_quotient(system, pair, pts[marched], n_steps, dt,
                                              mask=pair._isolating_mask)
     hit = absorbed.any(axis=0)

@@ -313,8 +313,8 @@ def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=1
     points lying on cycles.  Chain times start at 1, matching the definition
     of chain recurrence this approximates; escapes contribute no edges.
     """
-    if epsilon <= 0:
-        raise PreconditionError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise PreconditionError(f"epsilon must be finite and positive, got {epsilon}")
     if t_min < 1.0:
         raise PreconditionError(f"chain times start at 1, got t_min={t_min}")
     if t_max < t_min:

@@ -399,16 +399,20 @@ def _edge_keys(system, grid, ids, map_time, padding, samples_per_axis):
 
 
 def _checked_padding(system, grid, map_time, padding):
-    """The padding of a graph build, by default half the box diagonal."""
+    """The padding of a graph build, by default half the box diagonal.
+
+    A caller's padding must be finite and nonnegative; a default one that
+    is not finite raises CapacityError, since the boxes are too wide.
+    """
     if map_time < system.step:
         raise PreconditionError(
             f"map_time must be at least one integrator step ({system.step}), got {map_time}")
     if padding is None:
         padding = 0.5 * grid.box_diagonal()
-    if padding < 0:
-        raise PreconditionError(f"padding must be nonnegative, got {padding}")
-    if not math.isfinite(padding):
-        raise CapacityError(f"padding {padding} is not finite: the boxes are too wide")
+        if not math.isfinite(padding):
+            raise CapacityError(f"padding {padding} is not finite: the boxes are too wide")
+    elif not 0 <= padding < math.inf:
+        raise PreconditionError(f"padding must be finite and nonnegative, got {padding}")
     return padding
 
 

@@ -18,10 +18,10 @@ import numpy as np
 from .distances import BoxSetDistance
 from .errors import ConstructionError, FiltrationError, IsolationError
 from .flows import _advance
-from .grid import BoxSet, build_grid, sample_in_boxes
+from .grid import BoxSet, build_grid, covering_steps, sample_in_boxes
 from .jsonio import boolean, load_json, mapping, number, string, write_json
 from .lyapunov import (CenterTable, Filtration, LyapunovField, LyapunovParams,
-                       _QuotientSamples, _envelope_steps, _renewal_steps,
+                       _QuotientSamples, _renewal_steps,
                        complete_lyapunov, extract_filtration, morse_lyapunov,
                        pair_lyapunov)
 from .pairs import (IndexPair, build_index_pair, regularity_check,
@@ -363,7 +363,7 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
     probe_ks = [int(round(t / dt)) for t in t_probes]
     k_renew = _renewal_steps(params, 1.0)
     k_strict = int(round(1.0 / dt))
-    n_env = _envelope_steps(params.t_max + params.settle, dt)
+    n_env = covering_steps(params.t_max + params.settle, dt)
     fixed = [sample_in_boxes(rng, grid, pair.core, 4)[1] for _ in fields]
     renew = [sample_in_boxes(rng, grid, pair.core, 4)[1] for _ in fields]
     mono = [sample_in_boxes(rng, grid, pair.core, 40)[1] for _ in fields]

@@ -95,6 +95,15 @@ def test_trajectory_sampling_reports_escape():
     assert np.abs(traj.points[:, 0]).max() < 1.0
 
 
+def _sup_envelope(s, pair, x, **kw):
+    # a profile whose zero and one sets do not meet on the pair below
+    return bf.sup_envelope(s, pair, bf.make_rho(pair, BoxSet([31, 32]), BoxSet([20])), x, **kw)
+
+
+def _uniform_entry_time(s, pair, **kw):
+    return bf.uniform_entry_time(s, pair, BoxSet([40]), BoxSet([31, 32]), **kw)
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda s, pair, x: bf.flow_map(s, x, math.nan), id="flow_map-t-nan"),
     pytest.param(lambda s, pair, x: bf.flow_map(s, x, math.inf), id="flow_map-t-inf"),
@@ -115,6 +124,22 @@ def test_trajectory_sampling_reports_escape():
                  id="exit_time-horizon-negative"),
     pytest.param(lambda s, pair, x: bf.quotient_flow(s, pair, x, 1.0, dt=0.0),
                  id="quotient_flow-dt-zero"),
+    pytest.param(lambda s, pair, x: _sup_envelope(s, pair, x, dt=0.0), id="sup_envelope-dt-zero"),
+    pytest.param(lambda s, pair, x: _sup_envelope(s, pair, x, dt=-0.05),
+                 id="sup_envelope-dt-negative"),
+    pytest.param(lambda s, pair, x: _sup_envelope(s, pair, x, dt=math.nan),
+                 id="sup_envelope-dt-nan"),
+    pytest.param(lambda s, pair, x: _sup_envelope(s, pair, x, horizon=-1.0),
+                 id="sup_envelope-horizon-negative"),
+    pytest.param(lambda s, pair, x: _uniform_entry_time(s, pair, dt=0.0),
+                 id="uniform_entry_time-dt-zero"),
+    pytest.param(lambda s, pair, x: _uniform_entry_time(s, pair, horizon=-1.0),
+                 id="uniform_entry_time-horizon-negative"),
+    pytest.param(lambda s, pair, x: bf.discounted_average(s, pair, lambda p: 0.0, x, dt=-0.05),
+                 id="discounted_average-dt-negative"),
+    pytest.param(lambda s, pair, x: bf.discounted_average(s, pair, lambda p: 0.0, x,
+                                                          t_max=math.nan),
+                 id="discounted_average-t_max-nan"),
 ])
 def test_a_non_finite_time_or_a_step_not_above_zero_is_a_precondition_error(call):
     # contract1d from x = 0.5, with the pair of every box and L at both ends

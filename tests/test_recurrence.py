@@ -1,6 +1,7 @@
 """Recurrence and Morse decomposition against a hand-rolled SCC oracle."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -475,6 +476,14 @@ def test_chain_oracle_validates_inputs():
         bf.epsilon_chain_oracle(system, pts, 0.1, t_min=0.5)
     with pytest.raises(PreconditionError):
         bf.epsilon_chain_oracle(system, pts, 0.1, t_max=0.5)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_a_chain_epsilon_that_is_not_finite_is_refused(epsilon):
+    # nan passed an epsilon <= 0 test and flagged no point
+    system = bf.builtin_system("contract1d")
+    with pytest.raises(PreconditionError, match="finite"):
+        bf.epsilon_chain_oracle(system, np.zeros((3, 1)), epsilon)
 
 
 def test_morse_file_gives_the_bytes_of_json_dumps(tmp_path, doublewell, hopf, saddle):

@@ -15,7 +15,7 @@ import pytest
 import boxflow as bf
 from boxflow import jsonio
 from boxflow.cli import _write_text
-from boxflow.errors import CapacityError, IngestionError
+from boxflow.errors import CapacityError, IngestionError, PreconditionError
 from boxflow.flows import _advance, polynomial_field
 from boxflow.grid import MAX_BOXES, BoxSet
 from boxflow.transition import EXIT, TransitionGraph, _distinct_samples, box_image, reachable
@@ -100,12 +100,23 @@ def test_the_default_padding_of_very_wide_boxes_is_finite():
 
 @pytest.mark.parametrize("padding", [math.inf, math.nan])
 def test_a_padding_that_is_not_finite_is_refused(padding):
+    # the caller's padding is at fault, not the boxes
     system = bf.builtin_system("doublewell1d")
     grid = bf.build_grid(system.domain, (8,))
-    with pytest.raises(CapacityError, match="not finite"):
+    with pytest.raises(PreconditionError, match="finite"):
         bf.build_transition_graph(system, grid, 1.0, padding)
-    with pytest.raises(CapacityError, match="not finite"):
+    with pytest.raises(PreconditionError, match="finite"):
         box_image(system, grid, 3, 1.0, padding)
+
+
+def test_a_default_padding_that_overflows_is_a_capacity_error():
+    # one box 1.7e308 wide on each axis: its half diagonal exceeds every float
+    system = bf.FlowSystem(dimension=2, field=lambda p: -p, domain=[[0.0, 1.7e308]] * 2)
+    grid = bf.build_grid(system.domain, (1, 1))
+    with pytest.raises(CapacityError, match="too wide"):
+        bf.build_transition_graph(system, grid, 1.0)
+    with pytest.raises(CapacityError, match="too wide"):
+        box_image(system, grid, 0, 1.0)
 
 
 def test_build_is_deterministic():
