@@ -142,6 +142,9 @@ def _write_text(path, *texts):
 def _prepare(config):
     """Resolve system and grid, make the output directory, echo the config."""
     system = _resolve_system(config)
+    if config.map_time < system.step:
+        raise ConfigError(f"map time {config.map_time} is below the integrator step "
+                          f"{system.step} of {system.name}")
     depth = _resolve_depth(config, system)
     grid = build_grid(system.domain, depth)
     os.makedirs(config.out, exist_ok=True)

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import (CapacityError, CatalogError, DomainError, IngestionError, NumericalError,
                      PreconditionError)
-from .grid import MAX_MARCH_STEPS, MAX_MARCH_VALUES, ingest_domain, sorted_unique, step_ratio
+from .grid import (MAX_MARCH_STEPS, MAX_MARCH_VALUES, checked_domain, ingest_domain,
+                   sorted_unique, step_ratio)
 from .jsonio import load_json, number, positive, string
 
 # the most rows _advance marches as one chunk: a chunk's RK4 stages fit in
@@ -49,7 +50,8 @@ class FlowSystem:
     worker processes, on disjoint blocks of rows, and a block may be
     marched again by the calling process, so it must keep no state
     between calls and have no side effects.  domain is a (d, 2) array of
-    [low, high] bounds per axis.  step is the internal RK4 step size.  equilibria is
+    [low, high] bounds per axis, which grid.checked_domain checks.  step is
+    the internal RK4 step size, finite and > 0.  equilibria is
     informational only.
     """
 
@@ -61,16 +63,9 @@ class FlowSystem:
     equilibria: tuple = ()
 
     def __post_init__(self):
-        self.domain = np.asarray(self.domain, dtype=float)
-        if self.domain.shape != (self.dimension, 2):
-            raise PreconditionError(
-                f"domain must have shape ({self.dimension}, 2), got {self.domain.shape}")
-        if not np.isfinite(self.domain).all():
-            raise PreconditionError("domain bounds must be finite")
-        if (self.domain[:, 0] >= self.domain[:, 1]).any():
-            raise PreconditionError("each domain axis needs low < high")
-        if not self.step > 0:
-            raise PreconditionError(f"step must be positive, got {self.step}")
+        self.domain = checked_domain(self.domain, self.dimension)
+        if not 0 < self.step < math.inf:
+            raise PreconditionError(f"step must be finite and positive, got {self.step}")
 
     def contains(self, points):
         """Boolean mask of rows of an (n, d) array inside the closed domain."""
@@ -187,9 +182,9 @@ def _step_inside(field, cur, sizes, lo_rows, hi_rows):
     step passed.  The test compares the rows with bounds tiled to them:
     two elementwise comparisons and one reduction over contiguous memory,
     where a per-row mask runs numpy inner loops of length d.  It is sound
-    because FlowSystem requires finite bounds: NaN compares False with
-    both, and +-inf fails one, so a step that passes has no non-finite
-    value and no row outside the domain.
+    because grid.checked_domain gives every FlowSystem finite bounds: NaN
+    compares False with both, and +-inf fails one, so a step that passes
+    has no non-finite value and no row outside the domain.
     """
     for done, h in enumerate(sizes):
         nxt = _rk4_step(field, cur, h)
@@ -344,8 +339,6 @@ def _advance(system, points, t):
     if t == 0 or n == 0:
         return src.copy(), np.zeros(n, dtype=bool), np.full(n, np.nan)
 
-    lo = system.domain[:, 0]
-    hi = system.domain[:, 1]
     # elapsed time before each step, summed in step order
     starts = list(itertools.accumulate(sizes[:-1], initial=0.0))
     chunks = np.array_split(np.arange(n), -(-n // ADVANCE_CHUNK))
@@ -371,7 +364,7 @@ def _advance(system, points, t):
                 break
             if not np.isfinite(nxt).all():
                 return k
-            inside = (nxt >= lo).all(axis=1) & (nxt <= hi).all(axis=1)
+            inside = system.contains(nxt)
             out = rows[~inside]
             pts[out] = cur[~inside]
             escaped[out] = True

@@ -58,19 +58,33 @@ def covering_steps(horizon, dt):
     return int(math.ceil(step_ratio(horizon, dt) - 1e-9))
 
 
+def checked_domain(domain, dimension):
+    """The float array of a domain, the one check of a run's domain.
+
+    It must have shape (dimension, 2), low < high on every axis and a
+    finite width high - low, which rules out a non-finite bound too, or
+    PreconditionError is raised.  FlowSystem and BoxGrid call it.
+    """
+    domain = np.asarray(domain, dtype=float)
+    if domain.shape != (dimension, 2):
+        raise PreconditionError(f"domain must have shape ({dimension}, 2), got {domain.shape}")
+    if (domain[:, 0] >= domain[:, 1]).any():
+        raise PreconditionError("each domain axis needs low < high")
+    with np.errstate(over="ignore", invalid="ignore"):
+        wide = np.flatnonzero(~np.isfinite(domain[:, 1] - domain[:, 0]))
+    if wide.size:
+        raise PreconditionError(f"domain axis {wide[0]} {domain[wide[0]].tolist()} "
+                                f"has no finite width high - low")
+    return domain
+
+
 def ingest_domain(values, what):
     """The float array of a domain read from outside the program.
 
-    Every bound must be a finite JSON number, and every [low, high] pair
-    must span a finite width high - low; the (d, 2) shape and low < high
-    are the preconditions of the grid or system built from it.
+    Every bound must be a finite JSON number; checked_domain, called by the
+    grid or system built from it, checks the rest.
     """
-    rows = [[number(v, f"{what} domain") for v in row] for row in values]
-    for axis, row in enumerate(rows):
-        if len(row) == 2 and not math.isfinite(row[1] - row[0]):
-            raise IngestionError(f"{what} domain axis {axis} {row} has no finite "
-                                 f"width high - low")
-    return np.array(rows, dtype=float)
+    return np.array([[number(v, f"{what} domain") for v in row] for row in values], dtype=float)
 
 
 def sorted_unique(values):
@@ -188,27 +202,22 @@ class BoxSet:
 
 
 class BoxGrid:
-    """A uniform grid of boxes over a closed rectangular domain."""
+    """A uniform grid of boxes over a closed rectangular domain.
+
+    checked_domain checks the domain.  The constructor is the one check of
+    a box count: each axis needs a whole number of boxes >= 1, a Python or
+    numpy integer that is never truncated.
+    """
 
     def __init__(self, domain, shape):
-        self.domain = np.asarray(domain, dtype=float)
-        self.shape = tuple(int(s) for s in shape)
-        self.dimension = len(self.shape)
-        if self.domain.shape != (self.dimension, 2):
-            raise PreconditionError(
-                f"domain must have shape ({self.dimension}, 2), got {self.domain.shape}")
-        if any(s < 1 for s in self.shape):
-            raise PreconditionError(f"every axis needs at least one box, got {self.shape}")
-        if (self.domain[:, 0] >= self.domain[:, 1]).any():
-            raise PreconditionError("each domain axis needs low < high")
-        with np.errstate(over="ignore", invalid="ignore"):
-            wide = np.flatnonzero(~np.isfinite(self.domain[:, 1] - self.domain[:, 0]))
-        if wide.size:
-            raise PreconditionError(f"domain axis {wide[0]} {self.domain[wide[0]].tolist()} "
-                                    f"has no finite width high - low")
-        n = 1
-        for s in self.shape:
-            n *= s
+        shape = tuple(shape)
+        self.dimension = len(shape)
+        self.domain = checked_domain(domain, self.dimension)
+        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1
+                   for s in shape):
+            raise PreconditionError(f"every axis needs a whole number of boxes >= 1, got {shape}")
+        self.shape = tuple(s.__index__() for s in shape)
+        n = math.prod(self.shape)
         if n > MAX_BOXES:
             raise CapacityError(f"grid would hold {n} boxes, limit is {MAX_BOXES}")
         self.n_boxes = n
@@ -293,15 +302,11 @@ class BoxGrid:
         return float(finite_norm(self.widths))
 
     def centers(self, ids):
-        ids = self._check_ids(ids)
-        multi = np.stack(np.unravel_index(ids, self.shape), axis=1)
-        return self.domain[:, 0] + (multi + 0.5) * self.widths
+        return self.domain[:, 0] + (self.multi_index(ids) + 0.5) * self.widths
 
     def bounds(self, ids):
         """Per-box [low, high] bounds, shape (n, d, 2)."""
-        ids = self._check_ids(ids)
-        multi = np.stack(np.unravel_index(ids, self.shape), axis=1)
-        lo = self.domain[:, 0] + multi * self.widths
+        lo = self.domain[:, 0] + self.multi_index(ids) * self.widths
         return np.stack([lo, lo + self.widths], axis=2)
 
     def lattice(self, ids, samples_per_axis):
@@ -385,18 +390,16 @@ class BoxGrid:
 def build_grid(domain, depth):
     """Build a grid with the given number of boxes per axis.
 
-    depth is either one integer used for every axis or a sequence with one
-    entry per axis.
+    depth is either one number used for every axis or a sequence with one
+    entry per axis; BoxGrid checks that each is a whole number >= 1.
     """
     domain = np.asarray(domain, dtype=float)
     d = domain.shape[0]
-    if np.isscalar(depth) or isinstance(depth, (int, np.integer)):
-        shape = (int(depth),) * d
+    if np.isscalar(depth):
+        shape = (depth,) * d
     else:
-        shape = tuple(int(k) for k in depth)
+        shape = tuple(depth)
         if len(shape) != d:
             raise PreconditionError(
                 f"depth needs one entry per axis ({d}), got {len(shape)}")
-    if any(s < 1 for s in shape):
-        raise PreconditionError(f"depth entries must be at least 1, got {shape}")
     return BoxGrid(domain, shape)

@@ -616,8 +616,9 @@ def renewal_residual(system, field, x, t):
 
 
 def _renewal_steps(params, t):
-    """The steps of dt that the renewal time t snaps to, at least one."""
-    return max(1, int(round(t / params.dt)))
+    """The steps of dt that the renewal time t snaps to, at least one;
+    grid.step_ratio checks t."""
+    return max(1, int(round(step_ratio(t, params.dt))))
 
 
 def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,

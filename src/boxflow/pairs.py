@@ -338,7 +338,7 @@ def quotient_flow(system, pair, x, t, dt=0.05):
     """
     if x is BASEPOINT:
         return BASEPOINT
-    n_steps, rem = _schedule(max(t, 0.0), dt)
+    n_steps, rem = _schedule(t, dt)
     current = np.asarray(x, dtype=float)[None, :]
     for steps, size in ((n_steps, dt), (int(rem > 0), rem)):
         positions, absorbed, _ = _march_quotient(system, pair, current, steps, size)

@@ -359,6 +359,19 @@ def test_a_march_past_the_step_limit_exits_2(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("args,numbers", [
+    (["--system", "hopf2d", "--depth", "8", "--map-time", "0.001"], ("0.001", "0.01")),
+    (["--system-file", "{big_step}", "--depth", "8"], ("1.0", "10")),
+], ids=["map-time-0.001", "step-10"])
+def test_a_map_time_below_the_integrator_step_exits_2(tmp_path, capsys, args, numbers):
+    big_step = tmp_path / "big.json"
+    big_step.write_text(json.dumps({"field": "saddle1d", "step": 10}))
+    args = [a.format(big_step=big_step) for a in args]
+    assert cli.main(["analyze", *args, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: map time ") and all(n in err for n in numbers)
+
+
 def test_module_entry_point_runs_without_warnings():
     src = str(Path(bf.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "boxflow",

@@ -117,6 +117,8 @@ def _uniform_entry_time(s, pair, **kw):
                  id="quotient_flow-t-nan"),
     pytest.param(lambda s, pair, x: bf.quotient_flow(s, pair, x, math.inf),
                  id="quotient_flow-t-inf"),
+    pytest.param(lambda s, pair, x: bf.quotient_flow(s, pair, x, -1.0),
+                 id="quotient_flow-t-negative"),
     pytest.param(lambda s, pair, x: bf.sample_trajectory(s, x, math.inf, 0.25),
                  id="sample_trajectory-horizon-inf"),
     pytest.param(lambda s, pair, x: bf.exit_time(s, pair, x, dt=math.nan), id="exit_time-dt-nan"),
@@ -249,6 +251,11 @@ def test_system_validation():
     with pytest.raises(PreconditionError):
         bf.FlowSystem(dimension=1, field=lambda p: -p,
                       domain=[[-1.0, 1.0]], step=0.0)
+    with pytest.raises(PreconditionError, match="finite"):
+        bf.FlowSystem(dimension=1, field=lambda p: -p,
+                      domain=[[-1.0, 1.0]], step=math.inf)
+    with pytest.raises(PreconditionError, match="finite"):
+        bf.builtin_system("saddle1d", step=math.inf)
 
 
 def _saddle2d():

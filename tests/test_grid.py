@@ -165,14 +165,26 @@ def test_grid_validation():
         BoxGrid(np.array([[1.0, -1.0]]), (4,))
     with pytest.raises(PreconditionError):
         bf.build_grid([(-1.0, 1.0)], (0,))
+    # a box count is a whole number, never truncated or read from a bool
+    for domain, depth in (([(-1.0, 1.0)], 2.5), ([(-1.0, 1.0)], (True,)),
+                          ([(-1.0, 1.0), (0.0, 1.0)], (3.9, 2))):
+        with pytest.raises(PreconditionError, match="whole number"):
+            bf.build_grid(domain, depth)
+    with pytest.raises(PreconditionError, match="whole number"):
+        BoxGrid([(-1.0, 1.0)], (2.5,))
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda domain: BoxGrid(domain, (4, 4)), id="BoxGrid"),
+    pytest.param(lambda domain: bf.FlowSystem(dimension=2, field=lambda p: -p, domain=domain),
+                 id="FlowSystem"),
+])
 @pytest.mark.parametrize("axis", [[-1e308, 1e308], [-np.inf, 0.0], [np.nan, 1.0]])
-def test_a_domain_without_a_finite_width_is_refused(axis):
+def test_a_domain_without_a_finite_width_is_refused(axis, build):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="axis 1 .* has no finite width"):
-            BoxGrid(np.array([[0.0, 1.0], axis]), (4, 4))
+            build(np.array([[0.0, 1.0], axis]))
 
 
 def test_sorted_unique_equals_np_unique():

@@ -280,6 +280,13 @@ def test_renewal_identity_on_the_morse_field(doublewell):
         assert res < 2e-3
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_a_renewal_time_that_is_not_finite_and_nonnegative_is_refused(doublewell, t):
+    # a negative t must not snap to one step of dt
+    with pytest.raises(PreconditionError, match="finite"):
+        bf.renewal_residual(doublewell.system, doublewell.morse_field, [0.5], t)
+
+
 def test_batched_renewal_residual_equals_per_point_calls(doublewell):
     rng = np.random.default_rng(3)
     core = sample_in_boxes(rng, doublewell.grid, doublewell.pair.core, 6)
