@@ -292,7 +292,7 @@ def _add_common(sp):
     sp.add_argument("--system", help="builtin system name: "
                     + ", ".join(builtin_names()))
     sp.add_argument("--system-file", help="JSON file describing a polynomial field")
-    sp.add_argument("--depth", type=_parse_depth,
+    sp.add_argument("--depth",
                     help="boxes per axis, comma separated (default 256 in 1D, 128 in 2D)")
     sp.add_argument("--map-time", type=float, default=1.0)
     sp.add_argument("--padding", type=float, default=None)
@@ -304,9 +304,11 @@ def _add_common(sp):
 
 
 def _config_from(args):
-    return RunConfig(system=args.system, system_file=args.system_file,
-                     depth=args.depth, map_time=args.map_time,
-                     padding=args.padding, dt=args.dt, t_max=args.t_max,
+    # depth is parsed here, not by argparse, which would let a ConfigError
+    # from a type function escape as a traceback
+    depth = None if args.depth is None else _parse_depth(args.depth)
+    return RunConfig(system=args.system, system_file=args.system_file, depth=depth,
+                     map_time=args.map_time, padding=args.padding, dt=args.dt, t_max=args.t_max,
                      epsilon=args.epsilon, seed=args.seed,
                      out=args.out).validate()
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (CapacityError, CatalogError, DomainError, IngestionError, NumericalError,
                      PreconditionError)
 from .grid import (MAX_MARCH_STEPS, MAX_MARCH_VALUES, checked_domain, ingest_domain,
-                   sorted_unique, step_ratio)
+                   sorted_unique, whole_steps)
 from .jsonio import load_json, number, positive, string
 
 # the most rows _advance marches as one chunk: a chunk's RK4 stages fit in
@@ -106,20 +106,15 @@ class Trajectory:
 def _schedule(t, h):
     """Split a duration into whole RK4 steps plus a remainder.
 
-    The one check of a march's time and step: t must be finite and >= 0
-    and h finite and > 0, or PreconditionError is raised.  Durations that
-    are an integer number of steps up to roundoff snap to a zero remainder
-    so that repeated composition stays exact.  More than MAX_MARCH_STEPS
-    whole steps raise CapacityError.
+    grid.whole_steps checks t and h.  Durations that are an integer number
+    of steps up to roundoff snap to a zero remainder so that repeated
+    composition stays exact.  More than MAX_MARCH_STEPS whole steps raise
+    CapacityError.
     """
-    if not (0 <= t < math.inf and 0 < h < math.inf):
-        raise PreconditionError(f"need a finite time >= 0 and a finite step > 0, "
-                                f"got t={t}, step={h}")
-    steps = t / h + 1e-9
-    if steps >= MAX_MARCH_STEPS + 1:
-        raise CapacityError(f"a march by t={t:g} at step {h:g} takes {steps:.6g} steps, "
+    n = whole_steps(t, h)
+    if n > MAX_MARCH_STEPS:
+        raise CapacityError(f"a march by t={t:g} at step {h:g} takes {t / h:.6g} steps, "
                             f"limit is {MAX_MARCH_STEPS}")
-    n = int(math.floor(steps))
     rem = t - n * h
     if rem <= 1e-12 * max(1.0, abs(t)):
         rem = 0.0
@@ -513,11 +508,11 @@ def flow_map(system, x, t):
 def sample_trajectory(system, x, horizon, sample_step):
     """Sample one orbit at multiples of sample_step up to the horizon.
 
-    step_ratio checks the horizon and sample_step; here sample_step must
-    not exceed the horizon.  Samples that would store more than
+    grid.whole_steps checks the horizon and sample_step; here sample_step
+    must not exceed the horizon.  Samples that would store more than
     MAX_MARCH_VALUES coordinates raise CapacityError before the first step.
     """
-    n_samples = int(math.floor(step_ratio(horizon, sample_step) + 1e-9)) + 1
+    n_samples = whole_steps(horizon, sample_step) + 1
     if not sample_step <= horizon:
         raise PreconditionError(
             f"sample_step ({sample_step}) must not exceed horizon ({horizon})")

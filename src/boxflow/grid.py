@@ -58,6 +58,34 @@ def covering_steps(horizon, dt):
     return int(math.ceil(step_ratio(horizon, dt) - 1e-9))
 
 
+def whole_steps(t, dt):
+    """The whole steps of dt within the time t, up to roundoff."""
+    return math.floor(step_ratio(t, dt) + 1e-9)
+
+
+def nearest_steps(t, dt):
+    """The steps of dt that the time t snaps to."""
+    return round(step_ratio(t, dt))
+
+
+def checked_count(value, what, low=1):
+    """value as an int, the one check of a box, sample or probe count.
+
+    It must be a Python or numpy integer >= low, never a bool and never
+    truncated, or PreconditionError is raised.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise PreconditionError(f"{what} must be a whole number >= {low}, got {value!r}")
+    return value.__index__()
+
+
+def sample_fractions(samples_per_axis):
+    """Where a box's samples sit along an axis, as fractions of its width:
+    the centre for one sample, else evenly from face to face."""
+    n = checked_count(samples_per_axis, "samples_per_axis")
+    return np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5])
+
+
 def checked_domain(domain, dimension):
     """The float array of a domain, the one check of a run's domain.
 
@@ -123,6 +151,7 @@ def sample_in_boxes(rng, grid, boxset, n):
     rng.integers and then the offsets from rng.random, an order that seeded
     runs rely on.
     """
+    n = checked_count(n, "sample count", low=0)
     picks = boxset.ids[rng.integers(0, len(boxset), size=n)]
     bounds = grid.bounds(picks)
     return picks, bounds[:, :, 0] + rng.random((n, grid.dimension)) * grid.widths
@@ -204,19 +233,14 @@ class BoxSet:
 class BoxGrid:
     """A uniform grid of boxes over a closed rectangular domain.
 
-    checked_domain checks the domain.  The constructor is the one check of
-    a box count: each axis needs a whole number of boxes >= 1, a Python or
-    numpy integer that is never truncated.
+    checked_domain checks the domain and checked_count each axis's box count.
     """
 
     def __init__(self, domain, shape):
         shape = tuple(shape)
         self.dimension = len(shape)
         self.domain = checked_domain(domain, self.dimension)
-        if not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool) and s >= 1
-                   for s in shape):
-            raise PreconditionError(f"every axis needs a whole number of boxes >= 1, got {shape}")
-        self.shape = tuple(s.__index__() for s in shape)
+        self.shape = tuple(checked_count(s, "boxes per axis") for s in shape)
         n = math.prod(self.shape)
         if n > MAX_BOXES:
             raise CapacityError(f"grid would hold {n} boxes, limit is {MAX_BOXES}")
@@ -281,10 +305,16 @@ class BoxGrid:
         return np.ravel_multi_index(tuple(multi.T), self.shape)
 
     def box_of(self, points):
-        """Map points to box ids; points outside the closed domain get -1."""
+        """Map points to box ids; points outside the closed domain get -1.
+
+        The one check of a point's dimension: the last axis must have one
+        entry per grid axis, or PreconditionError is raised.
+        """
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         pts = np.atleast_2d(pts)
+        if pts.shape[-1] != self.dimension:
+            raise PreconditionError(f"points need {self.dimension} coordinates, got {pts.shape}")
         lo = self.domain[:, 0]
         hi = self.domain[:, 1]
         inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
@@ -312,17 +342,11 @@ class BoxGrid:
     def lattice(self, ids, samples_per_axis):
         """Sample points in each box, box-major.
 
-        One sample per axis means box centers; otherwise samples are spread
-        evenly from one face to the other, corners included.  Returns an
+        sample_fractions places the samples on each axis.  Returns an
         (n_boxes * samples_per_axis**d, d) array.
         """
-        if samples_per_axis < 1:
-            raise PreconditionError("samples_per_axis must be at least 1")
+        fractions = sample_fractions(samples_per_axis)
         ids = self._check_ids(ids)
-        if samples_per_axis == 1:
-            fractions = np.array([0.5])
-        else:
-            fractions = np.linspace(0.0, 1.0, samples_per_axis)
         grids = np.meshgrid(*([fractions] * self.dimension), indexing="ij")
         combo = np.stack([g.ravel() for g in grids], axis=1)
         multi = np.stack(np.unravel_index(ids, self.shape), axis=1)
@@ -339,12 +363,7 @@ class BoxGrid:
         on the position and the fraction, which lets the graph build find
         the distinct lattice points without the lattice.
         """
-        if samples_per_axis < 1:
-            raise PreconditionError("samples_per_axis must be at least 1")
-        if samples_per_axis == 1:
-            fractions = np.array([0.5])
-        else:
-            fractions = np.linspace(0.0, 1.0, samples_per_axis)
+        fractions = sample_fractions(samples_per_axis)
         width = self.widths[axis]
         return (self.domain[axis, 0] + index[:, None] * width) + fractions * width
 
@@ -391,7 +410,7 @@ def build_grid(domain, depth):
     """Build a grid with the given number of boxes per axis.
 
     depth is either one number used for every axis or a sequence with one
-    entry per axis; BoxGrid checks that each is a whole number >= 1.
+    entry per axis; BoxGrid checks each count.
     """
     domain = np.asarray(domain, dtype=float)
     d = domain.shape[0]

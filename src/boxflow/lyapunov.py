@@ -18,7 +18,7 @@ import numpy as np
 from .distances import BoxSetDistance, QueryBoxes, boxset_min_distance
 from .errors import (FiltrationError, IngestionError, PreconditionError,
                      RegionOverlapError)
-from .grid import BoxSet, covering_steps, sample_in_boxes, step_ratio
+from .grid import BoxSet, covering_steps, nearest_steps, sample_in_boxes, step_ratio
 from .jsonio import csv_text, load_json, number, string, write_json
 from .pairs import (BASEPOINT, IndexPair, _march_quotient, regularity_check,
                     validate_index_pair)
@@ -51,8 +51,8 @@ class LyapunovParams:
 
     def steps(self):
         """(n_quad, n_total): the steps of dt to t_max, and to t_max + settle."""
-        n_quad = int(round(self.t_max / self.dt))
-        return n_quad, n_quad + int(round(self.settle / self.dt))
+        n_quad = nearest_steps(self.t_max, self.dt)
+        return n_quad, n_quad + nearest_steps(self.settle, self.dt)
 
 
 class RhoFunction:
@@ -414,7 +414,7 @@ def discounted_average(system, pair, h_fn, x, dt=0.05, t_max=12.0):
     """
     if x is BASEPOINT:
         return 0.0
-    n_quad = int(round(step_ratio(t_max, dt)))
+    n_quad = nearest_steps(t_max, dt)
     positions, absorbed, _ = _march_quotient(system, pair, np.asarray(x, dtype=float)[None, :],
                                              n_quad, dt)
     h = np.zeros((n_quad + 1, 1))
@@ -616,9 +616,8 @@ def renewal_residual(system, field, x, t):
 
 
 def _renewal_steps(params, t):
-    """The steps of dt that the renewal time t snaps to, at least one;
-    grid.step_ratio checks t."""
-    return max(1, int(round(step_ratio(t, params.dt))))
+    """The steps of dt that the renewal time t snaps to, at least one."""
+    return max(1, nearest_steps(t, params.dt))
 
 
 def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,
@@ -643,7 +642,7 @@ def uniform_entry_time(system, pair, B, U, n_samples=50, dt=0.05, horizon=20.0,
     grid = pair.grid
     _, pts = sample_in_boxes(rng, grid, B, n_samples)
 
-    n_steps = int(round(step_ratio(horizon, dt)))
+    n_steps = nearest_steps(horizon, dt)
     _, absorbed, boxes = _march_quotient(system, pair, pts, n_steps, dt)
     inside = absorbed | U.mask(grid.n_boxes)[boxes]
     outside_rows = np.flatnonzero(~inside.all(axis=1))

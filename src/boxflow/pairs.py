@@ -15,7 +15,7 @@ import numpy as np
 from .distances import BoxSetDistance
 from .errors import CapacityError, ConstructionError, IsolationError, PreconditionError
 from .flows import _advance, _advance_rows, _require_inside, _sample_block, _schedule
-from .grid import MAX_MARCH_VALUES, BoxGrid, BoxSet, covering_steps, sample_in_boxes
+from .grid import MAX_MARCH_VALUES, BoxGrid, BoxSet, checked_count, covering_steps, sample_in_boxes
 from .jsonio import load_json, write_json
 from .transition import invariant_part, reachable
 
@@ -391,6 +391,7 @@ def regularity_check(system, pair, n_samples=50, t_probe=1.0, rng=None):
     partners come from one batch; every sample gets the verdict and exit
     time it would get alone.
     """
+    n_samples = checked_count(n_samples, "sample count", low=0)
     rng = np.random.default_rng(0) if rng is None else rng
     grid = pair.grid
     violations = []

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
-from .grid import BoxSet, finite_norm, sorted_unique
+from .grid import BoxSet, checked_count, finite_norm, sorted_unique
 from .jsonio import id_labels, ids_json, records, write_json
 from .transition import Adjacency, cycle_classes, on_cycle, reachable
 
@@ -319,8 +319,7 @@ def epsilon_chain_oracle(system, points, epsilon, t_min=1.0, t_max=10.0, steps=1
         raise PreconditionError(f"chain times start at 1, got t_min={t_min}")
     if t_max < t_min:
         raise PreconditionError(f"t_max ({t_max}) must be at least t_min ({t_min})")
-    if steps < 1:
-        raise PreconditionError("steps must be at least 1")
+    steps = checked_count(steps, "steps")
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]

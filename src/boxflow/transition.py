@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import CapacityError, PreconditionError
 from .flows import _advance
-from .grid import MAX_PAIRS, BoxGrid, BoxSet, sorted_unique
+from .grid import MAX_PAIRS, BoxGrid, BoxSet, checked_count, sorted_unique
 from .jsonio import blocks, id_labels, load_json, number, positive, records, write_json
 
 EXIT = -1
@@ -137,7 +137,7 @@ class TransitionGraph:
         self.grid = grid
         self.map_time = float(map_time)
         self.padding = float(padding)
-        self.samples_per_axis = int(samples_per_axis)
+        self.samples_per_axis = checked_count(samples_per_axis, "samples_per_axis")
         keys = sorted_unique(keys)
         # the keys of box b lie in [b * (n + 1), b * (n + 1) + n]
         n = np.int64(grid.n_boxes)
@@ -330,6 +330,7 @@ def _edge_keys(system, grid, ids, map_time, padding, samples_per_axis):
     into the one key array; the arrays that are dead by then are freed
     first.
     """
+    samples_per_axis = checked_count(samples_per_axis, "samples_per_axis")
     per_box = samples_per_axis ** grid.dimension
     pts, inverse = _distinct_samples(grid, ids, samples_per_axis)
     img, escaped, _ = _advance(system, pts, map_time)
@@ -431,7 +432,7 @@ def build_transition_graph(system, grid, map_time, padding=None, samples_per_axi
 def box_image(system, grid, box, map_time, padding=None, samples_per_axis=3):
     """The target boxes of a single box, as a BoxSet; may include EXIT."""
     padding = _checked_padding(system, grid, map_time, padding)
-    ids = np.asarray([box], dtype=np.int64)
+    ids = grid._check_ids([box])
     keys = _edge_keys(system, grid, ids, map_time, padding, samples_per_axis)
     return BoxSet(keys % (grid.n_boxes + 1) - 1)
 

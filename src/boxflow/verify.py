@@ -18,7 +18,7 @@ import numpy as np
 from .distances import BoxSetDistance
 from .errors import ConstructionError, FiltrationError, IsolationError
 from .flows import _advance
-from .grid import BoxSet, build_grid, covering_steps, sample_in_boxes
+from .grid import BoxSet, build_grid, covering_steps, nearest_steps, sample_in_boxes
 from .jsonio import boolean, load_json, mapping, number, string, write_json
 from .lyapunov import (CenterTable, Filtration, LyapunovField, LyapunovParams,
                        _QuotientSamples, _renewal_steps,
@@ -360,9 +360,9 @@ def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, 
     """
     dt = params.dt
     t_probes = (0.5, 1.0, 2.0)
-    probe_ks = [int(round(t / dt)) for t in t_probes]
+    probe_ks = [nearest_steps(t, dt) for t in t_probes]
     k_renew = _renewal_steps(params, 1.0)
-    k_strict = int(round(1.0 / dt))
+    k_strict = nearest_steps(1.0, dt)
     n_env = covering_steps(params.t_max + params.settle, dt)
     fixed = [sample_in_boxes(rng, grid, pair.core, 4)[1] for _ in fields]
     renew = [sample_in_boxes(rng, grid, pair.core, 4)[1] for _ in fields]

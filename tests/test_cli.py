@@ -115,6 +115,14 @@ def test_zero_depth_is_a_config_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["2.5", "8,x"])
+def test_a_depth_that_is_not_integers_is_a_config_error(tmp_path, capsys, depth):
+    code = cli.main(["analyze", "--system", "saddle1d", "--depth", depth,
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: depth must be integers, got {depth!r}\n"
+
+
 def test_lyapunov_pair_construction_artifacts(tmp_path):
     out = str(tmp_path / "lyap")
     code = cli.main(["lyapunov", "--system", "doublewell1d", "--depth", "64",

@@ -299,3 +299,10 @@ def test_a_domain_whose_squared_distances_overflow_matches_the_oracle():
         _assert_exact(grid, boxset, pts)
         assert boxset_min_distance(grid, BoxSet([27, 36]), boxset) \
             == _brute_gap(grid, BoxSet([27, 36]), boxset)
+
+
+def test_points_of_another_dimension_are_a_precondition_error():
+    # they used to reach numpy's matmul as a shape mismatch
+    grid = bf.build_grid([(-1.0, 1.0)], (8,))
+    with pytest.raises(PreconditionError, match="points need 1 coordinates"):
+        BoxSetDistance(grid, BoxSet([3]))(np.zeros((2, 2)))

@@ -121,6 +121,10 @@ def _uniform_entry_time(s, pair, **kw):
                  id="quotient_flow-t-negative"),
     pytest.param(lambda s, pair, x: bf.sample_trajectory(s, x, math.inf, 0.25),
                  id="sample_trajectory-horizon-inf"),
+    pytest.param(lambda s, pair, x: bf.sample_trajectory(s, x, 1.0, 0.0),
+                 id="sample_trajectory-sample_step-zero"),
+    pytest.param(lambda s, pair, x: _advance_rows(s, x[None], [-1.0]),
+                 id="advance_rows-t-negative"),
     pytest.param(lambda s, pair, x: bf.exit_time(s, pair, x, dt=math.nan), id="exit_time-dt-nan"),
     pytest.param(lambda s, pair, x: bf.exit_time(s, pair, x, horizon=-1.0),
                  id="exit_time-horizon-negative"),

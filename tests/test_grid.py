@@ -10,7 +10,8 @@ import pytest
 
 import boxflow as bf
 from boxflow.errors import PreconditionError
-from boxflow.grid import BoxGrid, BoxSet, finite_norm, sorted_unique
+from boxflow.grid import (BoxGrid, BoxSet, checked_count, finite_norm, nearest_steps,
+                          sample_in_boxes, sorted_unique, whole_steps)
 
 
 def test_centers_round_trip_through_box_of():
@@ -60,6 +61,52 @@ def test_multi_index_ravel_round_trip():
     grid = bf.build_grid([(-1.0, 1.0), (0.0, 2.0)], (8, 4))
     ids = np.arange(32)
     assert np.array_equal(grid.ravel(grid.multi_index(ids)), ids)
+
+
+def test_count_and_step_owners():
+    assert [checked_count(v, "n", low) for v, low in ((3, 1), (np.int64(3), 1), (0, 0))] \
+        == [3, 3, 0]
+    assert type(checked_count(np.int32(3), "n")) is int
+    for value, low in ((2.5, 1), (3.0, 1), (True, 0), (False, 0), (0, 1), (-1, 0), ("3", 1)):
+        with pytest.raises(PreconditionError, match="n must be a whole number"):
+            checked_count(value, "n", low)
+    # 0.3 / 0.1 is 2.9999999999999996: the roundoff snaps up, not down
+    assert whole_steps(0.3, 0.1) == 3 and whole_steps(0.35, 0.1) == 3
+    assert nearest_steps(0.36, 0.1) == 4 and nearest_steps(0.34, 0.1) == 3
+    for call in (whole_steps, nearest_steps):
+        with pytest.raises(PreconditionError, match="finite"):
+            call(float("nan"), 0.1)
+        with pytest.raises(PreconditionError, match="finite"):
+            call(1.0, 0.0)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, -1, 0, 3.0])
+def test_lattice_takes_a_whole_sample_count(samples):
+    grid = bf.build_grid([(0.0, 1.0)], (4,))
+    with pytest.raises(PreconditionError, match="samples_per_axis must be a whole number"):
+        grid.lattice([0], samples)
+    with pytest.raises(PreconditionError, match="samples_per_axis must be a whole number"):
+        grid.axis_samples(0, np.array([0]), samples)
+    np.testing.assert_array_equal(grid.lattice([0, 3], np.int64(3)), grid.lattice([0, 3], 3))
+
+
+def test_sample_in_boxes_takes_a_whole_count():
+    grid = bf.build_grid([(0.0, 1.0)], (4,))
+    for n in (-1, 2.5, True):
+        with pytest.raises(PreconditionError, match="sample count must be a whole number"):
+            sample_in_boxes(np.random.default_rng(0), grid, BoxSet([1, 2]), n)
+    assert sample_in_boxes(np.random.default_rng(0), grid, BoxSet([1, 2]), 0)[1].shape == (0, 1)
+    picks, pts = sample_in_boxes(np.random.default_rng(0), grid, BoxSet([1, 2]), np.int64(3))
+    want = sample_in_boxes(np.random.default_rng(0), grid, BoxSet([1, 2]), 3)
+    np.testing.assert_array_equal(picks, want[0])
+    np.testing.assert_array_equal(pts, want[1])
+
+
+@pytest.mark.parametrize("points", [[0.5, 0.5], np.zeros((2, 2)), np.zeros((3, 0))])
+def test_box_of_a_point_of_another_dimension_is_a_precondition_error(points):
+    grid = bf.build_grid([(-1.0, 1.0)], (16,))
+    with pytest.raises(PreconditionError, match="points need 1 coordinates"):
+        grid.box_of(points)
 
 
 def test_lattice_spans_box_faces():
@@ -167,11 +214,14 @@ def test_grid_validation():
         bf.build_grid([(-1.0, 1.0)], (0,))
     # a box count is a whole number, never truncated or read from a bool
     for domain, depth in (([(-1.0, 1.0)], 2.5), ([(-1.0, 1.0)], (True,)),
-                          ([(-1.0, 1.0), (0.0, 1.0)], (3.9, 2))):
+                          ([(-1.0, 1.0), (0.0, 1.0)], (3.9, 2)), ([(-1.0, 1.0)], (-1,)),
+                          ([(-1.0, 1.0)], (3.0,))):
         with pytest.raises(PreconditionError, match="whole number"):
             bf.build_grid(domain, depth)
     with pytest.raises(PreconditionError, match="whole number"):
         BoxGrid([(-1.0, 1.0)], (2.5,))
+    shape = BoxGrid([(-1.0, 1.0)], (np.int64(3),)).shape
+    assert shape == (3,) and type(shape[0]) is int
 
 
 @pytest.mark.parametrize("build", [

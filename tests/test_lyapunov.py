@@ -333,6 +333,20 @@ def test_entry_time_edge_cases(doublewell):
     assert math.isinf(t_never)
 
 
+def test_entry_time_takes_a_whole_sample_count(doublewell):
+    pair = doublewell.pair
+    U = doublewell.grid.dilate(doublewell.ar.alpha, 2).union(pair.L)
+
+    def entry(n):
+        return bf.uniform_entry_time(doublewell.system, pair, BoxSet([63, 64]), U,
+                                     n_samples=n, horizon=5.0)
+
+    for n in (2.5, -1, True):
+        with pytest.raises(PreconditionError, match="sample count must be a whole number"):
+            entry(n)
+    assert entry(np.int64(3)) == entry(3)
+
+
 def test_entry_time_region_preconditions(doublewell):
     pair = doublewell.pair
     ar = doublewell.ar

@@ -180,6 +180,24 @@ def test_regularity_check_equals_the_per_sample_reference(saddle, window_pair, l
         assert bool(violations) == (l_ids != [16, 47])
 
 
+def test_a_sample_count_that_is_not_a_whole_number_is_a_precondition_error(saddle,
+                                                                           window_pair):
+    # the hand pair's L is empty, so regularity_check never reaches the sampler
+    for call in (lambda n: bf.regularity_check(saddle.system, saddle.hand_pair, n_samples=n),
+                 lambda n: bf.retraction_check(saddle.system, window_pair, n_samples=n)):
+        for n in (2.5, -1):
+            with pytest.raises(PreconditionError, match="sample count must be a whole number"):
+                call(n)
+        assert call(np.int64(3)) == call(3)
+
+
+@pytest.mark.parametrize("call", [bf.exit_time, bf.stopped_flow])
+def test_a_point_of_another_dimension_is_a_precondition_error(saddle, window_pair, call):
+    args = (0.5,) if call is bf.stopped_flow else ()
+    with pytest.raises(PreconditionError, match="points need 1 coordinates"):
+        call(saddle.system, window_pair, [0.1, 0.1], *args)
+
+
 def test_retraction_to_the_stopped_image(saddle, window_pair):
     rep = bf.retraction_check(saddle.system, window_pair,
                               rng=np.random.default_rng(5))

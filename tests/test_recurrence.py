@@ -476,6 +476,11 @@ def test_chain_oracle_validates_inputs():
         bf.epsilon_chain_oracle(system, pts, 0.1, t_min=0.5)
     with pytest.raises(PreconditionError):
         bf.epsilon_chain_oracle(system, pts, 0.1, t_max=0.5)
+    for steps in (1.5, True, 0, 3.0):
+        with pytest.raises(PreconditionError, match="steps must be a whole number"):
+            bf.epsilon_chain_oracle(system, pts, 0.1, steps=steps)
+    np.testing.assert_array_equal(bf.epsilon_chain_oracle(system, pts, 0.1, steps=np.int64(3)),
+                                  bf.epsilon_chain_oracle(system, pts, 0.1, steps=3))
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf])

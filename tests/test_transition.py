@@ -66,6 +66,38 @@ def test_box_image_matches_graph_row():
             == set(graph.targets_of(b).tolist())
 
 
+@pytest.mark.parametrize("samples", [2.5, True, -1, 0, 3.0])
+def test_a_sample_count_that_is_not_a_whole_number_is_a_precondition_error(samples):
+    # TransitionGraph used to store 2.5 as 2, and 0 as 0
+    system = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(system.domain, (16,))
+    with pytest.raises(PreconditionError, match="samples_per_axis must be a whole number"):
+        bf.build_transition_graph(system, grid, 1.0, samples_per_axis=samples)
+    with pytest.raises(PreconditionError, match="samples_per_axis must be a whole number"):
+        box_image(system, grid, 5, 1.0, samples_per_axis=samples)
+    with pytest.raises(PreconditionError, match="samples_per_axis must be a whole number"):
+        TransitionGraph(grid, 1.0, 0.1, samples, [0], [1])
+
+
+def test_a_numpy_integer_sample_count_is_taken_as_is():
+    system = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(system.domain, (16,))
+    graph = bf.build_transition_graph(system, grid, 1.0, samples_per_axis=np.int64(3))
+    assert graph == bf.build_transition_graph(system, grid, 1.0, samples_per_axis=3)
+    assert type(graph.samples_per_axis) is int
+    assert box_image(system, grid, 5, 1.0, samples_per_axis=np.int64(3)) \
+        == box_image(system, grid, 5, 1.0)
+    assert TransitionGraph(grid, 1.0, 0.1, np.int64(3), [0], [1]).samples_per_axis == 3
+
+
+@pytest.mark.parametrize("box", [99, 16, -1])
+def test_box_image_of_a_box_outside_the_grid_is_a_precondition_error(box):
+    system = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(system.domain, (16,))
+    with pytest.raises(PreconditionError, match="box id out of range"):
+        box_image(system, grid, box, 1.0)
+
+
 def test_a_huge_padding_covers_every_box_like_a_large_one():
     # floor((img ± padding − lo)/widths) is clipped before the int64 cast,
     # so a padding of 1e300 cannot wrap to INT64_MIN and land on box 0
