@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, IngestionError, PreconditionError
+from .errors import CapacityError, PreconditionError
 from .jsonio import number, positive
 
 MAX_BOXES = 2 ** 31
@@ -77,6 +77,29 @@ def checked_count(value, what, low=1):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise PreconditionError(f"{what} must be a whole number >= {low}, got {value!r}")
     return value.__index__()
+
+
+def checked_ids(values, what, low, high):
+    """values as a new 1-d int64 array, the one check of a box id.
+
+    Every id must be a Python or numpy integer from low to high - 1, never
+    a bool and never cast from a float, or PreconditionError is raised.  An
+    integer array is checked in numpy alone, anything else entry by entry
+    before the cast, so a huge integer cannot overflow it.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu" and (
+            not values.size or low <= values.min() and values.max() < high):
+        return values.astype(np.int64).ravel()
+    items = values.ravel().tolist() if isinstance(values, np.ndarray) else list(values)
+    bad = [v for v in items if type(v) is not int or not low <= v < high]
+    odd = [v for v in bad if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+    if odd:
+        raise PreconditionError(f"{what} has ids that are not integers: {odd[:5]}")
+    bad = [v for v in bad if not low <= v < high]
+    if bad:
+        raise PreconditionError(f"{what} has ids that are outside the grid's boxes "
+                                f"{low}..{high - 1} (box id out of range): {bad[:5]}")
+    return np.array(items, dtype=np.int64)
 
 
 def sample_fractions(samples_per_axis):
@@ -166,7 +189,7 @@ class BoxSet:
     __slots__ = ("ids",)
 
     def __init__(self, ids=()):
-        self.ids = sorted_unique(np.array(ids, dtype=np.int64).ravel())
+        self.ids = sorted_unique(checked_ids(ids, "box set", -2 ** 63, 2 ** 63))
 
     @classmethod
     def from_mask(cls, mask):
@@ -272,33 +295,15 @@ class BoxGrid:
         shape = [positive(s, f"{what} grid shape", int) for s in data["shape"]]
         return cls(ingest_domain(data["domain"], f"{what} grid"), shape)
 
-    def ingest_ids(self, values, what, low=0):
-        """Box ids read from outside the program, as an int64 array.
-
-        Every entry must be an integer from low (EXIT for edge targets) to
-        n_boxes - 1.  Anything else raises IngestionError instead of being
-        cast, which would truncate 1.5 to 1 and read true as 1.
-        """
-        items = values.ravel().tolist() if isinstance(values, np.ndarray) else values
-        bad = [v for v in items if type(v) is not int or not low <= v < self.n_boxes]
-        if bad:
-            problem = ("are not integers" if any(type(v) is not int for v in bad)
-                       else f"are outside the grid's boxes {low}..{self.n_boxes - 1}")
-            raise IngestionError(f"{what} has ids that {problem}: {bad[:5]}")
-        return np.asarray(items, dtype=np.int64)
+    def checked_ids(self, values, what="box list", low=0):
+        """checked_ids of ids from low (EXIT for edge targets) to n_boxes - 1."""
+        return checked_ids(values, what, low, self.n_boxes)
 
     def all_boxes(self):
         return BoxSet(np.arange(self.n_boxes, dtype=np.int64))
 
-    def _check_ids(self, ids):
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_boxes):
-            raise PreconditionError("box id out of range for this grid")
-        return ids
-
     def multi_index(self, ids):
-        ids = self._check_ids(ids)
-        return np.stack(np.unravel_index(ids, self.shape), axis=1)
+        return np.stack(np.unravel_index(self.checked_ids(ids), self.shape), axis=1)
 
     def ravel(self, multi):
         multi = np.atleast_2d(np.asarray(multi, dtype=np.int64))
@@ -346,11 +351,9 @@ class BoxGrid:
         (n_boxes * samples_per_axis**d, d) array.
         """
         fractions = sample_fractions(samples_per_axis)
-        ids = self._check_ids(ids)
         grids = np.meshgrid(*([fractions] * self.dimension), indexing="ij")
         combo = np.stack([g.ravel() for g in grids], axis=1)
-        multi = np.stack(np.unravel_index(ids, self.shape), axis=1)
-        lo = self.domain[:, 0] + multi * self.widths
+        lo = self.domain[:, 0] + self.multi_index(ids) * self.widths
         pts = lo[:, None, :] + combo[None, :, :] * self.widths
         return pts.reshape(-1, self.dimension)
 

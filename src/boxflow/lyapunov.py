@@ -444,6 +444,7 @@ class LyapunovField:
     down_set: frozenset = None
 
     def value_of_box(self, box):
+        (box,) = self.pair.grid.checked_ids([box], "box")
         if self.pair.in_L(box):
             return 0.0
         i = np.searchsorted(self.boxes, box)
@@ -503,7 +504,7 @@ class LyapunovField:
     def from_json(cls, path):
         def parse(data, where):
             pair = IndexPair.from_dict(data, where)
-            boxes = pair.grid.ingest_ids(data["boxes"], f"{where} boxes")
+            boxes = pair.grid.checked_ids(data["boxes"], "boxes")
             values = [number(v, f"{where} values") for v in data["values"]]
             if len(values) != boxes.size:
                 raise IngestionError(f"{where} has {len(values)} values for {boxes.size} boxes")
@@ -684,7 +685,7 @@ class Filtration:
     def from_json(cls, path):
         def parse(data, where):
             pair = IndexPair.from_dict(data, where)
-            return cls(levels=[BoxSet(pair.grid.ingest_ids(ids, f"{where} level {k}"))
+            return cls(levels=[BoxSet(pair.grid.checked_ids(ids, f"level {k}"))
                                for k, ids in enumerate(data["levels"])],
                        thresholds=[float(number(c, f"{where} thresholds"))
                                    for c in data["thresholds"]],

@@ -56,8 +56,8 @@ class IndexPair:
 
     @classmethod
     def from_boxes(cls, grid, n_ids, l_ids):
-        """The pair of the given id lists; ids outside the grid are rejected."""
-        return cls(grid, BoxSet(grid.ingest_ids(n_ids, "N")), BoxSet(grid.ingest_ids(l_ids, "L")))
+        """The pair of the given id lists; BoxGrid.checked_ids checks the ids."""
+        return cls(grid, BoxSet(grid.checked_ids(n_ids, "N")), BoxSet(grid.checked_ids(l_ids, "L")))
 
     def in_N(self, box):
         return box >= 0 and bool(self._N_mask[box])
@@ -89,9 +89,7 @@ class IndexPair:
 
         Ids must be integers inside the grid, and L a subset of N.
         """
-        grid = BoxGrid.from_dict(data["grid"], what)
-        return cls(grid, BoxSet(grid.ingest_ids(data["N"], f"{what} N")),
-                   BoxSet(grid.ingest_ids(data["L"], f"{what} L")))
+        return cls.from_boxes(BoxGrid.from_dict(data["grid"], what), data["N"], data["L"])
 
     def to_json(self, path):
         write_json(path, self.to_dict())
@@ -462,6 +460,7 @@ def retraction_check(system, pair, n_samples=50, rng=None, dt=1e-3):
     the crossing it takes the same steps, so the endpoints are those of
     stopped_flow.  Failures are listed in sample order.
     """
+    n_samples = checked_count(n_samples, "sample count", low=0)
     rng = np.random.default_rng(0) if rng is None else rng
     grid = pair.grid
     if not pair.core:

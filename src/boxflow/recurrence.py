@@ -252,7 +252,7 @@ class ARPair(NamedTuple):
 
 
 def _check_down_set(mg, down_set):
-    D = frozenset(int(i) for i in down_set)
+    D = frozenset(checked_count(i, "Morse set index") for i in down_set)
     if not D <= set(range(1, mg.n + 1)):
         raise PreconditionError(f"down-set {sorted(D)} has indices outside 1..{mg.n}")
     for hi, lo in mg.partial_order:

@@ -117,8 +117,8 @@ class TransitionGraph:
     """
 
     def __init__(self, grid, map_time, padding, samples_per_axis, src, dst):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
+        src = grid.checked_ids(src, "edge sources")
+        dst = grid.checked_ids(dst, "edge targets", low=EXIT)
         if src.shape != dst.shape:
             raise PreconditionError("edge arrays must have matching length")
         keys = src * np.int64(grid.n_boxes + 1)
@@ -163,6 +163,7 @@ class TransitionGraph:
 
     def targets_of(self, box):
         """Sorted targets of one box; may start with EXIT."""
+        (box,) = self.grid.checked_ids([box], "box")
         return self._dst[self._starts[box]:self._starts[box + 1]]
 
     def restricted(self, boxes):
@@ -239,8 +240,7 @@ class TransitionGraph:
             return cls(grid, positive(data["map_time"], f"{where} map_time"),
                        number(data["padding"], f"{where} padding"),
                        positive(data["samples_per_axis"], f"{where} samples_per_axis", int),
-                       grid.ingest_ids(src, f"{where} sources"),
-                       grid.ingest_ids(dst, f"{where} targets", low=EXIT))
+                       src, dst)
         return load_json(path, "graph file", parse)
 
     def to_dot(self):
@@ -432,7 +432,7 @@ def build_transition_graph(system, grid, map_time, padding=None, samples_per_axi
 def box_image(system, grid, box, map_time, padding=None, samples_per_axis=3):
     """The target boxes of a single box, as a BoxSet; may include EXIT."""
     padding = _checked_padding(system, grid, map_time, padding)
-    ids = grid._check_ids([box])
+    ids = grid.checked_ids([box], "box")
     keys = _edge_keys(system, grid, ids, map_time, padding, samples_per_axis)
     return BoxSet(keys % (grid.n_boxes + 1) - 1)
 

@@ -102,6 +102,35 @@ def test_sample_in_boxes_takes_a_whole_count():
     np.testing.assert_array_equal(pts, want[1])
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda grid: BoxSet([2.7]), id="BoxSet-float"),
+    pytest.param(lambda grid: BoxSet([True]), id="BoxSet-bool"),
+    pytest.param(lambda grid: BoxSet(np.array([1.0, 2.0])), id="BoxSet-float-array"),
+    pytest.param(lambda grid: grid.centers([2.7]), id="centers-float"),
+    pytest.param(lambda grid: grid.centers([True]), id="centers-bool"),
+    pytest.param(lambda grid: grid.bounds(["a"]), id="bounds-string"),
+    pytest.param(lambda grid: grid.lattice([1.5], 3), id="lattice-float"),
+])
+def test_a_box_id_that_is_not_an_integer_is_a_precondition_error(call):
+    # these were once cast: BoxSet([2.7, True]) was BoxSet([1, 2])
+    grid = bf.build_grid([(-1.0, 1.0)], (16,))
+    with pytest.raises(PreconditionError, match="not integers"):
+        call(grid)
+
+
+def test_box_ids_are_checked_before_the_cast():
+    grid = bf.build_grid([(-1.0, 1.0)], (16,))
+    # numpy integers are ids as they are
+    assert np.array_equal(grid.centers(np.array([3, 5], dtype=np.int32)), grid.centers([3, 5]))
+    assert np.array_equal(grid.centers([np.int64(3)]), grid.centers([3]))
+    assert BoxSet(np.array([5, 3], dtype=np.int32)) == BoxSet([np.int64(3), 5])
+    # an integer past int64 is refused, not overflowed
+    for call in (lambda: BoxSet([2 ** 70]), lambda: grid.centers([2 ** 70]),
+                 lambda: grid.centers(np.array([2 ** 63], dtype=np.uint64))):
+        with pytest.raises(PreconditionError, match="box id out of range"):
+            call()
+
+
 @pytest.mark.parametrize("points", [[0.5, 0.5], np.zeros((2, 2)), np.zeros((3, 0))])
 def test_box_of_a_point_of_another_dimension_is_a_precondition_error(points):
     grid = bf.build_grid([(-1.0, 1.0)], (16,))

@@ -252,6 +252,17 @@ def test_field_box_values_and_membership(doublewell):
     assert outside[0] == 0.0
 
 
+@pytest.mark.parametrize("box", [300, 2.5, True])
+def test_value_of_box_of_a_bad_id_is_a_precondition_error(doublewell, box):
+    # ids outside the grid and ids that are not integers once ended in
+    # numpy's IndexError
+    field = doublewell.morse_field
+    with pytest.raises(PreconditionError):
+        field.value_of_box(box)
+    first = int(field.boxes[0])
+    assert field.value_of_box(np.int64(first)) == field.value_of_box(first)
+
+
 def test_complete_field_is_the_weighted_pair_sum(doublewell):
     pairs = bf.enumerate_ar_pairs(doublewell.mg)
     parts = [bf.pair_lyapunov(doublewell.system, doublewell.pair,

@@ -182,9 +182,12 @@ def test_regularity_check_equals_the_per_sample_reference(saddle, window_pair, l
 
 def test_a_sample_count_that_is_not_a_whole_number_is_a_precondition_error(saddle,
                                                                            window_pair):
-    # the hand pair's L is empty, so regularity_check never reaches the sampler
+    # the hand pair's L is empty, so regularity_check never reaches the
+    # sampler, and neither does retraction_check on a pair with an empty core
+    empty = bf.IndexPair.from_boxes(saddle.grid, [], [])
     for call in (lambda n: bf.regularity_check(saddle.system, saddle.hand_pair, n_samples=n),
-                 lambda n: bf.retraction_check(saddle.system, window_pair, n_samples=n)):
+                 lambda n: bf.retraction_check(saddle.system, window_pair, n_samples=n),
+                 lambda n: bf.retraction_check(saddle.system, empty, n_samples=n)):
         for n in (2.5, -1):
             with pytest.raises(PreconditionError, match="sample count must be a whole number"):
                 call(n)
@@ -460,7 +463,7 @@ def test_construction_rejects_a_swallowed_core():
 def test_pair_rejects_box_ids_outside_the_grid(tmp_path, saddle):
     grid = saddle.grid
     for n_ids, l_ids in (([1, 2, grid.n_boxes], []), ([1, 2, 3], [-1]), (["a"], [])):
-        with pytest.raises(IngestionError):
+        with pytest.raises(PreconditionError):
             bf.IndexPair.from_boxes(grid, n_ids, l_ids)
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"grid": {"domain": grid.domain.tolist(),

@@ -287,6 +287,14 @@ def test_non_down_closed_set_rejected(doublewell):
         bf.ar_regions_in_pair(doublewell.mg, frozenset({5}))
 
 
+@pytest.mark.parametrize("index", [1.7, True, 0, "1"])
+def test_a_morse_set_index_that_is_not_a_whole_number_is_refused(doublewell, index):
+    # 1.7 and True were once read as Morse set 1
+    with pytest.raises(PreconditionError):
+        bf.ar_regions_in_pair(doublewell.mg, {index})
+    assert bf.ar_regions_in_pair(doublewell.mg, {np.int64(1)}) == doublewell.ar
+
+
 def test_one_sided_regions_pin_the_pair(doublewell):
     ar = doublewell.ar
     assert ar.alpha.ids.tolist() == [63, 64]

@@ -90,6 +90,32 @@ def test_a_numpy_integer_sample_count_is_taken_as_is():
     assert TransitionGraph(grid, 1.0, 0.1, np.int64(3), [0], [1]).samples_per_axis == 3
 
 
+@pytest.mark.parametrize("src, dst", [([2], [-2]), ([0], [999]), ([-1], [3]), ([2.7], [3]),
+                                      ([16], [0])])
+def test_an_edge_with_a_bad_box_id_is_a_precondition_error(src, dst):
+    # these were once filed as 1 -> 15, dropped, dropped, truncated to 2 -> 3
+    # and dropped
+    grid = bf.build_grid([(-1.0, 1.0)], (16,))
+    with pytest.raises(PreconditionError):
+        TransitionGraph(grid, 1.0, 0.1, 3, src, dst)
+
+
+@pytest.mark.parametrize("box", [16, -1, 2.5, True])
+def test_a_single_box_lookup_of_a_bad_id_is_a_precondition_error(box):
+    # targets_of(16) and targets_of(2.5) once ended in numpy's IndexError,
+    # and box_image(2.5) was the image of box 2
+    system = bf.builtin_system("saddle1d")
+    grid = bf.build_grid(system.domain, (16,))
+    graph = TransitionGraph(grid, 1.0, 0.1, 3, np.array([2, 2], dtype=np.int32),
+                            [np.int64(3), EXIT])
+    assert graph == TransitionGraph(grid, 1.0, 0.1, 3, [2, 2], [3, EXIT])
+    assert graph.targets_of(np.int64(2)).tolist() == [EXIT, 3]
+    with pytest.raises(PreconditionError):
+        graph.targets_of(box)
+    with pytest.raises(PreconditionError):
+        box_image(system, grid, box, 1.0)
+
+
 @pytest.mark.parametrize("box", [99, 16, -1])
 def test_box_image_of_a_box_outside_the_grid_is_a_precondition_error(box):
     system = bf.builtin_system("saddle1d")
