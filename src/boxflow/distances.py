@@ -100,19 +100,26 @@ def _sum_axes(sq):
 class QueryBoxes:
     """Query points grouped by box: the part of a query set by the points alone.
 
-    boxes, if given, are the box_of ids of the points.  A group is the
-    points inside the computed bounds of one box (key: its id), or every
-    other point (key -1): those outside their box's computed bounds or the
-    domain, and those that are not finite.  Build one per point set and
-    pass it as the boxes of every BoxSetDistance call on those points.
+    boxes, if given, are the box_of ids of the points, one per point,
+    which grid.checked_ids checks from -1 (outside the domain) up.  A
+    group is the points inside the computed bounds of one box (key: its
+    id), or every other point (key -1): those outside their box's computed
+    bounds or the domain, and those that are not finite.  Build one per
+    point set and pass it as the boxes of every BoxSetDistance call on
+    those points.
     """
 
     def __init__(self, grid, points, boxes=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         self.grid = grid
         self.points = pts
-        ids = np.atleast_1d(grid.box_of(pts) if boxes is None
-                            else np.asarray(boxes, dtype=np.int64))
+        if boxes is None:
+            ids = grid.box_of(pts)
+        else:
+            ids = grid.checked_ids(boxes if np.ndim(boxes) else [boxes], "query boxes", low=-1)
+            if ids.size != len(pts):
+                raise PreconditionError(
+                    f"need one query box id per point, got {ids.size} for {len(pts)} points")
         order = np.argsort(ids)
         ids = ids[order]
         # ids are sorted, so the points of one box are a run, and the

@@ -49,10 +49,13 @@ class FlowSystem:
     or an array of any layout or float dtype.  It may be called in forked
     worker processes, on disjoint blocks of rows, and a block may be
     marched again by the calling process, so it must keep no state
-    between calls and have no side effects.  domain is a (d, 2) array of
-    [low, high] bounds per axis, which grid.checked_domain checks.  step is
-    the internal RK4 step size, finite and > 0.  equilibria is
-    informational only.
+    between calls and have no side effects.  The built-in fields and
+    those polynomial_field builds use only +, - and *, never pow, each
+    product in a fixed order, so their bits depend neither on the numpy or
+    libm build nor on the memory layout of the points.  domain is a (d, 2)
+    array of [low, high] bounds per axis, which grid.checked_domain
+    checks.  step is the internal RK4 step size, finite and > 0.
+    equilibria is informational only.
     """
 
     dimension: int
@@ -542,9 +545,18 @@ def polynomial_field(terms, dimension):
     contributes coeffs * prod(x**exponents) to the velocity.  Every entry
     must be a number (an integral float such as 2.0 is an integer exponent);
     booleans and strings are rejected.
+
+    The list is compiled once.  A call takes each axis column contiguous
+    once and computes each distinct power x**k that a term needs once, by
+    square-and-multiply with no pow: x**k is (x**(k // 2))**2, times x
+    when k is odd, so x**3 is x*x*x and x**4 is (x*x)*(x*x).  A monomial
+    is the product of its powers in axis order, a term with every exponent
+    0 adds its coeffs, and the terms are summed in list order.  Only +
+    and * are used, so a row's bits depend neither on the numpy or libm
+    build nor on the memory layout of the points, nor on the other rows.
     """
-    coeffs = []
-    expos = []
+    compiled = []
+    needed = [set() for _ in range(dimension)]
     for i, term in enumerate(terms):
         try:
             c, e = term["coeffs"], term["exponents"]
@@ -554,16 +566,50 @@ def polynomial_field(terms, dimension):
             raise IngestionError(
                 f"term {i}: coeffs and exponents must each have {dimension} entries")
         c = np.array([number(v, f"term {i} coeffs") for v in c], dtype=float)
-        e = np.array([number(v, f"term {i} exponents") for v in e], dtype=float)
-        if (e < 0).any() or (e != np.round(e)).any():
+        e = [number(v, f"term {i} exponents") for v in e]
+        if any(v < 0 or v != int(v) for v in e):
             raise IngestionError(f"term {i}: exponents must be nonnegative integers")
-        coeffs.append(c)
-        expos.append(e)
+        factors = [(axis, int(k)) for axis, k in enumerate(e) if k]
+        for axis, k in factors:
+            needed[axis].add(k)
+        compiled.append((factors, c))
+    # per axis that a term uses, each needed power above 1 in increasing
+    # order, with the largest power it shifts down to that is known by
+    # then, and the bits below that shift: one squaring per bit, times x
+    # where the bit is set
+    plans = []
+    for axis, ks in enumerate(needed):
+        known, plan = {1}, []
+        for k in sorted(ks - {1}):
+            s = 1
+            while (k >> s) not in known:
+                s += 1
+            plan.append((k, k >> s, [(k >> b) & 1 for b in range(s - 1, -1, -1)]))
+            known.add(k)
+        if ks:
+            plans.append((axis, plan))
 
     def field(pts):
+        powers = {}
+        for axis, plan in plans:
+            x = powers[axis, 1] = np.ascontiguousarray(pts[:, axis])
+            for k, base, bits in plan:
+                p = powers[axis, base]
+                for odd in bits:
+                    p = p * p
+                    if odd:
+                        p *= x
+                powers[axis, k] = p
         out = np.zeros_like(pts)
-        for c, e in zip(coeffs, expos):
-            out += np.prod(pts ** e, axis=1)[:, None] * c
+        for factors, c in compiled:
+            if not factors:
+                out += c
+                continue
+            first, *rest = factors
+            mono = powers[first]
+            for key in rest:
+                mono = mono * powers[key]
+            out += mono[:, None] * c
         return out
 
     return field
@@ -576,11 +622,15 @@ def _builtin_specs():
     def contract(p):
         return -p
 
+    # doublewell fills its result in place, with the bits of x - x*x*x;
+    # gradient and hopf fill its columns, with the bits of -x, -2 y and
+    # x - y - x r2, x + y - y r2
     def doublewell(p):
-        return p - p ** 3
+        out = p * p
+        out *= p
+        np.subtract(p, out, out=out)
+        return out
 
-    # gradient and hopf fill the columns of their result in place, with
-    # the bits of -x, -2 y and x - y - x r2, x + y - y r2
     def gradient(p):
         out = np.empty_like(p)
         np.negative(p[:, 0], out=out[:, 0])

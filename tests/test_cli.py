@@ -513,9 +513,8 @@ def test_the_commands_run_with_scipy_blocked(tmp_path):
 # floor and clip beside correctly rounded arithmetic, so the bytes are the
 # same under any IEEE numpy.  They show a change to the march that moves an
 # image across a box border; test_flows pins the bits of each RK4 step
-# against the one-line expression.  doublewell1d is left out because its
-# p ** 3 goes through numpy's own pow, whose bits need not match the C
-# library's, and the Lyapunov commands because field.json goes through exp.
+# against the one-line expression.  The Lyapunov commands are left out
+# because field.json goes through exp.
 ANALYZE_DIGESTS = {
     ("hopf2d", "32"): {
         "graph.json": "4437512ad1630f6b4892cdb6bad98e4ac9c94bc1c7e5c574654fa8593cb051c7",
@@ -526,6 +525,11 @@ ANALYZE_DIGESTS = {
         "graph.json": "cf4254e1c879c93c689d0f5e28aa053bf3e873591e97fdd1446638fc4167fc90",
         "morse.json": "5b12620491ac57f1a3ca61774b912dc6cdbc1df06596f0ebeff96634aec08c3e",
         "recurrent.json": "7f96e42665aaaacf54078d3cbfe625de06402daf6328af73189a05f30e5b358a",
+    },
+    ("doublewell1d", "256"): {
+        "graph.json": "7c77e1738df351aa3f33389a38d3ec2cbc8704bd93b33cdf82418f73f9c0e2bf",
+        "morse.json": "e2569dfeeb81e3d923748f6d0a787128830eed5137a71e19fdaf958ab8b55f06",
+        "recurrent.json": "fa8e186d90271b98d33f29b7a7f99c4a565b9e334bacf5d21902e36f8d890769",
     },
     ("saddle1d", "64"): {
         "graph.json": "209c49543eeebeca9d6d430d19ab3e5f632615bbafc27d6e5c334513f260c7a3",

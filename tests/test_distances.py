@@ -286,6 +286,36 @@ def test_query_boxes_are_checked_against_the_points():
         BoxSetDistance(grid, BoxSet([2]))(pts[:1], QueryBoxes(grid, pts))
 
 
+@pytest.mark.parametrize("boxes", [[8.9], [True], np.array([8.9]), np.array([True])])
+def test_a_query_box_id_that_is_not_an_integer_is_a_precondition_error(boxes):
+    # once cast, 8.9 reads as box 8 and True as box 1
+    grid = bf.build_grid([(-1.0, 1.0)], (16,))
+    with pytest.raises(PreconditionError, match="not integers"):
+        BoxSetDistance(grid, BoxSet([8]))(np.array([[0.05]]), boxes)
+
+
+@pytest.mark.parametrize("pts,boxes", [
+    # one id for two points read as [0, 0], where the true distances are [0, 0.775]
+    ([[0.05], [0.9]], [8]),
+    # two ids for one point ended in IndexError
+    ([[0.05]], [8, 15]),
+])
+def test_query_boxes_need_one_id_per_point(pts, boxes):
+    grid = bf.build_grid([(-1.0, 1.0)], (16,))
+    with pytest.raises(PreconditionError, match="one query box id per point"):
+        BoxSetDistance(grid, BoxSet([8]))(np.array(pts), boxes)
+
+
+def test_query_box_ids_may_name_no_box_outside_the_domain():
+    grid = bf.build_grid([(-1.0, 1.0)], (16,))
+    dist = BoxSetDistance(grid, BoxSet([8]))
+    pts = np.array([[0.05], [0.9], [1.5]])
+    np.testing.assert_array_equal(dist(pts, [8, 15, -1]), dist(pts))
+    assert dist(pts[0], 8) == 0.0
+    with pytest.raises(PreconditionError, match="out of range"):
+        dist(pts, [8, 15, -2])
+
+
 def test_a_domain_whose_squared_distances_overflow_matches_the_oracle():
     # gaps near 1e200 square to inf; the search must still end, and the
     # distances must still equal the oracle's

@@ -195,7 +195,7 @@ def test_polynomial_field_matches_builtin_cubic():
          {"coeffs": [-1.0], "exponents": [3]}], 1)
     system = bf.builtin_system("doublewell1d")
     pts = np.linspace(-1.5, 1.5, 7)[:, None]
-    assert np.allclose(field(pts), system.field(pts), atol=1e-14)
+    np.testing.assert_array_equal(field(pts), system.field(pts))
 
 
 def test_polynomial_field_takes_integral_float_exponents():
@@ -226,8 +226,7 @@ def test_load_system_from_file(tmp_path):
     system = bf.load_system(str(path))
     builtin = bf.builtin_system("doublewell1d")
     x = np.array([0.37])
-    assert np.allclose(bf.flow_map(system, x, 1.0),
-                       bf.flow_map(builtin, x, 1.0), atol=1e-12)
+    np.testing.assert_array_equal(bf.flow_map(system, x, 1.0), bf.flow_map(builtin, x, 1.0))
 
 
 def test_load_system_rejects_bad_files(tmp_path):
@@ -1093,21 +1092,43 @@ def test_an_overflow_raises_in_the_step_where_it_raises_in_the_expression(field,
         np.testing.assert_array_equal(got, want)
 
 
+# hopf2d's field as six terms, plus x^5 y^2, whose power pins the
+# square-and-multiply order: (x*x)*(x*x)*x
+HOPF_TERMS = [
+    {"coeffs": [1.0, 1.0], "exponents": [1, 0]},
+    {"coeffs": [-1.0, 1.0], "exponents": [0, 1]},
+    {"coeffs": [-1.0, 0.0], "exponents": [3, 0]},
+    {"coeffs": [-1.0, 0.0], "exponents": [1, 2]},
+    {"coeffs": [0.0, -1.0], "exponents": [2, 1]},
+    {"coeffs": [0.0, -1.0], "exponents": [0, 3]},
+]
+QUINTIC_TERMS = HOPF_TERMS + [{"coeffs": [-0.01, 0.02], "exponents": [5, 2]}]
+
+
+def _march_system(name):
+    if name != "terms2d":
+        return bf.builtin_system(name)
+    return bf.FlowSystem(dimension=2, field=polynomial_field(QUINTIC_TERMS, 2),
+                         domain=[[-2.0, 2.0], [-2.0, 2.0]], name=name)
+
+
 # SHA-256 of the positions, escape flags and escape times of _advance on a
 # 41-point lattice per axis over 1.237, which ends in a remainder step.
-# These fields use only +, - and *, so the bytes are the same under any
-# IEEE numpy; unlike the graph digests of test_cli, they move with the
-# last bit of any step.
+# These fields, term lists included, use only +, - and *, so the bytes are
+# the same under any IEEE numpy; unlike the graph digests of test_cli,
+# they move with the last bit of any step.
 MARCH_DIGESTS = {
     "hopf2d": "9e5cecb82bd3233c1464963c6851599186f113690fa1311f39933eb47123a467",
     "gradient2d": "7c2eebd9ebb16fcbfcec0102b6c4fba916a0a0d719bcdc2057f928ad854f47e1",
     "saddle1d": "72f0c0a618bfeeeb1b9c95bae21b3472f70854c8832034960add7eb591ec9784",
+    "doublewell1d": "bfd130c90a08a556342918da51209af74c7990fe28dab5ab75f510d4118067c9",
+    "terms2d": "9ed5d3ff0eacf7de6914611ffd79e15cf7370f8a75acaf31abd1070c68b0dfbf",
 }
 
 
 @pytest.mark.parametrize("name", sorted(MARCH_DIGESTS))
 def test_the_march_writes_the_pinned_bytes(name):
-    system = bf.builtin_system(name)
+    system = _march_system(name)
     axes = [np.linspace(lo, hi, 41) for lo, hi in system.domain]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, system.dimension)
     digest = hashlib.sha256()
