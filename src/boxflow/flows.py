@@ -551,9 +551,11 @@ def polynomial_field(terms, dimension):
     square-and-multiply with no pow: x**k is (x**(k // 2))**2, times x
     when k is odd, so x**3 is x*x*x and x**4 is (x*x)*(x*x).  A monomial
     is the product of its powers in axis order, a term with every exponent
-    0 adds its coeffs, and the terms are summed in list order.  Only +
-    and * are used, so a row's bits depend neither on the numpy or libm
-    build nor on the memory layout of the points, nor on the other rows.
+    0 adds its coeffs, and the terms are summed in list order, one output
+    column at a time; zero coefficients are kept, so 0 * inf stays NaN.
+    Only + and * are used, so a row's bits depend neither on the numpy or
+    libm build nor on the memory layout of the points, nor on the other
+    rows.
     """
     compiled = []
     needed = [set() for _ in range(dimension)]
@@ -609,7 +611,8 @@ def polynomial_field(terms, dimension):
             mono = powers[first]
             for key in rest:
                 mono = mono * powers[key]
-            out += mono[:, None] * c
+            for j, cj in enumerate(c):
+                out[:, j] += mono * cj
         return out
 
     return field

@@ -20,8 +20,8 @@ from .errors import (FiltrationError, IngestionError, PreconditionError,
                      RegionOverlapError)
 from .grid import BoxSet, covering_steps, nearest_steps, sample_in_boxes, step_ratio
 from .jsonio import csv_text, load_json, number, string, write_json
-from .pairs import (BASEPOINT, IndexPair, _march_quotient, regularity_check,
-                    validate_index_pair)
+from .pairs import (BASEPOINT, IndexPair, _draw_regularity, _judge_regularity,
+                    _march_quotient, validate_index_pair)
 from .recurrence import ar_regions_in_pair, enumerate_ar_pairs
 from .transition import EXIT
 
@@ -699,10 +699,39 @@ def extract_filtration(system, field, rng=None, n_samples=40):
     The levels nest in field.pair and are checked on the transition graph
     of the field's Morse decomposition.  Each consecutive pair of levels
     must validate as an index pair, contain its Morse set strictly between
-    the levels, and pass the sampled regularity criterion; the first
-    failure raises a FiltrationError naming the level.  Returns the
+    the levels, and pass the sampled regularity criterion; a failure
+    raises a FiltrationError naming the lowest failing level.  Returns the
     filtration and a per-level report.
+
+    The checks that draw nothing run first, level by level, up to the
+    first level f that fails one; then the regularity samples of levels
+    1 … f−1 are drawn from rng in level order and judged as one batch,
+    with the reports each level gets alone.  rng ends where a level-by-
+    level run would leave it, except after a FiltrationError: a level
+    below f that fails regularity leaves rng past the draws of the levels
+    above it.
     """
+    rng = np.random.default_rng(0) if rng is None else rng
+    drawn = _draw_filtration(system, field, rng, n_samples)
+    return _filtration_verdict(field, drawn, _judge_regularity(system, drawn.draws))
+
+
+@dataclass
+class _FiltrationDraws:
+    """The levels and thresholds of a filtration, the report entry and
+    regularity draw of each level that passed the checks drawing nothing,
+    and the FiltrationError of the first level that failed one, if any."""
+
+    levels: list
+    thresholds: list
+    entries: list
+    draws: list
+    failure: FiltrationError = None
+
+
+def _draw_filtration(system, field, rng, n_samples):
+    """The cuts of extract_filtration, their checks that draw nothing, up to
+    the first failure, and the regularity draws of the levels below it."""
     if field.construction != "morse-sum":
         raise PreconditionError(
             f"filtrations need a morse-sum field, got '{field.construction}'")
@@ -710,7 +739,6 @@ def extract_filtration(system, field, rng=None, n_samples=40):
     if mg is None or mg.n < 1:
         raise PreconditionError("field carries no Morse decomposition")
     pair = field.pair
-    rng = np.random.default_rng(0) if rng is None else rng
 
     n = mg.n
     thresholds = [k + 0.5 for k in range(n)]
@@ -720,30 +748,39 @@ def extract_filtration(system, field, rng=None, n_samples=40):
         levels.append(pair.L.union(BoxSet(inside)))
     levels.append(pair.N)
 
-    report = []
+    entries, level_pairs, failure = [], [], None
     for k in range(1, n + 1):
         if not levels[k - 1].issubset(levels[k]):
-            raise FiltrationError(f"level {k - 1} is not contained in level {k}", k)
+            failure = FiltrationError(f"level {k - 1} is not contained in level {k}", k)
+            break
         level_pair = IndexPair(pair.grid, levels[k], levels[k - 1])
         verdict = validate_index_pair(mg.graph, level_pair)
-        entry = {"level": k, "pair_boxes": [len(levels[k]), len(levels[k - 1])],
-                 "validation": verdict.to_dict()}
         if not verdict.passed:
-            raise FiltrationError(
+            failure = FiltrationError(
                 f"level {k} fails index pair validation: {verdict.summary()}", k)
-        morse_set = mg.morse_sets[k - 1]
-        core = levels[k].difference(levels[k - 1])
-        if not morse_set.issubset(core):
-            raise FiltrationError(
+            break
+        if not mg.morse_sets[k - 1].issubset(level_pair.core):
+            failure = FiltrationError(
                 f"level {k} does not capture Morse set {k} between its cuts", k)
-        reg = regularity_check(system, level_pair, n_samples=n_samples, rng=rng)
+            break
+        entries.append({"level": k, "pair_boxes": [len(levels[k]), len(levels[k - 1])],
+                        "validation": verdict.to_dict()})
+        level_pairs.append(level_pair)
+    draws = [_draw_regularity(system, p, n_samples, 1.0, rng) for p in level_pairs]
+    return _FiltrationDraws(levels, thresholds, entries, draws, failure)
+
+
+def _filtration_verdict(field, drawn, reports):
+    """The filtration and report of drawn, given the regularity report of
+    each of its draws, or the FiltrationError of its lowest failing level."""
+    for entry, reg in zip(drawn.entries, reports):
         entry["regularity"] = reg.to_dict()
         if not reg.passed:
             raise FiltrationError(
-                f"level {k} fails the regularity sampling check "
-                f"({len(reg.violations)} violations)", k)
-        report.append(entry)
-
-    filtration = Filtration(levels=levels, thresholds=thresholds, pair=pair,
-                            field=field)
-    return filtration, report
+                f"level {entry['level']} fails the regularity sampling check "
+                f"({len(reg.violations)} violations)", entry["level"])
+    if drawn.failure is not None:
+        raise drawn.failure
+    filtration = Filtration(levels=drawn.levels, thresholds=drawn.thresholds,
+                            pair=field.pair, field=field)
+    return filtration, drawn.entries

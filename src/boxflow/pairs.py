@@ -190,33 +190,48 @@ def validate_index_pair(graph, pair):
                           invariant_core=inv_core)
 
 
-def _exit_times_batch(system, pair, points, dt, horizon):
+def _exit_times_batch(system, pairs, points, dt, horizon, which=None):
     """Exit times of closure(N−L) for a batch of points, inf if never.
 
-    Brackets each crossing on a _march_quotient run of step dt that absorbs
-    on closure(N−L), then refines it by bisection to dt/1024.  Points in
-    L-boxes have exit time 0 by definition and are not marched.  A row
-    first absorbed at sample j crossed during step max(j, 1), from sample
-    max(j, 1) − 1, so a row that starts outside closure(N−L) crossed during
-    the first step.  Every halving advances all rows still bisecting in one
-    _advance_rows call, each row by its own midpoint, and each row stops on
-    its own bracket width, so every row gets the exit time it would get
-    alone.  grid.step_ratio checks dt and the horizon.
+    pairs is a list of index pairs on one grid and which gives each row the
+    index of its pair, by default 0; row i gets the exit time from
+    closure(N−L) of pairs[which[i]].  Brackets each crossing on a
+    _march_quotient run of step dt in which each row is absorbed on the
+    isolating mask of its own pair, then refines it by bisection to
+    dt/1024.  Points in L-boxes of their pair have exit time 0 by
+    definition and are not marched.  A row first absorbed at sample j
+    crossed during step max(j, 1), from sample max(j, 1) − 1, so a row that
+    starts outside closure(N−L) crossed during the first step.  Every
+    halving advances all rows still bisecting in one _advance_rows call,
+    each row by its own midpoint, and each row stops on its own bracket
+    width, so every row gets the exit time it would get alone, with its
+    pair alone.  grid.step_ratio checks dt and the horizon.
+
+    A march that would store more than MAX_MARCH_VALUES coordinates is
+    split into consecutive groups of rows, each made of whole runs of rows
+    with one pair index, so only the rows of one run alone can raise
+    CapacityError.
     """
-    grid = pair.grid
+    grid = pairs[0].grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    which = np.zeros(pts.shape[0], dtype=np.intp) if which is None else np.asarray(which)
+    isolating = np.stack([p._isolating_mask for p in pairs])
     out = np.full(pts.shape[0], math.inf)
     boxes = np.atleast_1d(grid.box_of(pts))
-    out[pair._L_mask[boxes]] = 0.0
+    out[np.stack([p._L_mask for p in pairs])[which, boxes]] = 0.0
 
     marched = np.flatnonzero(out > 0)
     n_steps = covering_steps(horizon, dt)
-    positions, absorbed, _ = _march_quotient(system, pair, pts[marched], n_steps, dt,
-                                             mask=pair._isolating_mask)
-    hit = absorbed.any(axis=0)
-    crossed = marched[hit]
-    step = np.maximum(absorbed[:, hit].argmax(axis=0), 1)
-    base = positions[step - 1, np.flatnonzero(hit)]
+    crossed, step, base = [], [], []
+    for group in _run_groups(which[marched], MAX_MARCH_VALUES // ((n_steps + 1) * pts.shape[1])):
+        rows = marched[group]
+        positions, absorbed, _ = _march_quotient(system, pairs[0], pts[rows], n_steps, dt,
+                                                 masks=isolating, which=which[rows])
+        hit = absorbed.any(axis=0)
+        crossed.append(rows[hit])
+        step.append(np.maximum(absorbed[:, hit].argmax(axis=0), 1))
+        base.append(positions[step[-1] - 1, np.flatnonzero(hit)])
+    crossed, step, base = (np.concatenate(a) for a in (crossed, step, base))
     # the elapsed time before each step, summed in step order
     elapsed = list(itertools.accumulate([dt] * (int(step.max(initial=1)) - 1), initial=0.0))
     bracket_lo = np.take(elapsed, step - 1)
@@ -228,12 +243,26 @@ def _exit_times_batch(system, pair, points, dt, horizon):
     while rows.size:
         mid = 0.5 * (lo[rows] + hi[rows])
         probe, escaped, _ = _advance_rows(system, base[rows], mid)
-        inside = ~escaped & pair._isolating_mask[grid.box_of(probe)]
+        inside = ~escaped & isolating[which[crossed[rows]], grid.box_of(probe)]
         lo[rows[inside]] = mid[inside]
         hi[rows[~inside]] = mid[~inside]
         rows = rows[hi[rows] - lo[rows] > dt / 1024]
     out[crossed] = bracket_lo + 0.5 * (lo + hi)
     return out
+
+
+def _run_groups(which, cap):
+    """Consecutive slices covering which, at least one, each of whole runs of
+    equal entries and at most cap long unless it is a single run."""
+    ends = (np.flatnonzero(np.diff(which)) + 1).tolist() + [which.size]
+    groups, lo, prev = [], 0, 0
+    for end in ends:
+        if end - lo > cap and prev > lo:
+            groups.append(slice(lo, prev))
+            lo = prev
+        prev = end
+    groups.append(slice(lo, which.size))
+    return groups
 
 
 def exit_time(system, pair, x, dt=1e-3, horizon=50.0):
@@ -247,21 +276,24 @@ def exit_time(system, pair, x, dt=1e-3, horizon=50.0):
     box = pair.grid.box_of(x)
     if not pair.in_N(box):
         raise PreconditionError(f"point {x.tolist()} is not in an N-box")
-    return float(_exit_times_batch(system, pair, x[None, :], dt, horizon)[0])
+    return float(_exit_times_batch(system, [pair], x[None, :], dt, horizon)[0])
 
 
-def _march_quotient(system, pair, points, n_steps, dt, mask=None):
+def _march_quotient(system, pair, points, n_steps, dt, masks=None, which=None):
     """Quotient-orbit samples of a point batch, n_steps steps of dt.
 
     Returns (positions, absorbed, boxes) with shapes (n_steps+1, m, d),
     (n_steps+1, m) and (n_steps+1, m); a row is absorbed from the first
-    sample whose box falls outside the boxes of mask (by default those of
-    N−L) or whose orbit leaves the domain, and its position freezes.
-    boxes holds the box_of id of every sample's position, the ids the
-    march finds absorption with, as int32 (every id is below MAX_BOXES =
-    2^31).  Exit times, envelopes, probes and fields all step their orbits
-    here.  A march that would store more than MAX_MARCH_VALUES coordinates
-    raises CapacityError before it allocates.
+    sample whose box falls outside the boxes of its absorbing mask or whose
+    orbit leaves the domain, and its position freezes.  masks is a stack
+    of boolean masks over the grid's boxes, and which gives each row the
+    index of its mask in the stack; by default the stack holds the mask of
+    N−L of pair alone, and every row reads it.  boxes holds the box_of id
+    of every sample's position, the ids the march finds absorption with,
+    as int32 (every id is below MAX_BOXES = 2^31).  Exit times, envelopes,
+    probes and fields all step their orbits here.  A march that would
+    store more than MAX_MARCH_VALUES coordinates raises CapacityError
+    before it allocates.
 
     Each pass steps the rows still live through a block of samples with
     _sample_block, and then finds each row's first absorbed sample with
@@ -271,13 +303,17 @@ def _march_quotient(system, pair, points, n_steps, dt, mask=None):
     turns non-finite or sets a floating-point flag in the next sample)
     takes that sample as one _advance step instead, a block of one sample
     in which a row that escaped is absorbed.  Either way every row gets
-    the samples a march of one _advance call per step gives it.  Once
-    every row is absorbed the remaining samples are filled in without
-    stepping.
+    the samples a march of one _advance call per step gives it, whatever
+    the other rows and their masks.  Once every row is absorbed the
+    remaining samples are filled in without stepping.
     """
-    mask = pair._core_mask if mask is None else mask
     grid = pair.grid
     current = np.array(np.atleast_2d(points), dtype=float)
+    masks = pair._core_mask[None] if masks is None else masks
+    which = np.zeros(current.shape[0], dtype=np.intp) if which is None else which
+    # each row's mask starts at offset[row] of the flat stack
+    flat = masks.reshape(-1)
+    offset = which * masks.shape[1]
     n_values = (n_steps + 1) * current.size
     if n_values > MAX_MARCH_VALUES:
         raise CapacityError(
@@ -287,7 +323,7 @@ def _march_quotient(system, pair, points, n_steps, dt, mask=None):
     absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
     boxes = np.empty(absorbed.shape, dtype=np.int32)
     box = grid.box_of(current)
-    dead = ~mask[box]
+    dead = ~masks[which, box]
     positions[0] = current
     absorbed[0] = dead
     boxes[0] = box
@@ -306,7 +342,8 @@ def _march_quotient(system, pair, points, n_steps, dt, mask=None):
             block = nxt[None]
         j = block.shape[0]
         ids = grid.box_of(block.reshape(-1, block.shape[2])).reshape(j, live.size)
-        out = ~mask[ids] | escaped
+        # a block's samples lie in the domain, so each id is a box of the row's mask
+        out = ~flat[ids + offset[live]] | escaped
         # each row's first absorbed sample in the block, j if none
         first = np.where(out.any(axis=0), out.argmax(axis=0), j)
         sample = np.arange(j)[:, None]
@@ -377,6 +414,89 @@ class RegularityReport:
         }
 
 
+@dataclass
+class _RegularityDraw:
+    """The samples regularity_check draws for one pair: points in L-boxes
+    (with their boxes) to probe at times, and core base points followed by
+    their shifted partners.  A part the pair has no boxes for is empty."""
+
+    pair: IndexPair
+    picks: np.ndarray
+    points: np.ndarray
+    times: np.ndarray
+    core: np.ndarray
+
+
+def _draw_regularity(system, pair, n_samples, t_probe, rng):
+    """The samples of regularity_check, drawn from rng in its order: the
+    L samples, then the core picks, then the base offsets, then the shifts."""
+    n_samples = checked_count(n_samples, "sample count", low=0)
+    grid = pair.grid
+    picks = np.empty(0, dtype=np.int64)
+    points = np.empty((0, grid.dimension))
+    if pair.L:
+        picks, points = sample_in_boxes(rng, grid, pair.L, n_samples)
+        _require_inside(system, points)
+    core = np.empty((0, grid.dimension))
+    if pair.core:
+        k = max(4, n_samples // 2)
+        bounds = grid.bounds(pair.core.ids[rng.integers(0, len(pair.core), size=k)])
+        margin = 0.25
+        base = (bounds[:, :, 0] + (margin + (1 - 2 * margin)
+                * rng.random((k, grid.dimension))) * grid.widths)
+        shift = (rng.random((k, grid.dimension)) - 0.5) * 0.25 * grid.widths
+        core = np.concatenate([base, base + shift])
+    return _RegularityDraw(pair, picks, points, np.linspace(0.0, t_probe, 9), core)
+
+
+def _judge_regularity(system, draws):
+    """The RegularityReport of each draw, in order; the pairs share one grid.
+
+    Each probe time marches every L sample of every draw that probes then
+    and is still inside from t = 0 in one _advance call, and the exit
+    times of every draw's base points and shifted partners come from one
+    _exit_times_batch, each row absorbed on its own pair.  Every sample
+    gets the verdict and exit time it would get alone, so each report is
+    that of its draw judged alone.
+    """
+    if not draws:
+        return []
+    pairs = [d.pair for d in draws]
+    grid = pairs[0].grid
+    owner = np.repeat(np.arange(len(draws)), [len(d.points) for d in draws])
+    pts = np.concatenate([d.points for d in draws])
+    isolating = np.stack([p._isolating_mask for p in pairs])
+    stayed = np.ones(len(pts), dtype=bool)
+    probing = {}
+    for i, d in enumerate(draws):
+        for s in d.times.tolist():
+            probing.setdefault(s, []).append(i)
+    for s in sorted(probing):
+        rows = np.flatnonzero(stayed & np.isin(owner, probing[s]))
+        if rows.size:
+            probe, escaped, _ = _advance(system, pts[rows], s)
+            inside = ~escaped & isolating[owner[rows], grid.box_of(probe)]
+            stayed[rows[~inside]] = False
+
+    tau = _exit_times_batch(system, pairs, np.concatenate([d.core for d in draws]), 1e-2, 20.0,
+                            which=np.repeat(np.arange(len(draws)), [len(d.core) for d in draws]))
+    reports = []
+    start = 0
+    for i, d in enumerate(draws):
+        violations = [(int(d.picks[j]), d.points[j].tolist())
+                      for j in np.flatnonzero(stayed[owner == i])]
+        k = len(d.core) // 2
+        tau_a, tau_b = tau[start:start + k], tau[start + k:start + 2 * k]
+        start += 2 * k
+        both = np.isfinite(tau_a) & np.isfinite(tau_b)
+        pairs_checked = int(both.sum())
+        modulus = float(np.abs(tau_a[both] - tau_b[both]).max()) if pairs_checked else float("nan")
+        reports.append(RegularityReport(passed=not violations, violations=violations,
+                                        n_checked=len(d.points), modulus=modulus,
+                                        modulus_pairs=pairs_checked))
+    return reports
+
+
 def regularity_check(system, pair, n_samples=50, t_probe=1.0, rng=None):
     """Sample test of the regularity criterion for index pairs.
 
@@ -384,51 +504,13 @@ def regularity_check(system, pair, n_samples=50, t_probe=1.0, rng=None):
     (a point already outside at time 0 passes immediately).  Also estimates
     a modulus of continuity of the exit time over nearby core points.
 
-    Each probe time marches every sample still inside from t = 0 in one
-    _advance call, and the exit times of the base points and their shifted
-    partners come from one batch; every sample gets the verdict and exit
-    time it would get alone.
+    The samples are drawn by _draw_regularity and judged by
+    _judge_regularity, which judges the draws of several pairs in one
+    batch, as extract_filtration and run_suite do, with the reports each
+    draw gets alone.
     """
-    n_samples = checked_count(n_samples, "sample count", low=0)
     rng = np.random.default_rng(0) if rng is None else rng
-    grid = pair.grid
-    violations = []
-    n_checked = 0
-    if pair.L:
-        picks, pts = sample_in_boxes(rng, grid, pair.L, n_samples)
-        _require_inside(system, pts)
-        stayed = np.ones(n_samples, dtype=bool)
-        for s in np.linspace(0.0, t_probe, 9):
-            rows = np.flatnonzero(stayed)
-            if not rows.size:
-                break
-            probe, escaped, _ = _advance(system, pts[rows], s)
-            inside = ~escaped & pair._isolating_mask[grid.box_of(probe)]
-            stayed[rows[~inside]] = False
-        n_checked = n_samples
-        violations = [(int(picks[i]), pts[i].tolist()) for i in np.flatnonzero(stayed)]
-
-    modulus = float("nan")
-    pairs_checked = 0
-    if pair.core:
-        k = max(4, n_samples // 2)
-        picks = pair.core.ids[rng.integers(0, len(pair.core), size=k)]
-        bounds = grid.bounds(picks)
-        margin = 0.25
-        base = (bounds[:, :, 0] + (margin + (1 - 2 * margin)
-                * rng.random((k, grid.dimension))) * grid.widths)
-        shift = (rng.random((k, grid.dimension)) - 0.5) * 0.25 * grid.widths
-        tau = _exit_times_batch(system, pair, np.concatenate([base, base + shift]),
-                                1e-2, 20.0)
-        tau_a, tau_b = tau[:k], tau[k:]
-        both = np.isfinite(tau_a) & np.isfinite(tau_b)
-        pairs_checked = int(both.sum())
-        if pairs_checked:
-            modulus = float(np.abs(tau_a[both] - tau_b[both]).max())
-
-    return RegularityReport(passed=not violations, violations=violations,
-                            n_checked=n_checked, modulus=modulus,
-                            modulus_pairs=pairs_checked)
+    return _judge_regularity(system, [_draw_regularity(system, pair, n_samples, t_probe, rng)])[0]
 
 
 @dataclass
@@ -467,7 +549,7 @@ def retraction_check(system, pair, n_samples=50, rng=None, dt=1e-3):
         return RetractionReport(passed=True, failures=[], n_tested=0, n_skipped=0)
     _, pts = sample_in_boxes(rng, grid, pair.core, n_samples)
     _require_inside(system, pts)
-    taus = _exit_times_batch(system, pair, pts, dt, horizon=1.0 + 4 * dt)
+    taus = _exit_times_batch(system, [pair], pts, dt, horizon=1.0 + 4 * dt)
 
     frozen, _, _ = _advance(system, pts, 0.0)
     moved = ~(frozen == pts).all(axis=1)

@@ -21,12 +21,10 @@ from .flows import _advance
 from .grid import BoxSet, build_grid, covering_steps, nearest_steps, sample_in_boxes
 from .jsonio import boolean, load_json, mapping, number, string, write_json
 from .lyapunov import (CenterTable, Filtration, LyapunovField, LyapunovParams,
-                       _QuotientSamples, _renewal_steps,
-                       complete_lyapunov, extract_filtration, morse_lyapunov,
-                       pair_lyapunov)
-from .pairs import (IndexPair, build_index_pair, regularity_check,
-                    retraction_check, validate_index_pair, _exit_times_batch,
-                    _march_quotient)
+                       _QuotientSamples, _draw_filtration, _filtration_verdict,
+                       _renewal_steps, complete_lyapunov, morse_lyapunov, pair_lyapunov)
+from .pairs import (IndexPair, build_index_pair, retraction_check, validate_index_pair,
+                    _draw_regularity, _exit_times_batch, _judge_regularity, _march_quotient)
 from .recurrence import (chain_recurrent_boxes, check_R_equals_intersection,
                          enumerate_ar_pairs, ar_regions_in_pair, epsilon_chain_oracle,
                          morse_graph)
@@ -300,6 +298,10 @@ def _oracle_check(system, grid, graph, padding, epsilon, add):
 
 
 def _pair_checks(system, mg, pair, fail_reason, rng, add):
+    """The index pair checks.  pair_regularity is judged later, with the
+    filtration levels: its samples are drawn in its place, and the draw is
+    returned with the check that holds its place (None, None without a
+    pair)."""
     graph = mg.graph
     grid = graph.grid
     if pair is None and not mg.invariant:
@@ -320,7 +322,7 @@ def _pair_checks(system, mg, pair, fail_reason, rng, add):
         hand = IndexPair.from_boxes(grid, grid.all_boxes().ids, [])
         vals = np.arange(1, 10) / 10.0
         xs = np.concatenate([-vals[::-1], vals])[:, None]
-        taus = _exit_times_batch(system, hand, xs, 1e-3, 3.0)
+        taus = _exit_times_batch(system, [hand], xs, 1e-3, 3.0)
         err = float(np.abs(taus - np.log(1.0 / np.abs(xs[:, 0]))).max())
         add("exit_time_closed_form", err < 1e-3, True,
             {"max_abs_error": err, "points": xs.shape[0]}, 1e-3,
@@ -332,17 +334,23 @@ def _pair_checks(system, mg, pair, fail_reason, rng, add):
     if pair is None:
         add("pair_regularity", True, False, {}, None, "no index pair available")
         add("pair_retraction", True, False, {}, None, "no index pair available")
-        return
-    reg = regularity_check(system, pair, n_samples=50, t_probe=1.0, rng=rng)
-    add("pair_regularity", reg.passed, True,
-        {"l_samples": reg.n_checked, "violations": len(reg.violations),
-         "modulus": reg.modulus, "modulus_pairs": reg.modulus_pairs}, None,
-        "exit-set samples leave the isolating neighborhood promptly")
+        return None, None
+    draw = _draw_regularity(system, pair, 50, 1.0, rng)
+    regularity = add("pair_regularity", False, True, {}, None,
+                     "exit-set samples leave the isolating neighborhood promptly")
     ret = retraction_check(system, pair, n_samples=50, rng=rng)
     add("pair_retraction", ret.passed, True,
         {"tested": ret.n_tested, "skipped": ret.n_skipped,
          "failures": len(ret.failures)}, None,
         "orbits stopped at their exit time land next to L")
+    return draw, regularity
+
+
+def _fill_regularity(check, reg):
+    """Fill in the pair_regularity check from the report of its draw."""
+    check.passed = reg.passed
+    check.measured.update({"l_samples": reg.n_checked, "violations": len(reg.violations),
+                           "modulus": reg.modulus, "modulus_pairs": reg.modulus_pairs})
 
 
 def _orbit_checks(system, grid, pair, fields, ar_first, recurrent, params, rng, add):
@@ -493,13 +501,15 @@ def _constancy_check(grid, mg, f_complete, add):
         "complete function is constant on the lowest Morse set")
 
 
-def _filtration_check(system, f_morse, rng, add):
+def _filtration_check(f_morse, drawn, reports, add):
+    """filtration_soundness from the draws of _draw_filtration and the
+    regularity report of each; the filtration, or None."""
     if f_morse is None:
         add("filtration_soundness", True, False, {}, None,
             "no morse-sum field available")
         return None
     try:
-        filtration, _ = extract_filtration(system, f_morse, rng=rng, n_samples=30)
+        filtration, _ = _filtration_verdict(f_morse, drawn, reports)
     except FiltrationError as exc:
         add("filtration_soundness", False, True,
             {"failed_level": exc.level}, None, str(exc))
@@ -533,7 +543,11 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
     """Run every check against one system and collect a VerifyReport.
 
     The checks consume one seeded generator in a fixed order, so two runs
-    with the same configuration and seed produce identical reports.
+    with the same configuration and seed produce identical reports.  The
+    regularity samples of the pair and of every filtration level are drawn
+    in their places and judged together at the end, in one exit-time
+    march with each row absorbed on its own pair; each report is the one
+    its samples get alone.
     """
     rng = np.random.default_rng(seed)
     grid = build_grid(system.domain, depth)
@@ -547,6 +561,7 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
         checks.append(CheckResult(name=name, passed=bool(passed),
                                   applicable=bool(applicable), measured=measured,
                                   tolerance=tolerance, detail=detail))
+        return checks[-1]
 
     _flow_checks(system, rng, add)
     _graph_checks(system, grid, graph, mg.invariant, rng, add)
@@ -559,7 +574,7 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
         pair = build_index_pair(mg)
     except (IsolationError, ConstructionError) as exc:
         fail_reason = str(exc)
-    _pair_checks(system, mg, pair, fail_reason, rng, add)
+    reg_draw, regularity = _pair_checks(system, mg, pair, fail_reason, rng, add)
 
     fields = []
     ar_first = None
@@ -578,7 +593,12 @@ def run_suite(system, depth, map_time=1.0, padding=None, dt=0.05, t_max=12.0,
         fields.extend([f_morse, f_complete])
     _lyapunov_checks(system, grid, pair, mg, fields, ar_first, recurrent, params, rng, add)
     _constancy_check(grid, mg, f_complete, add)
-    filtration = _filtration_check(system, f_morse, rng, add)
+    drawn = None if f_morse is None else _draw_filtration(system, f_morse, rng, 30)
+    reports = _judge_regularity(system, ([] if reg_draw is None else [reg_draw])
+                                + ([] if drawn is None else drawn.draws))
+    if reg_draw is not None:
+        _fill_regularity(regularity, reports.pop(0))
+    filtration = _filtration_check(f_morse, drawn, reports, add)
     _roundtrip_check(graph, pair, f_morse, filtration, add)
 
     parameters = {

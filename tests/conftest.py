@@ -88,16 +88,18 @@ def sample_in_boxes(rng, grid, boxset, n):
     return rects[:, :, 0] + u * (rects[:, :, 1] - rects[:, :, 0])
 
 
-def _march_quotient_oracle(system, pair, points, n_steps, dt, mask=None):
+def _march_quotient_oracle(system, pair, points, n_steps, dt, masks=None, which=None):
     """The quotient march one sample at a time: the rows still live take one
-    _advance step of dt, then one box_of call decides which are absorbed.
-    The box ids are box_of of every stored position, as int32."""
-    mask = pair._core_mask if mask is None else mask
+    _advance step of dt, then one box_of call decides which are absorbed,
+    each row on masks[which[row]] (by default pair's N−L mask).  The box ids
+    are box_of of every stored position, as int32."""
     current = np.array(np.atleast_2d(points), dtype=float)
+    masks = pair._core_mask[None] if masks is None else masks
+    which = np.zeros(current.shape[0], dtype=int) if which is None else np.asarray(which)
     positions = np.empty((n_steps + 1,) + current.shape)
     absorbed = np.empty((n_steps + 1, current.shape[0]), dtype=bool)
     boxes = np.atleast_1d(pair.grid.box_of(current))
-    dead = (boxes < 0) | ~mask[np.maximum(boxes, 0)]
+    dead = (boxes < 0) | ~masks[which, np.maximum(boxes, 0)]
     for k in range(n_steps + 1):
         if dead.all():
             positions[k:] = current
@@ -108,7 +110,7 @@ def _march_quotient_oracle(system, pair, points, n_steps, dt, mask=None):
             nxt, escaped, _ = _advance(system, current[live], dt)
             current[live] = nxt
             boxes = np.atleast_1d(pair.grid.box_of(nxt))
-            dead[live] = escaped | (boxes < 0) | ~mask[np.maximum(boxes, 0)]
+            dead[live] = escaped | (boxes < 0) | ~masks[which[live], np.maximum(boxes, 0)]
         positions[k] = current
         absorbed[k] = dead
     ids = pair.grid.box_of(positions.reshape(-1, positions.shape[2]))

@@ -1,5 +1,6 @@
 """Property tests: a term-list field computes each row alone, in any layout,
-by square-and-multiply powers, products in axis order and sums in term order.
+by square-and-multiply powers, products in axis order and sums in term order,
+one output column at a time.
 """
 
 import numpy as np
@@ -73,3 +74,39 @@ def test_low_powers_have_the_bits_of_left_to_right_products(case):
     terms, pts = case
     got = polynomial_field(terms, pts.shape[1])(pts)
     np.testing.assert_array_equal(got, [_oracle(terms, row) for row in pts.tolist()])
+
+
+def _broadcast_sum(terms, pts):
+    """The term sum as one broadcast product per term, out += mono[:, None] * c,
+    with low powers as left-to-right products."""
+    out = np.zeros_like(pts)
+    for term in terms:
+        mono = np.ones(len(pts))
+        for x, k in zip(pts.T, term["exponents"]):
+            if k:
+                p = x
+                for _ in range(k - 1):
+                    p = p * x
+                mono = mono * p
+        out += mono[:, None] * np.array(term["coeffs"], dtype=float)
+    return out
+
+
+@settings(deadline=None)
+@given(fields(top=3))
+def test_the_column_sum_has_the_bits_of_the_broadcast_sum(case):
+    terms, pts = case
+    got = polynomial_field(terms, pts.shape[1])(pts)
+    np.testing.assert_array_equal(got, _broadcast_sum(terms, pts))
+
+
+def test_a_zero_coefficient_times_an_overflowed_power_stays_nan():
+    # x^400 is exact at 0.5, 1 and 2 and overflows past 5.89, where the
+    # zero coefficient of the second term turns it into NaN
+    terms = [{"coeffs": [1.0, 0.0], "exponents": [0, 0]},
+             {"coeffs": [0.0, 0.0], "exponents": [400, 0]}]
+    pts = np.column_stack([[0.5, 1.0, 2.0, 6.0, 9.5], np.full(5, 0.5)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = polynomial_field(terms, 2)(pts)
+        np.testing.assert_array_equal(got, _broadcast_sum(terms, pts))
+    assert np.isnan(got[3:]).all() and np.array_equal(got[:3], [[1.0, 0.0]] * 3)

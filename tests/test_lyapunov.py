@@ -1,5 +1,7 @@
 """Lyapunov constructions: envelopes, discounted averages, fields, filtrations."""
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -400,6 +402,82 @@ def test_coarse_grid_fails_with_a_named_level():
     with pytest.raises(FiltrationError) as exc:
         bf.extract_filtration(system, field, rng=np.random.default_rng(0))
     assert exc.value.level == 2
+
+
+@pytest.fixture(scope="module")
+def contract_field():
+    """contract1d at 256: its filtration fails at level 2, which does not
+    capture Morse set 2, after level 1 passes."""
+    b = _bundle("contract1d", (256,))
+    return b.system, bf.morse_lyapunov(b.system, bf.build_index_pair(b.mg), b.mg)
+
+
+def test_a_structural_failure_leaves_rng_where_the_levels_below_it_draw(contract_field):
+    system, field = contract_field
+    rng = np.random.default_rng(4)
+    with pytest.raises(FiltrationError,
+                       match="level 2 does not capture Morse set 2 between its cuts") as exc:
+        bf.extract_filtration(system, field, rng=rng)
+    assert exc.value.level == 2
+    # level 1 drew its regularity samples and nothing else did
+    level_1 = bf.IndexPair(field.pair.grid, *_filtration_levels(field)[1::-1])
+    alone = np.random.default_rng(4)
+    bf.regularity_check(system, level_1, n_samples=40, rng=alone)
+    assert rng.bit_generator.state == alone.bit_generator.state
+
+
+def _filtration_levels(field):
+    """Levels 0 and 1 of a Morse-sum field's filtration."""
+    return [field.pair.L.union(BoxSet(field.boxes[field.values <= cut])) for cut in (0.5, 1.5)]
+
+
+def test_a_regularity_failure_below_a_structural_failure_names_the_lower_level(
+        monkeypatch, contract_field):
+    system, field = contract_field
+    judged = []
+
+    def judge(system, draws):
+        reports = judge_regularity(system, draws)
+        judged.append(len(draws))
+        reports[0].violations.append((0, [0.0]))
+        reports[0].passed = False
+        return reports
+
+    judge_regularity = lyapunov._judge_regularity
+    monkeypatch.setattr(lyapunov, "_judge_regularity", judge)
+    with pytest.raises(FiltrationError, match=r"^level 1 fails the regularity sampling check "
+                                              r"\(1 violations\)$") as exc:
+        bf.extract_filtration(system, field, rng=np.random.default_rng(0))
+    assert exc.value.level == 1 and judged == [1]
+
+
+def test_a_structural_failure_at_level_1_leaves_rng_untouched(doublewell):
+    # with every value above 1.5, level 1 holds no box and cannot capture
+    # Morse set 1
+    field = dataclasses.replace(doublewell.morse_field,
+                                values=np.full_like(doublewell.morse_field.values, 5.0))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(FiltrationError, match="level 1 does not capture Morse set 1") as exc:
+        bf.extract_filtration(doublewell.system, field, rng=rng)
+    assert exc.value.level == 1 and rng.bit_generator.state == before
+
+
+def test_a_filtration_judges_its_levels_in_one_batch(monkeypatch, doublewell):
+    judged = []
+
+    def judge(system, draws):
+        judged.append(len(draws))
+        return judge_regularity(system, draws)
+
+    judge_regularity = lyapunov._judge_regularity
+    want = bf.extract_filtration(doublewell.system, doublewell.morse_field,
+                                 rng=np.random.default_rng(0))
+    monkeypatch.setattr(lyapunov, "_judge_regularity", judge)
+    got = bf.extract_filtration(doublewell.system, doublewell.morse_field,
+                                rng=np.random.default_rng(0))
+    assert judged == [len(got[0].levels) - 1] and judged[0] >= 2
+    assert got[0] == want[0] and json.dumps(got[1]) == json.dumps(want[1])
 
 
 def test_field_round_trip(tmp_path, doublewell):

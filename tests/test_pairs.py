@@ -9,11 +9,12 @@ import pytest
 
 import boxflow as bf
 from boxflow import cli, pairs
-from boxflow.errors import (ConstructionError, IngestionError, IsolationError,
+from boxflow.errors import (CapacityError, ConstructionError, IngestionError, IsolationError,
                             NumericalError, PreconditionError)
 from boxflow.flows import ADVANCE_CHUNK
 from boxflow.grid import BoxSet
-from boxflow.pairs import BASEPOINT, _exit_times_batch, _march_quotient
+from boxflow.pairs import (BASEPOINT, _draw_regularity, _exit_times_batch, _judge_regularity,
+                           _march_quotient)
 from boxflow.transition import EXIT, TransitionGraph
 
 from conftest import (_exit_time_oracle, _march_quotient_oracle, _random_exit_graph,
@@ -149,8 +150,8 @@ def _regularity_oracle(system, pair, rng, n_samples=50, t_probe=1.0):
         bounds = grid.bounds(picks)
         base = bounds[:, :, 0] + (0.25 + 0.5 * rng.random((k, grid.dimension))) * grid.widths
         shift = (rng.random((k, grid.dimension)) - 0.5) * 0.25 * grid.widths
-        tau_a = _exit_times_batch(system, pair, base, 1e-2, 20.0)
-        tau_b = _exit_times_batch(system, pair, base + shift, 1e-2, 20.0)
+        tau_a = _exit_times_batch(system, [pair], base, 1e-2, 20.0)
+        tau_b = _exit_times_batch(system, [pair], base + shift, 1e-2, 20.0)
         both = np.isfinite(tau_a) & np.isfinite(tau_b)
         pairs_checked = int(both.sum())
         if pairs_checked:
@@ -233,21 +234,21 @@ def test_exit_times_batch_equals_the_per_row_oracle(saddle, window_pair, doublew
                              (saddle.system, window_pair, SADDLE_XS),
                              (saddle.system, with_l, SADDLE_XS),
                              (doublewell.system, doublewell.pair, wells)):
-        got = _exit_times_batch(system, pair, xs, dt, horizon)
+        got = _exit_times_batch(system, [pair], xs, dt, horizon)
         ref = [_exit_time_oracle(system, pair, x, dt, horizon) for x in xs]
         np.testing.assert_array_equal(got, ref)
         assert np.isinf(got).any() and np.isfinite(got).any()
     # x' = x carries 0.9999 and -0.99995 out of the domain within the first
     # step, from a start inside closure(N−L)
     first = np.array([[0.9999], [-0.99995], [0.3]])
-    got = _exit_times_batch(saddle.system, saddle.hand_pair, first, dt, horizon)
+    got = _exit_times_batch(saddle.system, [saddle.hand_pair], first, dt, horizon)
     ref = [_exit_time_oracle(saddle.system, saddle.hand_pair, x, dt, horizon) for x in first]
     np.testing.assert_array_equal(got, ref)
     assert (0 < got[:2]).all() and (got[:2] < dt).all() and got[2] > dt
     # a batch of L rows marches no row
     for pair, xs in ((with_l, [[-0.99], [0.99]]), (window_pair, [[-0.49], [0.48], [0.497]])):
         xs = np.array(xs)
-        got = _exit_times_batch(saddle.system, pair, xs, dt, horizon)
+        got = _exit_times_batch(saddle.system, [pair], xs, dt, horizon)
         np.testing.assert_array_equal(got, np.zeros(len(xs)))
         np.testing.assert_array_equal(
             got, [_exit_time_oracle(saddle.system, pair, x, dt, horizon) for x in xs])
@@ -415,6 +416,113 @@ def test_a_live_row_that_overflows_fails_or_warns_as_in_the_per_step_oracle(kind
     else:
         # the march completes, warning on every step past x = 7.1
         assert len(got[0]) == 3 and len(got[1]) > 40
+
+
+def _multi_pair_case(request, name):
+    """(system, pairs, points) on one grid: a pair with an empty L, one whose
+    core is empty (N = L), and one whose rows all leave closure(N−L)."""
+    if name == "saddle1d":
+        b = request.getfixturevalue("saddle")
+        # x' = x carries every row but 0 out of the window and the domain
+        window = bf.IndexPair.from_boxes(b.grid, list(range(16, 48)), [16, 47])
+        pairs_ = [b.hand_pair, window, bf.IndexPair.from_boxes(b.grid, [20, 21], [20, 21])]
+        return b.system, pairs_, np.linspace(-0.97, 0.97, 30)[:, None]
+    if name == "doublewell1d":
+        b = request.getfixturevalue("doublewell")
+        # the built pair has an empty L and wells no row leaves; rows near
+        # the repelling 0 leave the window around it
+        window = bf.IndexPair.from_boxes(b.grid, list(range(100, 157)), [100, 101, 155, 156])
+        pairs_ = [b.pair, window, bf.IndexPair.from_boxes(b.grid, [60, 61], [60, 61])]
+        return b.system, pairs_, np.linspace(-1.9, 1.9, 36)[:, None]
+    b = request.getfixturevalue("gradient")
+    # every orbit runs into the origin, so rows leave a pair whose L is the
+    # central 8 x 8 block and never leave the whole grid
+    ix, iy = np.divmod(np.arange(b.grid.n_boxes), 32)
+    centre = np.flatnonzero((abs(ix - 15.5) < 4) & (abs(iy - 15.5) < 4))
+    whole = b.grid.all_boxes().ids
+    pairs_ = [bf.IndexPair.from_boxes(b.grid, whole, []),
+              bf.IndexPair.from_boxes(b.grid, whole, centre),
+              bf.IndexPair.from_boxes(b.grid, [0, 1, 2], [0, 1, 2])]
+    return b.system, pairs_, np.random.default_rng(3).uniform(-1.95, 1.95, size=(40, 2))
+
+
+@pytest.mark.parametrize("name", ["saddle1d", "doublewell1d", "gradient2d"])
+def test_a_march_with_a_mask_per_row_equals_one_march_per_mask(request, name):
+    system, pairs_, pts = _multi_pair_case(request, name)
+    masks = np.stack([m for p in pairs_ for m in (p._core_mask, p._isolating_mask)])
+    which = np.arange(len(pts)) % len(masks)
+    n_steps = 80 if name == "doublewell1d" else 60
+    got = _march_quotient(system, pairs_[0], pts, n_steps, 0.05, masks=masks, which=which)
+    ref = _march_quotient_oracle(system, pairs_[0], pts, n_steps, 0.05, masks=masks, which=which)
+    for a, b in zip(got, ref):
+        np.testing.assert_array_equal(a, b)
+    for k, mask in enumerate(masks):
+        rows = which == k
+        alone = _march_quotient(system, pairs_[0], pts[rows], n_steps, 0.05, masks=mask[None])
+        for a, b in zip(got, alone):
+            np.testing.assert_array_equal(a[:, rows], b)
+    absorbed = got[1]
+    # the empty core absorbs its rows at once; on the saddle every row leaves
+    assert absorbed[0, which == 4].all() and absorbed[0, which == 5].all()
+    assert absorbed[-1].all() == (name == "saddle1d")
+
+
+@pytest.mark.parametrize("name", ["saddle1d", "doublewell1d", "gradient2d"])
+def test_an_exit_time_batch_of_several_pairs_equals_one_batch_per_pair(request, name):
+    system, pairs_, pts = _multi_pair_case(request, name)
+    which = np.arange(len(pts)) % len(pairs_)
+    got = _exit_times_batch(system, pairs_, pts, 1e-2, 3.0, which=which)
+    for k, pair in enumerate(pairs_):
+        np.testing.assert_array_equal(
+            got[which == k], _exit_times_batch(system, [pair], pts[which == k], 1e-2, 3.0))
+    assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+def test_an_exit_time_batch_past_the_capacity_limit_marches_whole_runs_in_groups(
+        request, monkeypatch):
+    system, pairs_, pts = _multi_pair_case(request, "saddle1d")
+    which = np.repeat([0, 1], 15)
+    want = _exit_times_batch(system, pairs_, pts, 1e-2, 3.0, which=which)
+    marches = []
+
+    def march(system, pair, points, *args, **kwargs):
+        marches.append(len(points))
+        return march_quotient(system, pair, points, *args, **kwargs)
+
+    march_quotient = pairs._march_quotient
+    monkeypatch.setattr(pairs, "_march_quotient", march)
+    # 301 samples of one coordinate each: room for 20 rows, so the 15 rows
+    # of each pair (window rows in L are not marched) go in groups of their own
+    monkeypatch.setattr(pairs, "MAX_MARCH_VALUES", 301 * 20)
+    np.testing.assert_array_equal(_exit_times_batch(system, pairs_, pts, 1e-2, 3.0, which=which),
+                                  want)
+    assert len(marches) == 2 and sum(marches) <= 30
+    # the rows of one pair alone may still pass the limit
+    monkeypatch.setattr(pairs, "MAX_MARCH_VALUES", 301 * 10)
+    with pytest.raises(CapacityError):
+        _exit_times_batch(system, pairs_, pts, 1e-2, 3.0, which=which)
+
+
+@pytest.mark.parametrize("name", ["saddle1d", "doublewell1d", "gradient2d"])
+def test_judged_draws_equal_regularity_checks_one_by_one(request, name):
+    system, pairs_, _ = _multi_pair_case(request, name)
+    grid = pairs_[0].grid
+    pairs_.append(bf.IndexPair.from_boxes(grid, pairs_[1].N.ids, pairs_[1].N.ids[::3]))
+    t_probes = [1.0, 0.5, 1.0, 2.0]
+    for seed in (0, 5):
+        rng = np.random.default_rng(seed)
+        draws = [_draw_regularity(system, p, 24, t, rng) for p, t in zip(pairs_, t_probes)]
+        drawn = rng.bit_generator.state
+        got = _judge_regularity(system, draws)
+        assert rng.bit_generator.state == drawn
+        rng_alone = np.random.default_rng(seed)
+        alone = [bf.regularity_check(system, p, n_samples=24, t_probe=t, rng=rng_alone)
+                 for p, t in zip(pairs_, t_probes)]
+        assert rng_alone.bit_generator.state == drawn
+        assert [json.dumps(r.to_dict()) for r in got] == [json.dumps(r.to_dict()) for r in alone]
+    # the empty-core pair has L samples that all leave at once and no core rows
+    assert got[2].n_checked == 24 and got[2].passed and got[2].modulus_pairs == 0
+    assert got[0].n_checked == 0 and any(r.modulus_pairs for r in got)
 
 
 def test_pair_round_trip(tmp_path, doublewell):

@@ -195,3 +195,30 @@ def test_attractor_edge_violations_equal_the_per_box_loop(name, depth):
     if name == "doublewell1d":
         # connecting boxes take both verdicts, so their class bits are exercised
         assert connecting_ok == {True, False}
+
+
+@pytest.mark.parametrize("name,depth,seed,levels", [("doublewell1d", (256,), 0, 3),
+                                                    ("doublewell1d", (256,), 7, 3),
+                                                    ("saddle1d", (64,), 0, 1),
+                                                    ("gradient2d", (32, 32), 0, 1),
+                                                    ("contract1d", (256,), 0, 1)])
+def test_suite_equals_a_run_that_judges_each_regularity_draw_alone(monkeypatch, name, depth,
+                                                                   seed, levels):
+    # contract1d fails its filtration at level 2, so only level 1 is drawn
+    system = bf.builtin_system(name)
+    judge = verify._judge_regularity
+    batches = []
+
+    def counted(system, draws):
+        batches.append(len(draws))
+        return judge(system, draws)
+
+    monkeypatch.setattr(verify, "_judge_regularity", counted)
+    batched = bf.run_suite(system, depth, seed=seed).to_dict()
+    assert batches == [1 + levels]
+    monkeypatch.setattr(verify, "_judge_regularity",
+                        lambda system, draws: [r for d in draws for r in judge(system, [d])])
+    assert bf.run_suite(system, depth, seed=seed).to_dict() == batched
+    checks = {c["name"]: c for c in batched["checks"]}
+    assert checks["pair_regularity"]["applicable"] and checks["pair_regularity"]["measured"]
+    assert checks["filtration_soundness"]["passed"] == (name != "contract1d")
